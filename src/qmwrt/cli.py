@@ -11,7 +11,13 @@ Subcommands:
               decomposition, lemmas, modularity sweep, or all)
   sweep       residual table over a range of r, as CSV
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
+Manifold selectors (case-insensitive): brieskorn:p1,p2,...; lens:p;
+seifert:b;p1/q1,...; ex:2-3-3; ex:neg-2-3-9; ex:family:p (the ex: prefix
+is optional).
+
+Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (rejected
+before any computation where the manifold or suite is at fault), 3 an
+internal arithmetic error.
 The environment variable QMWRT_MAX_COLORS caps the brute-force oracle's
 nominal color space (default 10^6 tuples).
 """
@@ -32,6 +38,7 @@ from .number_theory import RootContext, normalize_s
 __all__ = ["JobSpec", "UsageError", "parse_args", "run", "main"]
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 class UsageError(Exception):
@@ -41,7 +48,8 @@ class UsageError(Exception):
 @dataclass
 class JobSpec:
     command: str
-    manifold: str | None = None
+    manifold: str | None = None             # the selector as given
+    model: seifert.Manifold | None = None   # the parsed selector
     suite: str | None = None
     r: int | None = None
     r_range: tuple[int, int, int] | None = None
@@ -178,14 +186,31 @@ def parse_args(argv: list[str]) -> JobSpec:
             job.r_range = _parse_range(rr)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    if ns.command == "verify" and job.r is None and job.r_range is None:
-        if job.suite == "modularity":
+    if ns.command == "verify":
+        if job.suite == "modularity" and job.r_range is None:
             raise UsageError("verify modularity needs --r-range")
-        raise UsageError("verify needs --r or --r-range")
+        if job.suite != "modularity" and job.r is None:
+            raise UsageError(f"verify {job.suite} needs --r")
     if ns.command == "falsetheta":
         job.p = _parse_int_tuple(ns.p)
         job.a = _parse_int_tuple(ns.a)
+    if job.manifold is not None:
+        job.model = _parse_model(job)
     return job
+
+
+def _parse_model(job: JobSpec) -> seifert.Manifold:
+    """Parse --manifold and check that the command applies to it."""
+    try:
+        model = seifert.parse(job.manifold)
+        suites = harness.family(model).suites if job.command != "wrt" else ()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    suite = "modularity" if job.command == "sweep" else job.suite
+    if suite not in (None, "all") and suite not in suites:
+        raise UsageError(f"{job.command} {suite} does not apply to "
+                         f"{job.manifold!r}; it takes {', '.join(suites)}")
+    return model
 
 
 def _ctx(job: JobSpec, r: int | None = None) -> RootContext:
@@ -221,12 +246,11 @@ def _emit(job: JobSpec, payload, exit_code: int) -> int:
 
 def _run_wrt(job: JobSpec) -> int:
     ctx = _ctx(job)
-    low = job.manifold.strip().lower()
-    if low.startswith("lens:"):
-        return _run_wrt_lens(job, ctx, int(low.split(":", 1)[1]))
-    d = seifert.parse_manifold(job.manifold)
+    d = job.model.data
+    if d is None:
+        return _run_wrt_lens(job, ctx, job.model.params[0])
     inv = seifert.invariants(d)
-    tau = wrt.tau_seifert_closed(d, ctx, exact=True)
+    tau = wrt.tau_seifert_closed(d, ctx)
     w = wrt.w_normalized(tau, inv.H, ctx)
     results = [
         {"name": "tau", **_fmt(tau.numeric)},
@@ -288,24 +312,11 @@ def _run_falsetheta(job: JobSpec) -> int:
 
 
 def _run_flatconn(job: JobSpec) -> int:
-    rows = []
-    low = job.manifold.strip().lower()
-    if low.startswith(("lens:", "ex:")):
-        for c in seifert.abelian_connections(job.manifold):
-            rows.append({"kind": c.kind, "label": c.label,
-                         "cs_lift": str(c.cs_lift), "cs": str(c.cs.value)})
-    d = None
-    if low.startswith("brieskorn:"):
-        d = seifert.parse_manifold(job.manifold)
-        p = tuple(x for x, _ in d.fibers)
-        for c in seifert.nonabelian_connections(p):
-            rows.append({"kind": c.kind, "rotation": list(c.rotation),
-                         "cs_lift": str(c.cs_lift), "cs": str(c.cs.value)})
-        g = seifert.geometric_connection(d)
-        rows.append({"kind": "geometric", "rotation": list(g.rotation or ()),
-                     "cs_lift": str(g.cs_lift), "cs": str(g.cs.value)})
-    if not rows:
-        raise UsageError(f"no flat connection data for {job.manifold!r}")
+    rows = [{"kind": c.kind,
+             **({"label": c.label} if c.rotation is None
+                else {"rotation": list(c.rotation)}),
+             "cs_lift": str(c.cs_lift), "cs": str(c.cs.value)}
+            for c in harness.family(job.model).connections(job.model)]
     payload = {"manifold": job.manifold, "results": rows}
     if job.output == "json":
         return _emit(job, payload, 0)
@@ -335,47 +346,34 @@ def _run_gauss(job: JobSpec) -> int:
 
 
 def _verify_reports(job: JobSpec) -> list[harness.VerificationReport]:
-    low = job.manifold.strip().lower()
-    is_brieskorn = low.startswith("brieskorn:")
+    model, p = job.model, job.model.params
     reports = []
     ctx = _ctx(job) if job.r else None
     if job.suite == "all":
-        suites = (["identity", "integrality", "geometric", "lemmas"]
-                  if is_brieskorn else ["decomposition", "geometric"])
+        suites = [s for s in harness.family(model).suites if s != "modularity"]
     else:
         suites = [job.suite]
     for suite in suites:
         if suite == "identity":
-            if not is_brieskorn:
-                raise UsageError("identity suite needs a Brieskorn manifold")
-            p = tuple(int(x) for x in low.split(":", 1)[1].split(","))
             reports.append(harness.brieskorn_identity(p, ctx))
         elif suite == "integrality":
-            if not is_brieskorn:
-                raise UsageError("integrality suite needs a Brieskorn manifold")
-            p = tuple(int(x) for x in low.split(":", 1)[1].split(","))
             rep = harness.VerificationReport(job.manifold,
                                              {"r": ctx.r, "s": ctx.s})
-            for a in seifert.rotation_triples(p):
-                ok, _ = harness.integrality_check(p, a, ctx)
+            pc = seifert.rotation_order(p)   # rotation numbers index this order
+            for a in seifert.rotation_triples(pc):
+                ok, _ = harness.integrality_check(pc, a, ctx)
                 rep.add(f"integrality{a}", ok)
             reports.append(rep)
         elif suite == "geometric":
-            reports.append(harness.geometric_relation(job.manifold, ctx))
+            reports.append(harness.geometric_relation(model, ctx))
         elif suite == "decomposition":
-            reports.append(harness.decomposition_report(job.manifold, ctx))
+            reports.append(harness.decomposition_report(model, ctx))
         elif suite == "lemmas":
-            if not is_brieskorn:
-                raise UsageError("lemmas suite needs a Brieskorn manifold")
-            p = tuple(int(x) for x in low.split(":", 1)[1].split(","))
             reports.append(harness.appendix_b_checks(p, (1, 1, 1), ctx.r))
         elif suite == "modularity":
-            if job.r_range is None:
-                raise UsageError("modularity suite needs --r-range")
             start, stop, step = job.r_range
             r_list = list(range(start, stop + 1, step))
-            rows, slope = harness.residual_scan(job.manifold, job.s, r_list,
-                                                job.order)
+            rows, slope = harness.residual_scan(model, job.s, r_list, job.order)
             expected = -(job.order + 1)
             ok = abs(slope - expected) <= job.slope_tol
             rep = harness.VerificationReport(job.manifold,
@@ -415,7 +413,7 @@ def _run_sweep(job: JobSpec) -> int:
     r_list = list(range(start, stop + 1, step))
 
     def one(r: int):
-        rows, _ = harness.residual_scan(job.manifold, job.s, [r], job.order)
+        rows, _ = harness.residual_scan(job.model, job.s, [r], job.order)
         return rows[0]
 
     if job.jobs > 1:
@@ -450,9 +448,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .intmatrix import (
     signature,
 )
 from .number_theory import RootContext, jacobi
+from .wrt import f_surgery_normalization
 
 __all__ = [
     "gauss_brute",
@@ -134,25 +135,13 @@ def f_unknot(sign: int, ctx: RootContext) -> FUnknot:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     r, s = ctx.r, ctx.s
-    D = 4 * r
-    acc: dict[int, int] = {}
-    # F(U^sign) = sum_{n=1}^{r-1} q^(sign (n^2 - 1)/4) [n]^2, with
-    # [n]^2 = sum_{i,j=0}^{n-1} q^(n-1-i-j) and q^m = zeta_4r^(4 s m).
-    for n in range(1, r):
-        base = (sign * s * (n * n - 1)) % D
-        for i in range(n):
-            for j in range(n):
-                k = (base + 4 * s * (n - 1 - i - j)) % D
-                acc[k] = acc.get(k, 0) + 1
-    exact = CycloNumber.from_int_dict(D, acc)
-
     i_pow_s = 1j if s % 4 == 1 else -1j
-    q_quarter = cmath.exp(2j * math.pi * s / D)
+    q_quarter = cmath.exp(2j * math.pi * s / (4 * r))
     q_half = q_quarter ** 2
     closed = (-sign * jacobi(r, s) * (1 + sign * i_pow_s) / math.sqrt(2)
               * math.sqrt(2 * r) * q_quarter ** (-3 * sign)
               / (q_half - 1 / q_half))
-    return FUnknot(sign, exact, jacobi(r, s), closed)
+    return FUnknot(sign, f_surgery_normalization(sign, ctx), jacobi(r, s), closed)
 
 
 @dataclass(frozen=True)

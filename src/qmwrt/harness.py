@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,16 +31,19 @@ from .false_theta import (
 )
 from .number_theory import RootContext, normalize_s
 from .seifert import (
+    Manifold,
     SeifertData,
+    abelian_connections,
     brieskorn,
     cs_nonabelian,
-    example_family,
     geometric_connection,
     invariants,
-    parse_manifold,
+    nonabelian_connections,
+    parse,
+    rotation_order,
     rotation_triples,
 )
-from .wrt import tau_seifert_closed, w_normalized, wrt_lens
+from .wrt import lens_sectors, tau_seifert_closed, w_normalized, wrt_lens_brute
 
 __all__ = [
     "CheckResult",
@@ -54,6 +58,9 @@ __all__ = [
     "residual_scan",
     "appendix_b_checks",
     "w_exact",
+    "Family",
+    "FAMILIES",
+    "family",
 ]
 
 
@@ -90,9 +97,7 @@ class VerificationReport:
 
 def w_exact(d: SeifertData, ctx: RootContext) -> CycloNumber:
     """W = sqrt(H) (H/s) (xi - 1) tau, exactly, via the closed form."""
-    inv = invariants(d)
-    t = tau_seifert_closed(d, ctx)
-    return w_normalized(t, inv.H, ctx).exact
+    return w_normalized(tau_seifert_closed(d, ctx), invariants(d).H, ctx).exact
 
 
 # -- Brieskorn false-theta identity -----------------------------------------
@@ -150,10 +155,17 @@ def _psi_limit(P: int, terms: dict[int, int], alpha: Fraction) -> CycloNumber:
     return eichler_limit(psi_combo(P, terms), P, alpha)
 
 
-def _sectors_233(ctx: RootContext, tilde: bool):
+def _side(ctx: RootContext, tilde: bool):
+    """The Eichler point and the power map of one side: (s/r, xi^x), or
+    (-r/s, xi~^x) on the companion side."""
+    if tilde:
+        return Fraction(-ctx.r, ctx.s), lambda x: xi_tilde_power(ctx, x)
+    return Fraction(ctx.s, ctx.r), lambda x: xi_power(ctx, x)
+
+
+def _sectors_233(m: Manifold, ctx: RootContext, tilde: bool):
     """Sector values W^(a) of S^2(1;2,3,3); tilde evaluates at -r/s."""
-    alpha = Fraction(-ctx.r, ctx.s) if tilde else Fraction(ctx.s, ctx.r)
-    pw = (lambda x: xi_tilde_power(ctx, x)) if tilde else (lambda x: xi_power(ctx, x))
+    alpha, pw = _side(ctx, tilde)
     head = pw(Fraction(-13, 24))
     w0 = head * (Fraction(-1, 2) * _psi_limit(6, {1: 1, 3: 2, 5: 1}, alpha)
                  + pw(Fraction(1, 24)))
@@ -162,23 +174,21 @@ def _sectors_233(ctx: RootContext, tilde: bool):
     return [w0, w1]
 
 
-def _sectors_neg239(ctx: RootContext, tilde: bool):
-    alpha = Fraction(-ctx.r, ctx.s) if tilde else Fraction(ctx.s, ctx.r)
-    pw = (lambda x: xi_tilde_power(ctx, x)) if tilde else (lambda x: xi_power(ctx, x))
+def _sectors_neg239(m: Manifold, ctx: RootContext, tilde: bool):
+    alpha, pw = _side(ctx, tilde)
     head = pw(Fraction(107, 72)) * Fraction(1, 2)
     w0 = head * _psi_limit(18, {1: 1, 5: -1, 13: -1, 17: 1}, alpha)
     w1 = head * _psi_limit(18, {1: 2, 5: 1, 13: 1, 17: 2}, alpha)
     return [w0, w1]
 
 
-def _sectors_family(p: int, ctx: RootContext, tilde: bool):
-    d = example_family(p)
-    inv = invariants(d)
+def _sectors_family(m: Manifold, ctx: RootContext, tilde: bool):
+    p = m.params[0]
+    inv = invariants(m.data)
     H, P = 2 * p + 1, p * (2 * p + 1)
     u, v, w = P - 4 * p - 1, P - 2 * p - 1, P - 1
     dp = inv.phi / 4 - Fraction(1, 2)
-    alpha = Fraction(-ctx.r, ctx.s) if tilde else Fraction(ctx.s, ctx.r)
-    pw = (lambda x: xi_tilde_power(ctx, x)) if tilde else (lambda x: xi_power(ctx, x))
+    alpha, pw = _side(ctx, tilde)
     # cos(2 pi c a / H) with c = s on the direct side, c = -r on the tilde side
     c = (-ctx.r) if tilde else ctx.s
     head = pw(-dp)
@@ -188,60 +198,6 @@ def _sectors_family(p: int, ctx: RootContext, tilde: bool):
         out.append(head * (_psi_limit(P, {u: 1, w: 1}, alpha)
                            - cos2 * _psi_limit(P, {v: 1}, alpha)))
     return out
-
-
-def qhs_decomposition(selector: str, ctx: RootContext):
-    """Sector data [(label, cs_lift, W^(a))] of the abelian decomposition
-    W = sum_a e^(2 pi i (r/s) cs_lift_a) W^(a) for the example families.
-
-    The lifts carry the s-dependence of the surgery-side phases; reducing
-    them mod 1 recovers the linking-pairing values of abelian_connections.
-    """
-    s = ctx.s
-    low = selector.strip().lower()
-    if low.startswith("lens:"):
-        p = int(low.split(":", 1)[1])
-        _, sectors = wrt_lens(p, ctx)
-        return [(a, -Fraction(s * s * a * a, p), w)
-                for a, w in enumerate(sectors)]
-    if low in ("ex:2-3-3", "2-3-3"):
-        return [(a, Fraction(s * s * a * a, 3), w)
-                for a, w in enumerate(_sectors_233(ctx, tilde=False))]
-    if low in ("ex:neg-2-3-9", "neg-2-3-9"):
-        return [(a, Fraction(s * s * a * a, 3), w)
-                for a, w in enumerate(_sectors_neg239(ctx, tilde=False))]
-    if low.startswith(("ex:family:", "family:")):
-        p = int(low.rsplit(":", 1)[1])
-        H = 2 * p + 1
-        return [(a, Fraction(s * s * a * a * (p + 1), H), w)
-                for a, w in enumerate(_sectors_family(p, ctx, tilde=False))]
-    raise ValueError(f"no decomposition implemented for {selector!r}")
-
-
-def decomposition_report(selector: str, ctx: RootContext) -> VerificationReport:
-    """Checks sum_a e^(2 pi i (r/s) cs_a) W^(a) against the independently
-    computed W, exactly."""
-    report = VerificationReport(selector, {"r": ctx.r, "s": ctx.s})
-    terms = qhs_decomposition(selector, ctx)
-    total = CycloNumber.zero(1)
-    for _label, lift, sector in terms:
-        phase = CycloNumber.from_turns(Fraction(ctx.r, ctx.s) * lift)
-        total = total + phase * sector
-    low = selector.strip().lower()
-    if low.startswith("lens:"):
-        p = int(low.split(":", 1)[1])
-        from .wrt import wrt_lens_brute
-        ref = w_normalized(wrt_lens_brute(p, ctx), p, ctx).exact
-        name = "lens_decomposition_vs_surgery"
-    else:
-        d = parse_manifold(selector)
-        ref = w_exact(d, ctx)
-        name = "decomposition_vs_closed_form"
-    diff = total - ref
-    ok = diff.is_zero()
-    report.add(name, ok, f"sectors: {len(terms)}" if ok
-               else f"mismatch, numeric {diff.eval_complex():.3e}")
-    return report
 
 
 # -- saddle expansion --------------------------------------------------------
@@ -258,18 +214,25 @@ class SaddleTerm:
     delta: int        # growth exponent: I_A in (s/r)^(delta/2) C[[s/r]]
 
     def numeric(self, ctx: RootContext) -> complex:
-        phase = cmath.exp(2j * math.pi * ctx.r * float(self.cs_lift) / ctx.s)
-        return phase * self.p_value.eval_complex() * self.i_value
+        # the phase (r/s) cs_lift is reduced mod 1 exactly before it meets
+        # floating point, which matters once r reaches 10^4 and beyond
+        phase = CycloNumber.from_turns(Fraction(ctx.r, ctx.s) * self.cs_lift)
+        return phase.eval_complex() * self.p_value.eval_complex() * self.i_value
 
 
 def _sqrt_r_over_is(ctx: RootContext) -> complex:
     return cmath.sqrt(ctx.r / (1j * ctx.s))
 
 
+def _p_star(ctx: RootContext, c: Fraction, lift: Fraction, P: int,
+            combo: dict[int, int]) -> CycloNumber:
+    """A saddle coefficient c xi~^lift Psi~_combo(-r/s) at the companion root."""
+    return c * xi_tilde_power(ctx, lift) \
+        * _psi_limit(P, combo, Fraction(-ctx.r, ctx.s))
+
+
 def _brieskorn_saddles(p: tuple[int, int, int], ctx: RootContext,
                        K: int) -> list[SaddleTerm]:
-    from .seifert import rotation_order
-
     pc = rotation_order(tuple(p))   # rotation numbers index this order
     d = brieskorn(p)
     inv = invariants(d)
@@ -296,27 +259,30 @@ def _brieskorn_saddles(p: tuple[int, int, int], ctx: RootContext,
     return terms
 
 
-def _sector0_saddles_233(ctx: RootContext, K: int) -> list[SaddleTerm]:
+def _trivial_saddle(ctx: RootContext, K: int, scale: complex, P: int,
+                    combo: dict[int, int], const: complex = 0j) -> SaddleTerm:
+    """The trivial-connection term of a sector, const + scale times the
+    order-K asymptotic series of the Eichler integral of Psi_combo."""
+    series = AsymptoticSeries(0, 2 * P, tuple(
+        l_value(psi_combo(P, combo), P, k) for k in range(K + 1)))
+    return SaddleTerm("trivial", Fraction(0), CycloNumber.one(),
+                      const + scale * series.evaluate(ctx, K), 0)
+
+
+def _sector0_saddles_233(m: Manifold, ctx: RootContext, K: int) -> list[SaddleTerm]:
     pre = xi_power(ctx, Fraction(-13, 24)).eval_complex()
-    series = AsymptoticSeries(0, 12, tuple(
-        l_value(psi_combo(6, {1: 1, 3: 2, 5: 1}), 6, k) for k in range(K + 1)))
-    i_triv = (xi_power(ctx, Fraction(-1, 2)).eval_complex()
-              - 0.5 * pre * series.evaluate(ctx, K))
-    terms = [SaddleTerm("trivial", Fraction(0), CycloNumber.one(), i_triv, 0)]
-    p_val = Fraction(-1, 2) * xi_tilde_power(ctx, Fraction(-1, 24)) \
-        * _psi_limit(6, {1: 3, 5: 3}, Fraction(-ctx.r, ctx.s))
+    terms = [_trivial_saddle(ctx, K, -0.5 * pre, 6, {1: 1, 3: 2, 5: 1},
+                             xi_power(ctx, Fraction(-1, 2)).eval_complex())]
     i_val = -cmath.sqrt(ctx.r / (3j * ctx.s)) * pre
-    terms.append(SaddleTerm("cs=-1/24", Fraction(-1, 24), p_val, i_val, -1))
+    terms.append(SaddleTerm("cs=-1/24", Fraction(-1, 24),
+                            _p_star(ctx, *_ROW_233[:4]), i_val, -1))
     return terms
 
 
-def _sector0_saddles_neg239(ctx: RootContext, K: int) -> list[SaddleTerm]:
-    series = AsymptoticSeries(0, 36, tuple(
-        l_value(psi_combo(18, {1: 1, 5: -1, 13: -1, 17: 1}), 18, k)
-        for k in range(K + 1)))
+def _sector0_saddles_neg239(m: Manifold, ctx: RootContext,
+                            K: int) -> list[SaddleTerm]:
     pre = xi_power(ctx, Fraction(107, 72)).eval_complex()
-    terms = [SaddleTerm("trivial", Fraction(0), CycloNumber.one(),
-                        0.5 * pre * series.evaluate(ctx, K), 0)]
+    terms = [_trivial_saddle(ctx, K, 0.5 * pre, 18, {1: 1, 5: -1, 13: -1, 17: 1})]
     combos = {
         Fraction(-1, 72): ({1: 3, 17: 3},
                            -(math.sin(math.pi / 18) - math.sin(5 * math.pi / 18))),
@@ -326,8 +292,7 @@ def _sector0_saddles_neg239(ctx: RootContext, K: int) -> list[SaddleTerm]:
                             -(math.sin(math.pi / 18) + math.sin(7 * math.pi / 18))),
     }
     for lift, (combo, amp) in combos.items():
-        p_val = Fraction(1, 2) * xi_tilde_power(ctx, lift) \
-            * _psi_limit(18, combo, Fraction(-ctx.r, ctx.s))
+        p_val = _p_star(ctx, Fraction(1, 2), lift, 18, combo)
         i_val = (2 / 9) * amp * _sqrt_r_over_is(ctx) * pre
         terms.append(SaddleTerm(f"cs={lift}", lift, p_val, i_val, -1))
     # the nonabelian class at CS = -1/8 does not contribute to sector 0
@@ -335,17 +300,15 @@ def _sector0_saddles_neg239(ctx: RootContext, K: int) -> list[SaddleTerm]:
     return terms
 
 
-def _sector0_saddles_family(p: int, ctx: RootContext, K: int) -> list[SaddleTerm]:
-    d = example_family(p)
-    inv = invariants(d)
+def _sector0_saddles_family(m: Manifold, ctx: RootContext,
+                            K: int) -> list[SaddleTerm]:
+    p = m.params[0]
+    inv = invariants(m.data)
     H, P = 2 * p + 1, p * (2 * p + 1)
     u, v, w = P - 4 * p - 1, P - 2 * p - 1, P - 1
     dp = inv.phi / 4 - Fraction(1, 2)
-    series = AsymptoticSeries(0, 2 * P, tuple(
-        l_value(psi_combo(P, {u: 1, v: -2, w: 1}), P, k) for k in range(K + 1)))
     pre = xi_power(ctx, -dp).eval_complex()
-    terms = [SaddleTerm("trivial", Fraction(0), CycloNumber.one(),
-                        0.5 * pre * series.evaluate(ctx, K), 0)]
+    terms = [_trivial_saddle(ctx, K, 0.5 * pre, P, {u: 1, v: -2, w: 1})]
     # group the S-image of the sector combo by Chern-Simons class; the
     # combo row values coincide within each class, so each class carries
     # P = (1/2) xi~^lift Psi~^(sum_b H (b)) and I = -(1/H) sqrt(r/is) x^-Dp M_b
@@ -369,44 +332,24 @@ def _sector0_saddles_family(p: int, ctx: RootContext, K: int) -> list[SaddleTerm
                 raise ArithmeticError(f"class {members} has non-unit S-row ratios")
             signs.append(1 if ratio > 0 else -1)
         lift = geom_lift if (P - 1) in members else lift_mod
-        p_val = Fraction(1, 2) * xi_tilde_power(ctx, lift) \
-            * _psi_limit(P, {b: H * sg for b, sg in zip(members, signs)},
-                         Fraction(-ctx.r, ctx.s))
+        p_val = _p_star(ctx, Fraction(1, 2), lift, P,
+                        {b: H * sg for b, sg in zip(members, signs)})
         i_val = -(1 / H) * _sqrt_r_over_is(ctx) * pre * base
         name = "geometric" if (P - 1) in members else f"cs={lift}"
         terms.append(SaddleTerm(name, lift, p_val, i_val, -1))
     return terms
 
 
-def saddle_expansion(selector: str, ctx: RootContext, K: int) -> list[SaddleTerm]:
-    """Saddle terms of the asymptotic expansion for the supported families.
-
-    Brieskorn spheres get the full expansion (trivial + every rotation
-    number); the rational homology sphere examples get the sector-0 terms
-    as displayed by their decompositions; lens spaces get one exact term
-    per abelian sector with the off-sector terms exactly zero.
-    """
-    low = selector.strip().lower()
-    if low.startswith("brieskorn:"):
-        p = tuple(int(x) for x in low.split(":", 1)[1].split(","))
-        return _brieskorn_saddles(p, ctx, K)
-    if low in ("ex:2-3-3", "2-3-3"):
-        return _sector0_saddles_233(ctx, K)
-    if low in ("ex:neg-2-3-9", "neg-2-3-9"):
-        return _sector0_saddles_neg239(ctx, K)
-    if low.startswith(("ex:family:", "family:")):
-        return _sector0_saddles_family(int(low.rsplit(":", 1)[1]), ctx, K)
-    if low.startswith("lens:"):
-        p = int(low.split(":", 1)[1])
-        terms = []
-        for label, lift, sector in qhs_decomposition(low, ctx):
-            terms.append(SaddleTerm(f"abelian{label}", lift, sector, 1 + 0j, 0))
-            for other, lift2, _ in qhs_decomposition(low, ctx):
-                if other != label:
-                    terms.append(SaddleTerm(f"sector{label}:abelian{other}",
-                                            lift2, CycloNumber.zero(1), 0j, 0))
-        return terms
-    raise ValueError(f"no saddle expansion implemented for {selector!r}")
+def _lens_saddles(m: Manifold, ctx: RootContext, K: int) -> list[SaddleTerm]:
+    """One exact term per abelian sector, with the off-sector terms zero."""
+    sectors = qhs_decomposition(m, ctx)
+    terms = []
+    for label, lift, sector in sectors:
+        terms.append(SaddleTerm(f"abelian{label}", lift, sector, 1 + 0j, 0))
+        terms += [SaddleTerm(f"sector{label}:abelian{other}", lift2,
+                             CycloNumber.zero(1), 0j, 0)
+                  for other, lift2, _ in sectors if other != label]
+    return terms
 
 
 # -- geometric relation -------------------------------------------------------
@@ -433,7 +376,211 @@ def _tilde_w_exact(d: SeifertData, ctx: RootContext) -> CycloNumber:
     return xi_tilde_power(ctx, Fraction(1, 2) - inv.phi / 4) * inner
 
 
-def geometric_relation(selector: str, ctx: RootContext) -> VerificationReport:
+def _brieskorn_geometric(m: Manifold, ctx: RootContext,
+                         report: VerificationReport) -> None:
+    """P_*(xi~) = xi~^delta W(xi~) for an integer delta (SL(2,R)~), and
+    P_*(xi~) = xi~ W(xi~) - 1 for (2,3,5)."""
+    p, d = m.params, m.data
+    inv = invariants(d)
+    geom = geometric_connection(d)
+    p_star = Fraction(1, 2) * xi_tilde_power(ctx, geom.cs_lift) \
+        * eichler_limit(phi_basis(p, (1, 1, 1)), inv.P, Fraction(-ctx.r, ctx.s))
+    w_tilde = _tilde_w_exact(d, ctx)
+    if sorted(p) == [2, 3, 5]:
+        target = xi_tilde_power(ctx, 1) * w_tilde - 1
+        ok = (p_star - target).is_zero()
+        report.add("geometric_relation", ok,
+                   "P_*(xi~) = xi~ W(xi~) - 1" if ok else "mismatch")
+        return
+    found = None
+    w_num = w_tilde.eval_complex()
+    p_num = p_star.eval_complex()
+    candidates = []
+    for delta in range(ctx.s):
+        shift = xi_tilde_power(ctx, delta)
+        if abs(shift.eval_complex() * w_num - p_num) < 1e-6:
+            candidates.append(delta)
+            if (p_star - shift * w_tilde).is_zero():
+                found = delta
+                break
+    report.add("geometric_relation", found is not None,
+               f"delta = {found}" if found is not None
+               else f"no integer delta in [0, {ctx.s}) matches exactly; "
+                    f"numeric candidates {candidates}, "
+                    f"P_* = {p_num:.6g}, W = {w_num:.6g}")
+
+
+# Rows (c, lift, P, combo, shift, const) of the ex: families' geometric
+# relation  c xi~^lift Psi~_combo(-r/s) = xi~^shift sum_a W^(a)(xi~) + const.
+_ROW_233 = (Fraction(-1, 2), Fraction(-1, 24), 6, {1: 3, 5: 3}, Fraction(1, 2), -3)
+_ROW_NEG239 = (Fraction(1, 2), Fraction(-1, 72), 18, {1: 3, 17: 3},
+               Fraction(-3, 2), 0)
+
+
+def _row_family(m: Manifold, ctx: RootContext):
+    p = m.params[0]
+    H, P = 2 * p + 1, p * (2 * p + 1)
+    if math.gcd(ctx.r, H) != 1:
+        raise ValueError(f"the geometric relation holds along r coprime "
+                         f"with H = {H}; got r = {ctx.r}")
+    lift = -Fraction((P - 1) ** 2, 4 * P)
+    dp = invariants(m.data).phi / 4 - Fraction(1, 2)
+    return (Fraction(1, 2), lift, P, {P - 4 * p - 1: H, P - 1: H}, dp + lift, 0)
+
+
+def _ex_geometric(row):
+    """The geometric-relation check of an ex: family whose row is
+    row(m, ctx)."""
+    def check(m: Manifold, ctx: RootContext, report: VerificationReport) -> None:
+        c, lift, P, combo, shift, const = row(m, ctx)
+        sectors = FAMILIES[m.kind].sectors(m, ctx, True)
+        target = xi_tilde_power(ctx, shift) * sum(sectors, CycloNumber.zero(1)) \
+            + const
+        ok = (_p_star(ctx, c, lift, P, combo) - target).is_zero()
+        report.add("geometric_relation", ok,
+                   f"P_* = xi~^({shift}) sum W^(a)" + (f" + ({const})" if const else "")
+                   if ok else "mismatch")
+    return check
+
+
+def _lens_geometric(m: Manifold, ctx: RootContext,
+                    report: VerificationReport) -> None:
+    """sum_a W^(a)(x) = p x^((5-p)/4) at x = xi and x = xi~, and the
+    sector-0 geometric coefficient P_* vanishes."""
+    p = m.params[0]
+    const = Fraction(5 - p, 4)
+    direct = sum(lens_sectors(p, ctx), CycloNumber.zero(1))
+    tilde = sum(lens_sectors(p, ctx, tilde=True), CycloNumber.zero(1))
+    for tag, total, pw in (("xi", direct, xi_power), ("xi~", tilde, xi_tilde_power)):
+        ok = (total - p * pw(ctx, const)).is_zero()
+        report.add(f"lens_sector_sum[{tag}]", ok,
+                   f"sum_a W^(a) = p {tag}^((5-p)/4) (same-root reading; "
+                   f"constant magnitude p = {p})" if ok else "mismatch")
+    # record how the two readings of the sum identity compare: the
+    # sectors evaluated at xi~ against constants built on xi~ vs on xi
+    same_root = abs((tilde - p * xi_tilde_power(ctx, const)).eval_complex())
+    mixed = abs((tilde - p * xi_power(ctx, const)).eval_complex())
+    verdict = ("both readings coincide here (the constant's exponent "
+               "reduces to an integer)" if mixed < 1e-9
+               else "only the same-root reading holds")
+    report.add("lens_sum_reading", True,
+               f"residuals at xi~: same-root {same_root:.2e}, "
+               f"mixed xi/xi~ {mixed:.2e}; {verdict}",
+               tolerance="informational")
+    # geometric relation: P^(0)_* = xi~^((p-5)/4) sum_a W^(a)(xi~) - p = 0
+    residue = xi_tilde_power(ctx, -const) * tilde - p
+    ok = residue.is_zero()
+    report.add("lens_geometric_relation", ok,
+               "sector-0 geometric coefficient vanishes" if ok else "mismatch")
+
+
+# -- the family table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the harness implements for one manifold kind.
+
+    saddles(m, ctx, K) gives the saddle terms; geometric(m, ctx, report)
+    adds the geometric-relation checks to report; sectors(m, ctx, tilde)
+    gives the abelian sector values W^(a) at xi (or xi~), in the label
+    order of connections(m), the flat connections; suites are the verify
+    suites that apply.
+    """
+
+    saddles: Callable
+    geometric: Callable
+    sectors: Callable | None = None
+    suites: tuple[str, ...] = ("decomposition", "geometric")
+    connections: Callable = abelian_connections
+
+
+FAMILIES = {
+    "brieskorn": Family(
+        lambda m, ctx, K: _brieskorn_saddles(m.params, ctx, K),
+        _brieskorn_geometric,
+        suites=("identity", "integrality", "geometric", "lemmas", "modularity"),
+        connections=lambda m: nonabelian_connections(m.params)
+        + [replace(geometric_connection(m.data), kind="geometric")]),
+    "lens": Family(_lens_saddles, _lens_geometric,
+                   lambda m, ctx, tilde: lens_sectors(m.params[0], ctx, tilde)),
+    "2-3-3": Family(_sector0_saddles_233,
+                    _ex_geometric(lambda m, ctx: _ROW_233), _sectors_233),
+    "neg-2-3-9": Family(_sector0_saddles_neg239,
+                        _ex_geometric(lambda m, ctx: _ROW_NEG239), _sectors_neg239),
+    "family": Family(_sector0_saddles_family, _ex_geometric(_row_family),
+                     _sectors_family),
+}
+
+
+def family(selector: str | Manifold) -> Family:
+    """The table row of a manifold; ValueError when the harness has none."""
+    m = parse(selector)
+    if m.kind not in FAMILIES:
+        raise ValueError(f"no verification data for {m.selector!r}")
+    if m.kind == "brieskorn" and len(m.params) != 3:
+        raise ValueError(f"{m.selector!r}: the Brieskorn checks need exactly "
+                         f"three exceptional fibers")
+    return FAMILIES[m.kind]
+
+
+def qhs_decomposition(selector: str | Manifold, ctx: RootContext):
+    """Sector data [(label, cs_lift, W^(a))] of the abelian decomposition
+    W = sum_a e^(2 pi i (r/s) cs_lift_a) W^(a) for the example families.
+
+    Each lift is s^2 times the abelian_connections lift: it carries the
+    s-dependence of the surgery-side phases, and reducing it mod 1 recovers
+    the linking-pairing value.
+    """
+    m = parse(selector)
+    fam = family(m)
+    if fam.sectors is None:
+        raise ValueError(f"no decomposition implemented for {m.selector!r}")
+    return [(c.label, ctx.s * ctx.s * c.cs_lift, w)
+            for c, w in zip(fam.connections(m), fam.sectors(m, ctx, False),
+                            strict=True)]
+
+
+def decomposition_report(selector: str | Manifold,
+                         ctx: RootContext) -> VerificationReport:
+    """Checks sum_a e^(2 pi i (r/s) cs_a) W^(a) against the independently
+    computed W, exactly."""
+    m = parse(selector)
+    report = VerificationReport(m.selector, {"r": ctx.r, "s": ctx.s})
+    terms = qhs_decomposition(m, ctx)
+    total = CycloNumber.zero(1)
+    for _label, lift, sector in terms:
+        phase = CycloNumber.from_turns(Fraction(ctx.r, ctx.s) * lift)
+        total = total + phase * sector
+    if m.data is None:
+        p = m.params[0]
+        ref = w_normalized(wrt_lens_brute(p, ctx), p, ctx).exact
+        name = "lens_decomposition_vs_surgery"
+    else:
+        ref = w_exact(m.data, ctx)
+        name = "decomposition_vs_closed_form"
+    diff = total - ref
+    ok = diff.is_zero()
+    report.add(name, ok, f"sectors: {len(terms)}" if ok
+               else f"mismatch, numeric {diff.eval_complex():.3e}")
+    return report
+
+
+def saddle_expansion(selector: str | Manifold, ctx: RootContext,
+                     K: int) -> list[SaddleTerm]:
+    """Saddle terms of the asymptotic expansion for the supported families.
+
+    Brieskorn spheres get the full expansion (trivial + every rotation
+    number); the rational homology sphere examples get the sector-0 terms
+    as displayed by their decompositions; lens spaces get one exact term
+    per abelian sector with the off-sector terms exactly zero.
+    """
+    m = parse(selector)
+    return family(m).saddles(m, ctx, K)
+
+
+def geometric_relation(selector: str | Manifold,
+                       ctx: RootContext) -> VerificationReport:
     """Exact check that the geometric saddle coefficient P_* recovers the
     invariant at the companion root:
 
@@ -444,143 +591,23 @@ def geometric_relation(selector: str, ctx: RootContext) -> VerificationReport:
       family p            : P_*(xi~) = xi~^(Dp - (P-1)^2/4P) sum_a W^(a)(xi~)
       lens p              : sum_a W^(a)(x) = p x^((5-p)/4), sector-0 P_* = 0
     """
-    report = VerificationReport(selector, {"r": ctx.r, "s": ctx.s})
-    low = selector.strip().lower()
-    alpha_tilde = Fraction(-ctx.r, ctx.s)
-
-    if low.startswith("brieskorn:"):
-        p = tuple(int(x) for x in low.split(":", 1)[1].split(","))
-        d = brieskorn(p)
-        inv = invariants(d)
-        geom = geometric_connection(d)
-        p_star = Fraction(1, 2) * xi_tilde_power(ctx, geom.cs_lift) \
-            * eichler_limit(phi_basis(p, (1, 1, 1)), inv.P, alpha_tilde)
-        w_tilde = _tilde_w_exact(d, ctx)
-        if sorted(p) == [2, 3, 5]:
-            target = xi_tilde_power(ctx, 1) * w_tilde - 1
-            ok = (p_star - target).is_zero()
-            report.add("geometric_relation", ok,
-                       "P_*(xi~) = xi~ W(xi~) - 1" if ok else "mismatch")
-            return report
-        found = None
-        w_num = w_tilde.eval_complex()
-        p_num = p_star.eval_complex()
-        candidates = []
-        for delta in range(ctx.s):
-            shift = xi_tilde_power(ctx, delta)
-            if abs(shift.eval_complex() * w_num - p_num) < 1e-6:
-                candidates.append(delta)
-                if (p_star - shift * w_tilde).is_zero():
-                    found = delta
-                    break
-        report.add("geometric_relation", found is not None,
-                   f"delta = {found}" if found is not None
-                   else f"no integer delta in [0, {ctx.s}) matches exactly; "
-                        f"numeric candidates {candidates}, "
-                        f"P_* = {p_num:.6g}, W = {w_num:.6g}")
-        return report
-
-    if low in ("ex:2-3-3", "2-3-3"):
-        p_star = Fraction(-1, 2) * xi_tilde_power(ctx, Fraction(-1, 24)) \
-            * _psi_limit(6, {1: 3, 5: 3}, alpha_tilde)
-        sectors = _sectors_233(ctx, tilde=True)
-        target = xi_tilde_power(ctx, Fraction(1, 2)) * (sectors[0] + sectors[1]) - 3
-        ok = (p_star - target).is_zero()
-        report.add("geometric_relation", ok,
-                   "P_* = xi~^(1/2) sum W^(a) - 3" if ok else "mismatch")
-        return report
-
-    if low in ("ex:neg-2-3-9", "neg-2-3-9"):
-        p_star = Fraction(1, 2) * xi_tilde_power(ctx, Fraction(-1, 72)) \
-            * _psi_limit(18, {1: 3, 17: 3}, alpha_tilde)
-        sectors = _sectors_neg239(ctx, tilde=True)
-        target = xi_tilde_power(ctx, Fraction(-3, 2)) * (sectors[0] + sectors[1])
-        ok = (p_star - target).is_zero()
-        report.add("geometric_relation", ok,
-                   "P_* = xi~^(-3/2) sum W^(a)" if ok else "mismatch")
-        return report
-
-    if low.startswith(("ex:family:", "family:")):
-        pp = int(low.rsplit(":", 1)[1])
-        d = example_family(pp)
-        inv = invariants(d)
-        H, P = 2 * pp + 1, pp * (2 * pp + 1)
-        if math.gcd(ctx.r, H) != 1:
-            raise ValueError(f"the geometric relation holds along r coprime "
-                             f"with H = {H}; got r = {ctx.r}")
-        u, w = P - 4 * pp - 1, P - 1
-        dp = inv.phi / 4 - Fraction(1, 2)
-        lift = -Fraction((P - 1) ** 2, 4 * P)
-        p_star = Fraction(1, 2) * xi_tilde_power(ctx, lift) \
-            * _psi_limit(P, {u: H, w: H}, alpha_tilde)
-        sectors = _sectors_family(pp, ctx, tilde=True)
-        total = CycloNumber.zero(1)
-        for sec in sectors:
-            total = total + sec
-        target = xi_tilde_power(ctx, dp + lift) * total
-        ok = (p_star - target).is_zero()
-        report.add("geometric_relation", ok,
-                   "P_* = xi~^(Dp - (P-1)^2/4P) sum W^(a)" if ok else "mismatch")
-        return report
-
-    if low.startswith("lens:"):
-        from .wrt import lens_sectors
-
-        p = int(low.split(":", 1)[1])
-        # sum identity at the direct root and at the companion root
-        for tag, tilde in (("xi", False), ("xi~", True)):
-            sectors = lens_sectors(p, ctx, tilde=tilde)
-            total = CycloNumber.zero(1)
-            for sec in sectors:
-                total = total + sec
-            pw = xi_tilde_power if tilde else xi_power
-            target = p * pw(ctx, Fraction(5 - p, 4))
-            ok = (total - target).is_zero()
-            report.add(f"lens_sector_sum[{tag}]", ok,
-                       f"sum_a W^(a) = p {tag}^((5-p)/4) (same-root reading; "
-                       f"constant magnitude p = {p})" if ok else "mismatch")
-        # record how the two readings of the sum identity compare: the
-        # sectors evaluated at xi~ against constants built on xi~ vs on xi
-        tilde_total = CycloNumber.zero(1)
-        for sec in lens_sectors(p, ctx, tilde=True):
-            tilde_total = tilde_total + sec
-        same_root = abs((tilde_total
-                         - p * xi_tilde_power(ctx, Fraction(5 - p, 4))).eval_complex())
-        mixed = abs((tilde_total
-                     - p * xi_power(ctx, Fraction(5 - p, 4))).eval_complex())
-        verdict = ("both readings coincide here (the constant's exponent "
-                   "reduces to an integer)" if mixed < 1e-9
-                   else "only the same-root reading holds")
-        report.add("lens_sum_reading", True,
-                   f"residuals at xi~: same-root {same_root:.2e}, "
-                   f"mixed xi/xi~ {mixed:.2e}; {verdict}",
-                   tolerance="informational")
-        # geometric relation: P^(0)_* = xi~^((p-5)/4) sum_a W^(a)(xi~) - p = 0
-        sectors = lens_sectors(p, ctx, tilde=True)
-        total = CycloNumber.zero(1)
-        for sec in sectors:
-            total = total + sec
-        residue = xi_tilde_power(ctx, Fraction(p - 5, 4)) * total - p
-        ok = residue.is_zero()
-        report.add("lens_geometric_relation", ok,
-                   "sector-0 geometric coefficient vanishes" if ok else "mismatch")
-        return report
-
-    raise ValueError(f"no geometric relation implemented for {selector!r}")
+    m = parse(selector)
+    report = VerificationReport(m.selector, {"r": ctx.r, "s": ctx.s})
+    family(m).geometric(m, ctx, report)
+    return report
 
 
 # -- asymptotic residual scan -------------------------------------------------
 
 
-def residual_scan(selector: str, s: int, r_list: list[int], K: int):
+def residual_scan(selector: str | Manifold, s: int, r_list: list[int], K: int):
     """|W(xi) - saddle terms(K)| over r in r_list, with the fitted log-log
     slope.  Expected slope: -(K+1)."""
-    low = selector.strip().lower()
-    if not low.startswith("brieskorn:"):
+    m = parse(selector)
+    if "modularity" not in family(m).suites:
         raise ValueError("residual scan is implemented for Brieskorn spheres")
-    p = tuple(int(x) for x in low.split(":", 1)[1].split(","))
-    d = brieskorn(p)
-    inv = invariants(d)
+    p = m.params
+    inv = invariants(m.data)
     P = inv.P
     f111 = phi_basis(p, (1, 1, 1))
     spherical = sorted(p) == [2, 3, 5]

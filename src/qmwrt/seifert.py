@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .number_theory import RationalMod1, dedekind_sum
@@ -37,6 +36,8 @@ __all__ = [
     "nonabelian_connections",
     "geometric_connection",
     "abelian_connections",
+    "Manifold",
+    "parse",
     "parse_manifold",
     "EXAMPLE_233",
     "EXAMPLE_NEG239",
@@ -257,27 +258,27 @@ def geometric_connection(d: SeifertData) -> FlatConnection:
     return FlatConnection(kind, lift, rotation=rotation)
 
 
-def abelian_connections(selector: str) -> list[FlatConnection]:
+def abelian_connections(selector: str | Manifold) -> list[FlatConnection]:
     """Abelian flat connection components for the supported example families.
 
     Labels a live in Tor H_1 / {±1}; Chern-Simons lifts follow the linking
     pairing of each family: lens(p) has -a^2/p, the two Z/3 examples have
     +a^2/3, and the family S^2(0; p, -(2p+1), -(2p+1)) has (p+1) a^2 / (2p+1).
     """
-    kind, arg = _parse_family(selector)
-    if kind == "lens":
-        p = arg
+    m = parse(selector)
+    if m.kind == "lens":
+        p = m.params[0]
         return [FlatConnection("abelian", -Fraction(a * a, p), label=a)
                 for a in range((p - 1) // 2 + 1)]
-    if kind in ("ex233", "exneg239"):
+    if m.kind in ("2-3-3", "neg-2-3-9"):
         return [FlatConnection("abelian", Fraction(a * a, 3), label=a)
                 for a in (0, 1)]
-    if kind == "family":
-        p = arg
+    if m.kind == "family":
+        p = m.params[0]
         H = 2 * p + 1
         return [FlatConnection("abelian", Fraction((p + 1) * a * a, H), label=a)
                 for a in range(p + 1)]
-    raise ValueError(f"no abelian enumeration for selector {selector!r}")
+    raise ValueError(f"no abelian enumeration for selector {m.selector!r}")
 
 
 # -- example manifolds and the selector grammar ----------------------------
@@ -294,56 +295,74 @@ def example_family(p: int) -> SeifertData:
     return SeifertData(0, ((p, 1), (2 * p + 1, -1), (2 * p + 1, -1)))
 
 
-def _parse_family(selector: str):
-    s = selector.strip().lower()
-    if s.startswith("lens:"):
-        return "lens", int(s.split(":", 1)[1])
-    if s in ("ex:2-3-3", "2-3-3"):
-        return "ex233", None
-    if s in ("ex:neg-2-3-9", "neg-2-3-9"):
-        return "exneg239", None
-    m = re.fullmatch(r"(?:ex:)?family:(\d+)", s)
-    if m:
-        return "family", int(m.group(1))
-    return None, None
+@dataclass(frozen=True)
+class Manifold:
+    """A parsed manifold selector: its family kind ("brieskorn", "lens",
+    "seifert", "2-3-3", "neg-2-3-9" or "family"), the family's integer
+    parameters, and its Seifert data (None for lens spaces, which have a
+    dedicated closed form).  selector keeps the text as given."""
+
+    kind: str
+    params: tuple[int, ...]
+    data: SeifertData | None
+    selector: str = field(default="", compare=False)
+
+
+_EXAMPLE_KINDS = ("2-3-3", "neg-2-3-9", "family")
+
+
+def parse(selector: str | Manifold) -> Manifold:
+    """Parse the manifold selector grammar used by the command line
+    (case-insensitive; an already parsed Manifold is returned as is):
+
+      brieskorn:p1,p2,...   Brieskorn sphere
+      lens:p                lens space L(p,1), p odd and positive
+      seifert:b;p1/q1,...   explicit Seifert data (a bare p means p/1)
+      ex:2-3-3              S^2(1; 2, 3, 3)
+      ex:neg-2-3-9          S^2(-1; -2, -3, -9)
+      ex:family:p           S^2(0; p, -(2p+1), -(2p+1)), p >= 2
+
+    The ex: prefix of the three examples is optional.
+    """
+    if isinstance(selector, Manifold):
+        return selector
+    text = selector.strip()
+    low = text.lower()
+    kind, colon, body = low.removeprefix("ex:").partition(":")
+    if low.startswith("ex:") and kind not in _EXAMPLE_KINDS:
+        raise ValueError(f"unrecognized manifold selector: {selector!r}")
+    try:
+        if kind == "2-3-3" and not colon:
+            return Manifold(kind, (), EXAMPLE_233, text)
+        if kind == "neg-2-3-9" and not colon:
+            return Manifold(kind, (), EXAMPLE_NEG239, text)
+        if kind == "family":
+            p = int(body)
+            return Manifold(kind, (p,), example_family(p), text)
+        if kind == "brieskorn":
+            ps = tuple(int(x) for x in body.split(","))
+            return Manifold(kind, ps, brieskorn(ps), text)
+        if kind == "lens":
+            p = int(body)
+            if p < 1 or p % 2 == 0:
+                raise ValueError("lens parameter p must be odd and positive "
+                                 "(mod-2 homology sphere)")
+            return Manifold(kind, (p,), None, text)
+        if kind == "seifert":
+            b, fibers = body.split(";", 1)
+            pairs = [part.split("/") if "/" in part else (part, 1)
+                     for part in fibers.split(",") if part.strip()]
+            data = SeifertData(int(b), tuple((int(p), int(q)) for p, q in pairs))
+            return Manifold(kind, (), data, text)
+    except ValueError as exc:
+        raise ValueError(f"bad manifold selector {selector!r}: {exc}") from None
+    raise ValueError(f"unrecognized manifold selector: {selector!r}")
 
 
 def parse_manifold(selector: str) -> SeifertData:
-    """Parse the manifold selector grammar used by the command line:
-
-      brieskorn:p1,p2,p3    Brieskorn sphere
-      lens:p                lens space L(p,1), as S^2(-p;) surgery data
-      seifert:b;p1/q1,...   explicit Seifert data
-      ex:2-3-3              S^2(1; 2, 3, 3)
-      ex:neg-2-3-9          S^2(-1; -2, -3, -9)
-      ex:family:p           S^2(0; p, -(2p+1), -(2p+1))
-    """
-    s = selector.strip()
-    low = s.lower()
-    if low.startswith("brieskorn:"):
-        ps = tuple(int(x) for x in s.split(":", 1)[1].split(","))
-        return brieskorn(ps)
-    kind, arg = _parse_family(low)
-    if kind == "ex233":
-        return EXAMPLE_233
-    if kind == "exneg239":
-        return EXAMPLE_NEG239
-    if kind == "family":
-        return example_family(arg)
-    if kind == "lens":
+    """The Seifert data of a selector (see parse); lens spaces have none."""
+    data = parse(selector).data
+    if data is None:
         raise ValueError("lens spaces have a dedicated closed form; "
                          "use the lens operations directly")
-    if low.startswith("seifert:"):
-        body = s.split(":", 1)[1]
-        b_str, fibers_str = body.split(";", 1)
-        fibers = []
-        for part in fibers_str.split(","):
-            if not part.strip():
-                continue
-            if "/" in part:
-                pp, qq = part.split("/")
-                fibers.append((int(pp), int(qq)))
-            else:
-                fibers.append((int(part), 1))
-        return SeifertData(int(b_str), tuple(fibers))
-    raise ValueError(f"unrecognized manifold selector: {selector!r}")
+    return data

@@ -23,6 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclotomic import CycloNumber, root_power, xi_power, xi_tilde_power
 from .intmatrix import eigenvalue_sign_counts
@@ -60,17 +61,20 @@ def max_color_tuples() -> int:
 
 @dataclass
 class WrtValue:
-    """A WRT-type invariant value: numeric always, exact when computed.
+    """An exact WRT-type invariant value; numeric is its evaluation.
 
     normalization is "tau" for the bare invariant (1 on S^3), "W" for
     sqrt(H) (H/s) (xi - 1) tau, or "prefactored-W" for xi^Delta (xi-1) tau
     with the recorded rational exponent Delta.
     """
 
-    numeric: complex
-    exact: CycloNumber | None = None
+    exact: CycloNumber
     normalization: str = "tau"
     prefactor_exponent: Fraction | None = None
+
+    @cached_property
+    def numeric(self) -> complex:
+        return self.exact.eval_complex()
 
 
 def _one_over_root_minus_one(D: int, k: int, h: int) -> CycloNumber:
@@ -180,41 +184,35 @@ def _hat_sum_three_fibers(ps, P, H, D, r, s) -> CycloNumber:
     return CycloNumber.from_int_dict(D, acc, r)
 
 
-def _closed_prefactored_positive(d: SeifertData, ctx: RootContext,
-                                 exact: bool) -> WrtValue:
+def _closed_prefactored_positive(d: SeifertData, ctx: RootContext) -> WrtValue:
     inv = invariants(d)
-    nd = d.normalized_b0()
-    hat = seifert_hat_sum(nd, ctx)
+    hat = seifert_hat_sum(d.normalized_b0(), ctx)
     g = seifert_gauss_sum(inv.P, ctx)
     norm = seifert_gauss_norm(inv.P, ctx)
-    numeric = hat.eval_complex() / (2 * g.eval_complex())
-    value = None
-    if exact:
-        value = hat * g.conjugate() * Fraction(1, 2 * norm)
-    delta = inv.phi / 4 - Fraction(1, 2)
-    return WrtValue(numeric, value, "prefactored-W", delta)
+    value = hat * g.conjugate() * Fraction(1, 2 * norm)
+    return WrtValue(value, "prefactored-W", inv.phi / 4 - Fraction(1, 2))
 
 
-def _tau_from_prefactored(exact, numeric, d: SeifertData, ctx: RootContext):
+def _closed_form_invariants(d: SeifertData, ctx: RootContext):
     inv = invariants(d)
-    delta = inv.phi / 4 - Fraction(1, 2)
-    pre = xi_power(ctx, -delta)
-    one_over = _one_over_root_minus_one(4 * ctx.r, 4 * ctx.s % (4 * ctx.r), ctx.r)
-    tau_exact = exact * pre * one_over if exact is not None else None
-    xi_c = xi_power(ctx, 1).eval_complex()
-    tau_num = numeric * pre.eval_complex() / (xi_c - 1)
-    return tau_exact, tau_num
+    if inv.e == 0:
+        raise ValueError("closed form needs a rational homology sphere (e != 0)")
+    if ctx.r == 1:
+        raise ValueError("closed form needs r > 1: it divides by xi - 1")
+    return inv
 
 
-def _prefactored_from_tau(tau_exact, tau_num, d: SeifertData,
-                          ctx: RootContext) -> WrtValue:
-    inv = invariants(d)
-    delta = inv.phi / 4 - Fraction(1, 2)
-    pre = xi_power(ctx, delta)
-    xi_minus_1 = xi_power(ctx, 1) - 1
-    exact = pre * xi_minus_1 * tau_exact if tau_exact is not None else None
-    numeric = pre.eval_complex() * xi_minus_1.eval_complex() * tau_num
-    return WrtValue(numeric, exact, "prefactored-W", delta)
+def _surgery_normalization(d: SeifertData, ctx: RootContext) -> CycloNumber:
+    """1 / (F(U^+1)^b+ F(U^-1)^b-) for the signature of the surgery link."""
+    b_plus, b_minus, zero = eigenvalue_sign_counts(surgery_linking_matrix(d))
+    if zero:
+        raise ValueError("surgery matrix is degenerate (not a QHS)")
+    norm = CycloNumber.one()
+    if b_plus:
+        norm = norm * f_surgery_normalization(1, ctx) ** b_plus
+    if b_minus:
+        norm = norm * f_surgery_normalization(-1, ctx) ** b_minus
+    return norm.invert()
 
 
 def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
@@ -290,19 +288,10 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
             part = part * xi_power(ctx, Fraction(-f, 4)) * inv_delta2 \
                 * ek * (plus - minus)
         total = total + part
-    b_plus, b_minus, zero = eigenvalue_sign_counts(surgery_linking_matrix(d))
-    if zero:
-        raise ValueError("surgery matrix is degenerate (not a QHS)")
-    norm = CycloNumber.one()
-    if b_plus:
-        norm = norm * f_surgery_normalization(1, ctx) ** b_plus
-    if b_minus:
-        norm = norm * f_surgery_normalization(-1, ctx) ** b_minus
-    return total * norm.invert()
+    return total * _surgery_normalization(d, ctx)
 
 
-def tau_seifert_closed(d: SeifertData, ctx: RootContext,
-                       exact: bool = True) -> WrtValue:
+def tau_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
     """tau from the closed form, normalized to tau(S^3) = 1.
 
     Integer homology spheres use the merged structured sum; other rational
@@ -310,37 +299,32 @@ def tau_seifert_closed(d: SeifertData, ctx: RootContext,
     integer-framed presentation).  Data with e < 0 is handled by orientation
     reversal plus conjugation (reversing orientation conjugates the
     invariant)."""
-    inv = invariants(d)
-    if inv.e == 0:
-        raise ValueError("closed form needs a rational homology sphere (e != 0)")
+    inv = _closed_form_invariants(d, ctx)
     if inv.e < 0:
-        rev = tau_seifert_closed(d.reversed_orientation(), ctx, exact)
-        return WrtValue(rev.numeric.conjugate(),
-                        rev.exact.conjugate() if rev.exact is not None else None,
-                        "tau")
-    if inv.H == 1:
-        v = _closed_prefactored_positive(d, ctx, exact)
-        te, tn = _tau_from_prefactored(v.exact, v.numeric, d, ctx)
-        return WrtValue(tn, te, "tau")
-    tau = _tau_qhs_reciprocity(d, ctx)
-    return WrtValue(tau.eval_complex(), tau, "tau")
+        rev = tau_seifert_closed(d.reversed_orientation(), ctx)
+        return WrtValue(rev.exact.conjugate(), "tau")
+    if inv.H != 1:
+        return WrtValue(_tau_qhs_reciprocity(d, ctx), "tau")
+    # tau = xi^(-Delta) / (xi - 1) * prefactored value
+    v = _closed_prefactored_positive(d, ctx)
+    one_over = _one_over_root_minus_one(4 * ctx.r, 4 * ctx.s % (4 * ctx.r), ctx.r)
+    return WrtValue(v.exact * xi_power(ctx, -v.prefactor_exponent) * one_over, "tau")
 
 
-def wrt_seifert_closed(d: SeifertData, ctx: RootContext,
-                       exact: bool = True) -> WrtValue:
+def wrt_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
     """The prefactored invariant xi^(phi/4 - 1/2) (xi - 1) tau, exactly.
 
     For integer homology spheres this is hat_sum / (2 G), with the division
     by 2G exact because G conj(G) = 2 P r gcd(s, P); other rational homology
     spheres and e < 0 orientations are assembled from tau_seifert_closed.
     """
-    inv = invariants(d)
-    if inv.e == 0:
-        raise ValueError("closed form needs a rational homology sphere (e != 0)")
-    if inv.e < 0 or inv.H != 1:
-        t = tau_seifert_closed(d, ctx, exact)
-        return _prefactored_from_tau(t.exact, t.numeric, d, ctx)
-    return _closed_prefactored_positive(d, ctx, exact)
+    inv = _closed_form_invariants(d, ctx)
+    if inv.e > 0 and inv.H == 1:
+        return _closed_prefactored_positive(d, ctx)
+    delta = inv.phi / 4 - Fraction(1, 2)
+    tau = tau_seifert_closed(d, ctx).exact
+    return WrtValue(xi_power(ctx, delta) * (xi_power(ctx, 1) - 1) * tau,
+                    "prefactored-W", delta)
 
 
 def sqrt_homology_order(H: int) -> CycloNumber:
@@ -367,26 +351,17 @@ def w_normalized(tau: WrtValue, H: int, ctx: RootContext) -> WrtValue:
     jac = jacobi(H, ctx.s)
     xi_minus_1 = xi_power(ctx, 1) - 1
     sqrt_h = sqrt_homology_order(H)
-    exact = None
-    if tau.exact is not None:
-        exact = jac * sqrt_h * xi_minus_1 * tau.exact
-    numeric = (jac * sqrt_h.eval_complex() * xi_minus_1.eval_complex()
-               * tau.numeric)
-    return WrtValue(numeric, exact, "W")
+    w = WrtValue(jac * sqrt_h * xi_minus_1 * tau.exact, "W")
+    # evaluation is a ring homomorphism: evaluating the factors avoids
+    # evaluating W itself, whose support can reach hundreds of thousands
+    w.numeric = (jac * sqrt_h.eval_complex() * xi_minus_1.eval_complex()
+                 * tau.numeric)
+    return w
 
 
-def w_seifert_closed(d: SeifertData, ctx: RootContext,
-                     exact: bool = True) -> WrtValue:
+def w_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
     """W = sqrt(H) (H/s) (xi - 1) tau via the closed form, exactly."""
-    inv = invariants(d)
-    v = wrt_seifert_closed(d, ctx, exact)
-    # W = sqrt(H) (H/s) xi^(1/2 - phi/4) * prefactored value
-    jac = jacobi(inv.H, ctx.s)
-    pre = xi_power(ctx, Fraction(1, 2) - inv.phi / 4)
-    sqrt_h = sqrt_homology_order(inv.H)
-    e = jac * sqrt_h * pre * v.exact if v.exact is not None else None
-    n = jac * sqrt_h.eval_complex() * pre.eval_complex() * v.numeric
-    return WrtValue(n, e, "W")
+    return w_normalized(tau_seifert_closed(d, ctx), invariants(d).H, ctx)
 
 
 # -- colored Jones / surgery oracle ----------------------------------------
@@ -453,17 +428,18 @@ def colored_jones_seifert_link(d: SeifertData, colors: tuple[int, ...],
     return val
 
 
-def f_surgery_normalization(sign: int, ctx: RootContext) -> CycloNumber:
-    """F(U^sign) = sum_{n=1}^{r-1} q^(sign(n^2-1)/4) [n]^2, exact."""
+def f_surgery_normalization(f: int, ctx: RootContext) -> CycloNumber:
+    """F(U^f) = sum_{n=1}^{r-1} q^(f(n^2-1)/4) [n]^2 for the f-framed
+    unknot, exact, with [n]^2 = sum_{|m|<n} (n - |m|) q^m and
+    q^m = zeta_4r^(4 s m)."""
     D = 4 * ctx.r
     s = ctx.s
     acc: dict[int, int] = {}
     for n in range(1, ctx.r):
-        base = (sign * s * (n * n - 1)) % D
-        for i in range(n):
-            for j in range(n):
-                k = (base + 4 * s * (n - 1 - i - j)) % D
-                acc[k] = acc.get(k, 0) + 1
+        base = f * s * (n * n - 1)
+        for m in range(1 - n, n):
+            k = (base + 4 * s * m) % D
+            acc[k] = acc.get(k, 0) + n - abs(m)
     return CycloNumber.from_int_dict(D, acc)
 
 
@@ -498,16 +474,7 @@ def wrt_brute_surgery(d: SeifertData, ctx: RootContext) -> WrtValue:
                     * quantum_integer(n0 * nj, ctx) * quantum_integer(nj, ctx)
             part = part * inner
         total = total + part
-    b_plus, b_minus, zero = eigenvalue_sign_counts(surgery_linking_matrix(d))
-    if zero:
-        raise ValueError("surgery matrix is degenerate (not a QHS)")
-    norm = CycloNumber.one()
-    if b_plus:
-        norm = norm * f_surgery_normalization(1, ctx) ** b_plus
-    if b_minus:
-        norm = norm * f_surgery_normalization(-1, ctx) ** b_minus
-    tau = total * norm.invert()
-    return WrtValue(tau.eval_complex(), tau, "tau")
+    return WrtValue(total * _surgery_normalization(d, ctx), "tau")
 
 
 # -- lens spaces ------------------------------------------------------------
@@ -554,22 +521,13 @@ def wrt_lens(p: int, ctx: RootContext) -> tuple[WrtValue, list[CycloNumber]]:
     for a in range((p - 1) // 2 + 1):
         phase = CycloNumber.from_turns(Fraction(-r * s * a * a, p))
         total = total + phase * sectors[a]
-    return (WrtValue(total.eval_complex(), total, "W"), sectors)
+    return WrtValue(total, "W"), sectors
 
 
 def wrt_lens_brute(p: int, ctx: RootContext) -> WrtValue:
     """tau of L(p,1) by p-framed unknot surgery: F(U^p) / F(U^sign(p))."""
     if p == 0:
         raise ValueError("p = 0 is not a rational homology sphere")
-    r, s = ctx.r, ctx.s
-    D = 4 * r
-    acc: dict[int, int] = {}
-    for n in range(1, r):
-        base = (p * s * (n * n - 1)) % D
-        for i in range(n):
-            for j in range(n):
-                k = (base + 4 * s * (n - 1 - i - j)) % D
-                acc[k] = acc.get(k, 0) + 1
-    f_up = CycloNumber.from_int_dict(D, acc)
-    tau = f_up * f_surgery_normalization(1 if p > 0 else -1, ctx).invert()
-    return WrtValue(tau.eval_complex(), tau, "tau")
+    tau = f_surgery_normalization(p, ctx) \
+        * f_surgery_normalization(1 if p > 0 else -1, ctx).invert()
+    return WrtValue(tau, "tau")

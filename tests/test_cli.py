@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from qmwrt import wrt
 from qmwrt.cli import UsageError, main, parse_args
+from qmwrt.cyclotomic import CycloNumber
 
 
 def invoke(capsys, args):
@@ -168,3 +170,43 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(out_file.read_text())
     assert data["match"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "identity", "--manifold", "brieskorn:2,3,5,7", "--r", "7"],
+    ["flatconn", "--manifold", "brieskorn:2,3,5,7"],
+    ["verify", "all", "--manifold", "brieskorn:2,3,5,7", "--r", "7"],
+    ["verify", "all", "--manifold", "seifert:1;2/1,3/1,3/1", "--r", "7"],
+    ["wrt", "--manifold", "brieskorn:2,3,5", "--r", "1"],
+])
+def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
+    def no_products(*_args):
+        raise AssertionError("field arithmetic ran on rejected input")
+    monkeypatch.setattr(CycloNumber, "__mul__", no_products)
+    monkeypatch.setattr(CycloNumber, "__rmul__", no_products)
+    code, _out, err = invoke(capsys, args)
+    assert code == 2
+    assert "error" in err
+
+
+def test_four_fiber_homology_sphere_is_valid(capsys):
+    code, _out, _err = invoke(capsys, ["wrt", "--manifold", "brieskorn:2,3,5,7",
+                                       "--r", "5"])
+    assert code == 0
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def inconsistent(*_args):
+        raise ArithmeticError("division is not exact")
+    monkeypatch.setattr(wrt, "tau_seifert_closed", inconsistent)
+    code, _out, err = invoke(capsys, ["wrt", "--manifold", "brieskorn:2,3,5",
+                                      "--r", "5"])
+    assert code == 3
+    assert err.startswith("internal error:")
+
+
+def test_integrality_with_even_fiber_order_not_first(capsys):
+    code, out, _err = invoke(capsys, ["verify", "integrality", "--manifold",
+                                      "brieskorn:3,4,5", "--r", "7", "--s", "5"])
+    assert code == 0
+    assert out.count("[pass] integrality") == 6

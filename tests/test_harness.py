@@ -17,7 +17,7 @@ from qmwrt.harness import (
     saddle_expansion,
 )
 from qmwrt.number_theory import RootContext, normalize_s
-from qmwrt.seifert import brieskorn, invariants, parse_manifold
+from qmwrt.seifert import abelian_connections, brieskorn, invariants, parse_manifold
 
 
 def test_brieskorn_identity_reports():
@@ -208,3 +208,23 @@ def test_report_json_shape():
     assert set(data) == {"manifold", "ctx", "results"}
     assert data["results"][0]["status"] == "pass"
     assert data["ctx"] == {"r": 5, "s": 1}
+
+
+@pytest.mark.parametrize("selector", ["lens:5", "ex:2-3-3", "ex:neg-2-3-9",
+                                      "ex:family:2"])
+def test_decomposition_lifts_are_s_squared_abelian_lifts(selector):
+    ctx = RootContext(7, 13)
+    lifts = [(a, lift) for a, lift, _ in qhs_decomposition(selector, ctx)]
+    assert lifts == [(c.label, 13 ** 2 * c.cs_lift)
+                     for c in abelian_connections(selector)]
+
+
+def test_saddle_phase_is_reduced_exactly():
+    # at r ~ 10^5 an unreduced float phase is off by ~1e-9, above the
+    # residuals of the order-2/3 sweeps
+    ctx = RootContext(100001, 1)
+    for t in saddle_expansion("brieskorn:2,3,7", ctx, 1):
+        phase = CycloNumber.from_turns(Fraction(ctx.r, ctx.s) * t.cs_lift)
+        rest = t.p_value.eval_complex() * t.i_value
+        assert abs(t.numeric(ctx) - phase.eval_complex() * rest) \
+            <= 1e-12 * abs(rest), t.connection

@@ -19,6 +19,7 @@ from qmwrt.seifert import (
     invariants,
     linking_matrix,
     nonabelian_connections,
+    parse,
     parse_manifold,
     rotation_triples,
 )
@@ -216,3 +217,38 @@ def test_orientation_reversal():
     rev = d.reversed_orientation()
     assert invariants(rev).e == -invariants(d).e
     assert invariants(rev).phi == -invariants(d).phi
+
+
+@pytest.mark.parametrize("text, kind, params, data", [
+    ("brieskorn:2,3,7", "brieskorn", (2, 3, 7), brieskorn((2, 3, 7))),
+    ("brieskorn:2,3,5,7", "brieskorn", (2, 3, 5, 7), brieskorn((2, 3, 5, 7))),
+    ("lens:7", "lens", (7,), None),
+    ("seifert:1;2/1,3/1,3/1", "seifert", (), EXAMPLE_233),
+    ("seifert:0;2,3/1,5/-1", "seifert", (), SeifertData(0, ((2, 1), (3, 1), (5, -1)))),
+    ("ex:2-3-3", "2-3-3", (), EXAMPLE_233),
+    ("2-3-3", "2-3-3", (), EXAMPLE_233),
+    ("ex:neg-2-3-9", "neg-2-3-9", (), EXAMPLE_NEG239),
+    ("neg-2-3-9", "neg-2-3-9", (), EXAMPLE_NEG239),
+    ("ex:family:3", "family", (3,), example_family(3)),
+    ("family:3", "family", (3,), example_family(3)),
+    ("  EX:Family:2 ", "family", (2,), example_family(2)),
+    ("\tBrieskorn:2,3,5\n", "brieskorn", (2, 3, 5), brieskorn((2, 3, 5))),
+    ("LENS:3", "lens", (3,), None),
+])
+def test_parse_grammar(text, kind, params, data):
+    m = parse(text)
+    assert (m.kind, m.params, m.data) == (kind, params, data)
+    assert m.selector == text.strip()
+    assert parse(m) is m
+
+
+@pytest.mark.parametrize("text", ["lens:4", "family:1", "brieskorn:2,4,5",
+                                  "seifert:1;2/x", "mystery:1"])
+def test_parse_rejects(text):
+    with pytest.raises(ValueError):
+        parse(text)
+
+
+def test_parse_manifold_has_no_lens_data():
+    with pytest.raises(ValueError, match="lens"):
+        parse_manifold("lens:3")

@@ -200,6 +200,13 @@ def test_orientation_reversal_conjugates():
         assert (closed.exact - brute.exact).is_zero(), (d,)
 
 
+def test_closed_form_rejects_r_one():
+    # xi = 1 at r = 1, where tau = (prefactored value) / (xi - 1) is undefined
+    for fn in (tau_seifert_closed, wrt_seifert_closed):
+        with pytest.raises(ValueError, match="r > 1"):
+            fn(brieskorn((2, 3, 5)), RootContext(1, 1))
+
+
 def test_sqrt_homology_order():
     assert sqrt_homology_order(1) == 1
     for h in (3, 5, 7, 9, 11, 13):
