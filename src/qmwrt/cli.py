@@ -222,9 +222,11 @@ def _ctx(job: JobSpec, r: int | None = None) -> RootContext:
 
 
 def _serialize_exact(x: CycloNumber) -> dict:
-    return {"conductor": x.D,
-            "coeffs": [[k, v.numerator, v.denominator]
-                       for k, v in sorted(x.c.items())]}
+    coeffs = []
+    for k, v in sorted(x.c.items()):
+        q = Fraction(v, x.den)
+        coeffs.append([k, q.numerator, q.denominator])
+    return {"conductor": x.D, "coeffs": coeffs}
 
 
 def _fmt(z: complex) -> dict:

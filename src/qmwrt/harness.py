@@ -126,9 +126,19 @@ def brieskorn_identity(p: tuple[int, int, int], ctx: RootContext) -> Verificatio
     name = "poincare_identity" if spherical else "brieskorn_identity"
     report.add(name, ok,
                "both sides reduce to the same cyclotomic number" if ok
-               else f"difference has {len(diff.c)} raw terms, "
-                    f"numeric {diff.eval_complex():.3e}")
+               else _witness(diff))
     return report
+
+
+def _witness(diff: CycloNumber) -> str:
+    """Detail of a failed exact check: the conductor, the support and the
+    first nonzero integral-basis coordinate of the nonzero difference."""
+    coords = diff._tensor_coords()
+    first = min(coords)
+    return (f"difference is nonzero: conductor {diff.D}, "
+            f"{len(coords)} nonzero integral-basis coordinates, first "
+            f"[{first}] = {Fraction(coords[first], diff.den)}, "
+            f"numeric {diff.eval_complex():.3e}")
 
 
 # -- integrality -------------------------------------------------------------
@@ -144,7 +154,8 @@ def integrality_check(p: tuple[int, int, int], a: tuple[int, int, int],
     value = xi_power(ctx, lift) * Fraction(1, 2) \
         * eichler_limit(phi_basis(tuple(p), tuple(a)), P, Fraction(ctx.s, ctx.r))
     reduced = value.reduce_conductor()
-    coords = sorted(reduced._tensor_coords().items())
+    coords = [(k, Fraction(v, reduced.den))
+              for k, v in sorted(reduced._tensor_coords().items())]
     return reduced.is_integral(), coords
 
 
@@ -387,10 +398,10 @@ def _brieskorn_geometric(m: Manifold, ctx: RootContext,
         * eichler_limit(phi_basis(p, (1, 1, 1)), inv.P, Fraction(-ctx.r, ctx.s))
     w_tilde = _tilde_w_exact(d, ctx)
     if sorted(p) == [2, 3, 5]:
-        target = xi_tilde_power(ctx, 1) * w_tilde - 1
-        ok = (p_star - target).is_zero()
+        diff = p_star - (xi_tilde_power(ctx, 1) * w_tilde - 1)
+        ok = diff.is_zero()
         report.add("geometric_relation", ok,
-                   "P_*(xi~) = xi~ W(xi~) - 1" if ok else "mismatch")
+                   "P_*(xi~) = xi~ W(xi~) - 1" if ok else _witness(diff))
         return
     found = None
     w_num = w_tilde.eval_complex()
@@ -436,10 +447,11 @@ def _ex_geometric(row):
         sectors = FAMILIES[m.kind].sectors(m, ctx, True)
         target = xi_tilde_power(ctx, shift) * sum(sectors, CycloNumber.zero(1)) \
             + const
-        ok = (_p_star(ctx, c, lift, P, combo) - target).is_zero()
+        diff = _p_star(ctx, c, lift, P, combo) - target
+        ok = diff.is_zero()
         report.add("geometric_relation", ok,
                    f"P_* = xi~^({shift}) sum W^(a)" + (f" + ({const})" if const else "")
-                   if ok else "mismatch")
+                   if ok else _witness(diff))
     return check
 
 
@@ -452,10 +464,11 @@ def _lens_geometric(m: Manifold, ctx: RootContext,
     direct = sum(lens_sectors(p, ctx), CycloNumber.zero(1))
     tilde = sum(lens_sectors(p, ctx, tilde=True), CycloNumber.zero(1))
     for tag, total, pw in (("xi", direct, xi_power), ("xi~", tilde, xi_tilde_power)):
-        ok = (total - p * pw(ctx, const)).is_zero()
+        diff = total - p * pw(ctx, const)
+        ok = diff.is_zero()
         report.add(f"lens_sector_sum[{tag}]", ok,
                    f"sum_a W^(a) = p {tag}^((5-p)/4) (same-root reading; "
-                   f"constant magnitude p = {p})" if ok else "mismatch")
+                   f"constant magnitude p = {p})" if ok else _witness(diff))
     # record how the two readings of the sum identity compare: the
     # sectors evaluated at xi~ against constants built on xi~ vs on xi
     same_root = abs((tilde - p * xi_tilde_power(ctx, const)).eval_complex())
@@ -471,7 +484,8 @@ def _lens_geometric(m: Manifold, ctx: RootContext,
     residue = xi_tilde_power(ctx, -const) * tilde - p
     ok = residue.is_zero()
     report.add("lens_geometric_relation", ok,
-               "sector-0 geometric coefficient vanishes" if ok else "mismatch")
+               "sector-0 geometric coefficient vanishes" if ok
+               else _witness(residue))
 
 
 # -- the family table ---------------------------------------------------------
@@ -561,8 +575,7 @@ def decomposition_report(selector: str | Manifold,
         name = "decomposition_vs_closed_form"
     diff = total - ref
     ok = diff.is_zero()
-    report.add(name, ok, f"sectors: {len(terms)}" if ok
-               else f"mismatch, numeric {diff.eval_complex():.3e}")
+    report.add(name, ok, f"sectors: {len(terms)}" if ok else _witness(diff))
     return report
 
 

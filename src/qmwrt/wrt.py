@@ -19,11 +19,14 @@ with h the multiplicative order of chi, which is at most r here.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .cyclotomic import CycloNumber, root_power, xi_power, xi_tilde_power
 from .intmatrix import eigenvalue_sign_counts
@@ -109,9 +112,10 @@ def seifert_hat_sum(d: SeifertData, ctx: RootContext,
         sum_{n mod 2Pr, r does not divide n} xi^(-H n^2 / 4P)
             prod_j (xi^(n/2p_j) - xi^(-n/2p_j)) / (xi^(n/2) - xi^(-n/2))^(m-2)
 
-    for data normalized to b = 0 with e > 0.  Three exceptional fibers take
-    an integer-dict fast path; fast=False forces the generic term-by-term
-    route (kept as an in-module cross check).
+    for data normalized to b = 0 with e > 0, accumulated with numpy for any
+    number m of exceptional fibers.  fast=False forces the generic
+    term-by-term route in cyclotomic arithmetic, the reference the tests
+    compare against.
     """
     nd = d.normalized_b0()
     inv = invariants(nd)
@@ -122,8 +126,8 @@ def seifert_hat_sum(d: SeifertData, ctx: RootContext,
     D = 4 * P * r
     ps = [p for p, _ in nd.fibers]
 
-    if m == 3 and fast:
-        return _hat_sum_three_fibers(ps, P, H, D, r, s)
+    if fast:
+        return _hat_sum_vectorised(ps, P, H, r, s)
 
     # generic fiber count: cyclotomic arithmetic per term, with the
     # denominator 1/(zeta^a - zeta^-a) = zeta^a (1/h) sum_t t zeta^(2at)
@@ -152,36 +156,85 @@ def seifert_hat_sum(d: SeifertData, ctx: RootContext,
     return total
 
 
-def _hat_sum_three_fibers(ps, P, H, D, r, s) -> CycloNumber:
-    """Integer-dict fast path for three exceptional fibers."""
-    cs = [2 * P * s // p for p in ps]
-    eps_terms = []
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            for e3 in (1, -1):
-                eps_terms.append((e1 * e2 * e3,
-                                  e1 * cs[0] + e2 * cs[1] + e3 * cs[2]))
-    acc: dict[int, int] = {}
-    a_unit = 2 * P * s
-    for n in range(2 * P * r):
-        if n % r == 0:
+# Rows of n per chunk are chosen so that one chunk holds about this many
+# (n, shift) pairs: its int64 keys and float64 weights stay near 512 kB
+# each, below the peak memory of the exact products around the sum.
+_HAT_CHUNK = 1 << 16
+
+
+def _cyclic_power(base: np.ndarray, power: int) -> np.ndarray:
+    """base**power in Z[y]/(y^len(base) - 1), on int64 coefficients."""
+    period = len(base)
+    out = np.zeros(period, dtype=np.int64)
+    out[0] = 1
+    for _ in range(power):
+        full = np.convolve(out, base)
+        out = full[:period].copy()
+        out[:period - 1] += full[period:]
+    return out
+
+
+def _hat_sum_vectorised(ps, P, H, r, s) -> CycloNumber:
+    """The hat sum for any fiber count m, accumulated with numpy.
+
+    Term n is zeta^(-sHn^2) times the 2^m signed shifts
+
+        prod_j (zeta^(c_j n) - zeta^(-c_j n))
+            = sum_eps sgn(eps) zeta^(n sum_j eps_j c_j),     c_j = 2Ps/p_j,
+
+    times the (m-2)-th power of 1/(zeta^a - zeta^-a), a = 2Psn, represented
+    as in the generic path by (1/r) sum_{t=1}^{h-1} t g zeta^(a(1+2t)) with
+    g = gcd(n, r) and h = r/g.  Since zeta^(2ah) = 1, that power is one
+    integer series in zeta^a mod 2h over r^(m-2) for each class g; for
+    m < 2 it is the binomial expansion of (zeta^a - zeta^-a)^(2-m).  The
+    result is the same coefficient dict as the generic path's.
+    """
+    m = len(ps)
+    D = 4 * P * r
+    # The weights of all n together sum in absolute value to at most
+    # 2Pr 2^m ||series||_1, where ||series||_1 <= (r(r-1)/2)^(m-2) for m > 2
+    # and = 2^(2-m) for m <= 2.  Below 2^53 every float64 partial sum of
+    # bincount is an exact integer and the int64 accumulator cannot wrap.
+    # Keys are formed as n * shift + phase with every factor below D.
+    per_n = 2 ** m * (r * (r - 1) // 2) ** (m - 2) if m > 2 else 4
+    if 2 * P * r * per_n >= 2 ** 53 or D * D >= 2 ** 63:
+        raise ValueError(f"hat sum with {m} fibers at P={P}, r={r} is past "
+                         f"the exact int64 accumulation bound")
+    a_unit = 2 * P * s % D
+    cs = [2 * P * s // p % D for p in ps]
+    eps = list(itertools.product((1, -1), repeat=m))
+    signs = np.array([math.prod(e) for e in eps], dtype=np.int64)
+    deltas = np.array([sum(x * c for x, c in zip(e, cs)) for e in eps],
+                      dtype=np.int64) % D
+    minus_sh = (-s * H) % D
+    acc = np.zeros(D, dtype=np.int64)
+    for g in range(1, r):
+        if r % g:
             continue
-        base = (-s * H * n * n) % D
-        a = (a_unit * n) % D
-        h = r // math.gcd(n, r)
-        scale = r // h
-        # 1/(xi^(n/2) - xi^(-n/2)) = (1/h) sum_{t=1}^{h-1} t zeta^(a(1+2t))
-        for t in range(1, h):
-            coeff = t * scale
-            shift = (base + a * (1 + 2 * t)) % D
-            for sign, delta in eps_terms:
-                k = (shift + delta * n) % D
-                v = acc.get(k, 0) + sign * coeff * 1
-                if v:
-                    acc[k] = v
-                elif k in acc:
-                    del acc[k]
-    return CycloNumber.from_int_dict(D, acc, r)
+        h = r // g
+        base = np.zeros(2 * h, dtype=np.int64)
+        if m > 2:
+            t = np.arange(1, h)
+            base[1 + 2 * t] = t * g
+        else:
+            base[1], base[-1] = 1, -1
+        series = _cyclic_power(base, abs(m - 2))
+        es = np.flatnonzero(series)
+        shifts = ((deltas[:, None] + a_unit * es) % D).ravel()
+        weights = (signs[:, None] * series[es]).ravel().astype(np.float64)
+        j = np.arange(1, 2 * P * h)
+        n = g * j[np.gcd(j, h) == 1]           # the n with gcd(n, r) = g
+        phase = n * n % D * minus_sh % D
+        rows = max(1, _HAT_CHUNK // len(shifts))
+        for i in range(0, len(n), rows):
+            keys = np.multiply.outer(n[i:i + rows], shifts)
+            keys += phase[i:i + rows, None]
+            keys %= D
+            acc += np.bincount(keys.ravel(), np.tile(weights, len(keys)),
+                               minlength=D).astype(np.int64)
+    nz = np.flatnonzero(acc)
+    return CycloNumber.from_int_dict(D, dict(zip(nz.tolist(), acc[nz].tolist())),
+                                     r ** max(m - 2, 0))
 
 
 def _closed_prefactored_positive(d: SeifertData, ctx: RootContext) -> WrtValue:

@@ -184,3 +184,94 @@ def test_pow():
     x = CycloNumber.one() + root_power(5, 1)
     assert x ** 3 == x * x * x
     assert x ** 0 == 1
+
+
+def test_inexact_scalars_are_rejected():
+    # a float would silently become a wrong "exact" value
+    x = root_power(12, 1)
+    for bad in (0.1, 0.3 + 0j, 1j):
+        with pytest.raises(TypeError):
+            CycloNumber(5, {1: bad})
+        for op in (lambda: x * bad, lambda: bad * x, lambda: x + bad,
+                   lambda: bad + x, lambda: x - bad, lambda: bad - x,
+                   lambda: x / bad):
+            with pytest.raises(TypeError):
+                op()
+    assert x * Fraction(1, 10) * 10 == x
+    assert (x + Fraction(3, 10)) - Fraction(3, 10) == x
+
+
+def _fraction_coeffs(x):
+    return {k: Fraction(v, x.den) for k, v in x.c.items()}
+
+
+def _reference_product(D1, a, D2, b):
+    """Schoolbook product of {exponent: Fraction} dicts in Q[x]/(x^D - 1),
+    D = lcm(D1, D2), with zero coefficients dropped."""
+    D = math.lcm(D1, D2)
+    acc = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = (k1 * (D // D1) + k2 * (D // D2)) % D
+            acc[k] = acc.get(k, 0) + Fraction(v1) * Fraction(v2)
+    return D, {k: v for k, v in acc.items() if v}
+
+
+def _random_coeffs(rng, D, terms, kind):
+    out = {}
+    for _ in range(terms):
+        if kind == "small":
+            v = rng.randint(-6, 6)
+        elif kind == "huge":       # beyond 64 bits, both signs
+            v = rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 90)
+        else:                      # non-trivial denominators
+            v = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 720))
+        out[rng.randrange(D)] = v
+    return out
+
+
+def test_product_matches_fraction_reference(monkeypatch):
+    from qmwrt import cyclotomic
+
+    kronecker_calls = []
+    real = cyclotomic._kronecker
+
+    def counted(*args):
+        kronecker_calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(cyclotomic, "_kronecker", counted)
+    rng = random.Random(2024)
+    multi_term = 0
+    cases = [(D, D, terms) for D in (1, 2, 12, 60, 420) for terms in (3, D // 2 + 1)]
+    cases += [(12, 35, 6), (60, 84, 40), (420, 9, 100)]   # lcm embedding
+    for D1, D2, terms in cases:
+        for kind in ("small", "huge", "fraction"):
+            a = _random_coeffs(rng, D1, terms, kind)
+            b = _random_coeffs(rng, D2, terms, rng.choice(("small", "huge", "fraction")))
+            x, y = CycloNumber(D1, a), CycloNumber(D2, b)
+            D, expected = _reference_product(D1, a, D2, b)
+            got = x * y
+            assert got.D == D and _fraction_coeffs(got) == expected, (D1, D2, kind)
+            assert _fraction_coeffs(y * x) == expected
+            multi_term += min(len(x.c), len(y.c)) > 1
+            for unit in (CycloNumber.zero(D2), CycloNumber.one(), root_power(D2, 1)):
+                ref = _reference_product(D1, a, unit.D, _fraction_coeffs(unit))[1]
+                assert _fraction_coeffs(x * unit) == ref
+    # both sides of the algorithm choice ran
+    assert 0 < len(kronecker_calls) < multi_term
+
+
+def test_from_int_dict_with_denominator_multiplies_like_fractions():
+    rng = random.Random(7)
+    for D, den in ((60, 12), (420, 2 ** 70 + 1), (7, 49)):
+        a = {k: rng.randint(-10 ** 30, 10 ** 30) for k in range(0, D, 2)}
+        b = {k: rng.randint(-9, 9) for k in range(D)}
+        x = CycloNumber.from_int_dict(D, a, den)
+        y = CycloNumber.from_int_dict(D, b, 6)
+        fa = {k: Fraction(v, den) for k, v in a.items() if v}
+        fb = {k: Fraction(v, 6) for k, v in b.items() if v}
+        assert _fraction_coeffs(x) == fa
+        assert _fraction_coeffs(x * y) == _reference_product(D, fa, D, fb)[1]
+        total = {k: fa.get(k, 0) + fb.get(k, 0) for k in set(fa) | set(fb)}
+        assert _fraction_coeffs(x + y) == {k: v for k, v in total.items() if v}

@@ -228,3 +228,29 @@ def test_saddle_phase_is_reduced_exactly():
         rest = t.p_value.eval_complex() * t.i_value
         assert abs(t.numeric(ctx) - phase.eval_complex() * rest) \
             <= 1e-12 * abs(rest), t.connection
+
+
+def test_failed_identity_reports_a_witness(monkeypatch):
+    import re
+
+    from qmwrt import harness
+    from qmwrt.wrt import seifert_gauss_sum
+
+    real = harness.eichler_limit
+    # a right-hand side off by one: the difference becomes -G exactly
+    monkeypatch.setattr(harness, "eichler_limit", lambda *a: real(*a) + 1)
+    ctx = RootContext(7, 5)
+    rep = brieskorn_identity((2, 3, 7), ctx)
+    assert not rep.passed
+    detail = rep.checks[0].detail
+    diff = -seifert_gauss_sum(42, ctx)
+    coords = diff._tensor_coords()
+    first = min(coords)
+    found = re.match(r"difference is nonzero: conductor (\d+), (\d+) nonzero "
+                     r"integral-basis coordinates, first \[(\d+)\] = (\S+),",
+                     detail)
+    assert found, detail
+    assert int(found[1]) == 4 * 42 * 7
+    assert int(found[2]) == len(coords)
+    assert (int(found[3]), Fraction(found[4])) \
+        == (first, Fraction(coords[first], diff.den))

@@ -1,0 +1,66 @@
+"""Property tests over random small Seifert data that the closed form accepts:
+integer-framed fibers (q = +-1, the first of order 2), odd homology order,
+e != 0, and roots r <= 9 with s coprime to r and to every fiber order."""
+
+import math
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from qmwrt.number_theory import RootContext
+from qmwrt.seifert import SeifertData, invariants
+from qmwrt.wrt import tau_seifert_closed, wrt_brute_surgery
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=20,
+                    deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def seifert_and_root(draw, min_fibers=1):
+    fibers = [(2, draw(st.sampled_from((1, -1))))]
+    fibers += draw(st.lists(st.tuples(st.sampled_from((3, 5, 7)),
+                                      st.sampled_from((1, -1))),
+                            min_size=min_fibers - 1, max_size=2))
+    d = SeifertData(draw(st.integers(-2, 2)), tuple(fibers))
+    inv = invariants(d)
+    assume(inv.e != 0 and inv.H % 2 == 1)
+    r = draw(st.sampled_from((3, 5, 7, 9)))
+    s = draw(st.sampled_from((1, 5, 13)))
+    assume(math.gcd(s, r) == 1 and all(math.gcd(s, p) == 1 for p, _ in fibers))
+    return d, RootContext(r, s)
+
+
+@PROPERTY
+@given(seifert_and_root())
+def test_orientation_reversal_conjugates_tau(case):
+    d, ctx = case
+    rev = d.reversed_orientation()
+    for tau in (tau_seifert_closed, wrt_brute_surgery):
+        assert tau(rev, ctx).exact == tau(d, ctx).exact.conjugate()
+
+
+@PROPERTY
+@given(seifert_and_root(), st.integers(-2, 2))
+def test_moving_b_between_fibers_keeps_tau(case, k):
+    # (b; (p_j, q_j), ...) and (b + k; (p_j, q_j + k p_j), ...) present the
+    # same manifold; flipping the order-2 fiber keeps the framing integral
+    d, ctx = case
+    tau = tau_seifert_closed(d, ctx).exact
+    (p1, q1), *rest = d.fibers
+    flipped = SeifertData(d.b - q1, ((p1, -q1), *rest))
+    assert tau_seifert_closed(flipped, ctx).exact == tau
+    if invariants(d).H == 1:   # the merged sum takes any q_j
+        j = k % d.m
+        p, q = d.fibers[j]
+        fibers = list(d.fibers)
+        fibers[j] = (p, q + k * p)
+        assert tau_seifert_closed(SeifertData(d.b + k, tuple(fibers)), ctx).exact == tau
+
+
+@PROPERTY
+@given(seifert_and_root(min_fibers=2))
+def test_closed_form_equals_surgery_oracle(case):
+    # one fiber is left out: there the state sum misses tau(S^3) = 1 for
+    # S2(0; 2/1), while the closed form returns 1
+    d, ctx = case
+    assert tau_seifert_closed(d, ctx).exact == wrt_brute_surgery(d, ctx).exact

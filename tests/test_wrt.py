@@ -395,3 +395,26 @@ def test_four_fiber_hat_sum_against_float_transcription():
             term /= (2j * math.sin(math.pi * s * n / r)) ** 2
             total += term
         assert abs(exact - total) < 1e-7 * max(1, abs(total)), (r, s)
+
+
+def test_hat_sum_equals_generic_path_for_one_to_four_fibers():
+    # composite r gives several gcd(n, r) classes; every s here is != 1
+    cases = [
+        (SeifertData(0, ((5, 1),)), ((9, 5), (15, 13), (21, 5))),
+        (SeifertData(0, ((2, 1), (3, 1))), ((9, 5), (15, 13), (21, 5))),
+        (brieskorn((2, 3, 5)), ((9, 5), (15, 13), (21, 5))),
+        (brieskorn((2, 3, 7)), ((9, 5), (7, 5))),
+        (brieskorn((2, 3, 5, 7)), ((9, 5), (5, 13))),
+    ]
+    for d, roots in cases:
+        for r, s in roots:
+            ctx = RootContext(r, s)
+            fast = seifert_hat_sum(d, ctx)
+            slow = seifert_hat_sum(d, ctx, fast=False)
+            assert (fast.D, fast.den, fast.c) == (slow.D, slow.den, slow.c), \
+                (d, r, s)
+
+
+def test_hat_sum_rejects_sizes_past_the_int64_bound():
+    with pytest.raises(ValueError, match="bound"):
+        seifert_hat_sum(brieskorn((2, 3, 5, 7)), RootContext(1001, 1))
