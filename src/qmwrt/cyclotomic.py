@@ -8,7 +8,8 @@ downstream are indexed.  The representation is not canonical: reduction
 modulo the D-th cyclotomic polynomial happens only where it matters, namely
 equality, integrality and inversion.  Products run on Python integers, by a
 schoolbook loop for sparse operands and by Kronecker substitution (one
-big-integer multiply) for dense ones.
+big-integer multiply) for dense ones.  Inversion multiplies Galois
+conjugates, so it runs on the same products.
 
 Zero and integrality tests at composite conductors do not run a dense
 polynomial division.  They reduce coordinate-wise over the prime-power
@@ -28,17 +29,13 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .number_theory import RootContext, euler_phi, moebius
+from .number_theory import RootContext, _unit_generators, euler_phi, moebius
 
 __all__ = [
     "IntPolynomial",
     "CycloNumber",
     "cyclotomic_poly",
     "root_power",
-    "to_power_basis",
-    "is_integral",
-    "invert",
-    "eval_complex",
     "xi_power",
     "xi_tilde_power",
 ]
@@ -289,6 +286,17 @@ def _kronecker(ca: dict[int, int], cb: dict[int, int], D: int,
     return out
 
 
+def _orbit_product(y: "CycloNumber", a: int, m: int) -> "CycloNumber":
+    """prod_{j<m} sigma_a^j(y) for m >= 1, by doubling: O(log m) products."""
+    if m == 1:
+        return y
+    half = _orbit_product(y, a, m // 2)
+    out = half * half._galois(pow(a, m // 2, y.D))
+    if m % 2:
+        out = out * y._galois(pow(a, m - 1, y.D))
+    return out
+
+
 class CycloNumber:
     """An exact element of Q(zeta_D), with D the conductor.
 
@@ -431,8 +439,7 @@ class CycloNumber:
         return self * (1 / Fraction(_exact(other)))
 
     def conjugate(self) -> "CycloNumber":
-        D = self.D
-        return _raw(D, {(-k) % D: v for k, v in self.c.items()}, self.den)
+        return self._galois(-1)
 
     def __pow__(self, n: int) -> "CycloNumber":
         if len(self.c) == 1:
@@ -511,7 +518,10 @@ class CycloNumber:
     def to_power_basis(self) -> list[Fraction]:
         """Coefficients of the canonical representative of degree < phi(D)
         modulo the D-th cyclotomic polynomial."""
-        phi = euler_phi(self.D)
+        return [Fraction(v, self.den) for v in self._power_basis()]
+
+    def _power_basis(self) -> list[int]:
+        """Numerators, over self.den, of `to_power_basis`."""
         dense = [0] * self.D
         for k, v in self.c.items():
             dense[k] = v
@@ -524,60 +534,40 @@ class CycloNumber:
                 for j in range(deg):
                     if mod[j]:
                         dense[i - deg + j] -= lead * mod[j]
-        return [Fraction(v, self.den) for v in dense[:phi]]
+        return dense[:deg]
 
     # -- inversion ------------------------------------------------------
 
+    def _galois(self, a: int) -> "CycloNumber":
+        """The conjugate sigma_a(x), sigma_a: zeta_D -> zeta_D^a for a unit
+        a mod D."""
+        D = self.D
+        return _raw(D, {a * k % D: v for k, v in self.c.items()}, self.den)
+
     def invert(self) -> "CycloNumber":
-        """Multiplicative inverse in Q(zeta_D)."""
+        """Multiplicative inverse in Q(zeta_D), as its representative of
+        degree < phi(D).
+
+        1/x = prod_{sigma != 1} sigma(x) / N(x).  The Galois group
+        (Z/D)^x is a direct product of cyclic groups <a>; the conjugates
+        over each one are multiplied by doubling, in O(log order) products.
+        """
         if not self.c:
             raise ZeroDivisionError("zero has no inverse")
         if len(self.c) == 1:
             ((k, v),) = self.c.items()
             return CycloNumber(self.D, {-k: Fraction(self.den, v)})
-        mod = [Fraction(x) for x in cyclotomic_poly(self.D).coeffs]
-        a = self.to_power_basis()
-        while a and not a[-1]:
-            a.pop()
-        if not a:
-            raise ZeroDivisionError("zero has no inverse")
-        # extended Euclid over Q[x]: find u with u*a = gcd (a nonzero constant mod Phi_D)
-        r0, r1 = mod, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def polymod(num, den):
-            num = num[:]
-            q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-            inv_lead = 1 / den[-1]
-            for shift in range(len(num) - len(den), -1, -1):
-                coef = num[shift + len(den) - 1] * inv_lead
-                if coef:
-                    q[shift] = coef
-                    for j, y in enumerate(den):
-                        num[shift + j] -= coef * y
-            while num and not num[-1]:
-                num.pop()
-            return q, num
-
-        def polysub_mul(a_, q, b_):
-            # a - q*b
-            out = a_[:] + [Fraction(0)] * max(0, len(q) + len(b_) - 1 - len(a_))
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(b_):
-                        out[i + j] -= x * y
-            while out and not out[-1]:
-                out.pop()
-            return out
-
-        while len(r1) > 1:
-            q, rem = polymod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, polysub_mul(s0, q, s1)
-        if not r1:
-            raise ZeroDivisionError("element is a zero divisor (not in the field)")
-        const = r1[0]
-        return CycloNumber(self.D, {i: v / const for i, v in enumerate(s1) if v})
+        norm, cofactor = self, _raw(self.D, {0: 1}, 1)
+        for a, order in _unit_generators(self.D):
+            rest = _orbit_product(norm, a, order - 1)._galois(a)
+            norm, cofactor = norm * rest, cofactor * rest
+        n = norm.as_rational()
+        if not n:
+            raise ZeroDivisionError("value is zero in the field")
+        scale = n.denominator if n > 0 else -n.denominator
+        return _number(self.D, {i: v * scale for i, v in
+                                enumerate(cofactor._power_basis()) if v},
+                       cofactor.den * abs(n.numerator))
 
     # -- numerics --------------------------------------------------------
 
@@ -601,29 +591,11 @@ class CycloNumber:
         return f"CycloNumber<{self.D}>({body})"
 
 
-# -- module-level operation aliases (thin wrappers over methods) ---------
-
 def root_power(D: int, k: int) -> CycloNumber:
     """The root of unity e^(2 pi i k / D)."""
     if D < 1:
         raise ValueError("conductor must be >= 1")
     return CycloNumber(D, {k % D: 1})
-
-
-def to_power_basis(x: CycloNumber) -> list[Fraction]:
-    return x.to_power_basis()
-
-
-def is_integral(x: CycloNumber) -> bool:
-    return x.is_integral()
-
-
-def invert(x: CycloNumber) -> CycloNumber:
-    return x.invert()
-
-
-def eval_complex(x: CycloNumber) -> complex:
-    return x.eval_complex()
 
 
 # -- root-context helpers -------------------------------------------------

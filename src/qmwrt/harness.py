@@ -20,14 +20,13 @@ import numpy as np
 
 from .cyclotomic import CycloNumber, root_power, xi_power, xi_tilde_power
 from .false_theta import (
-    AsymptoticSeries,
     eichler_limit,
     eichler_limit_complex,
-    l_value,
     phi_basis,
     psi_combo,
     s_matrix_phi,
     s_matrix_psi,
+    trivial_series,
 )
 from .number_theory import RootContext, normalize_s
 from .seifert import (
@@ -43,7 +42,9 @@ from .seifert import (
     rotation_order,
     rotation_triples,
 )
-from .wrt import lens_sectors, tau_seifert_closed, w_normalized, wrt_lens_brute
+from .wrt import lens_sectors, w_normalized, w_seifert_closed, wrt_lens_brute
+# bench/test_bench.py checks that tracing rebinds this name, imported by value
+from .wrt import tau_seifert_closed  # noqa: F401
 
 __all__ = [
     "CheckResult",
@@ -57,7 +58,6 @@ __all__ = [
     "geometric_relation",
     "residual_scan",
     "appendix_b_checks",
-    "w_exact",
     "Family",
     "FAMILIES",
     "family",
@@ -93,11 +93,6 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {"manifold": self.manifold, "ctx": self.ctx,
                 "results": [c.to_json() for c in self.checks]}
-
-
-def w_exact(d: SeifertData, ctx: RootContext) -> CycloNumber:
-    """W = sqrt(H) (H/s) (xi - 1) tau, exactly, via the closed form."""
-    return w_normalized(tau_seifert_closed(d, ctx), invariants(d).H, ctx).exact
 
 
 # -- Brieskorn false-theta identity -----------------------------------------
@@ -250,11 +245,8 @@ def _brieskorn_saddles(p: tuple[int, int, int], ctx: RootContext,
     P = inv.P
     geom = geometric_connection(d)
     pre = xi_power(ctx, Fraction(1, 2) - inv.phi / 4).eval_complex()
-    f111 = phi_basis(pc, (1, 1, 1))
-    series = AsymptoticSeries(0, 2 * P,
-                              tuple(l_value(f111, P, k) for k in range(K + 1)))
     spherical = sorted(p) == [2, 3, 5]
-    i_trivial = 0.5 * pre * series.evaluate(ctx, K)
+    i_trivial = 0.5 * pre * trivial_series(phi_basis(pc, (1, 1, 1)), P, K, ctx)
     if spherical:
         i_trivial += xi_power(ctx, Fraction(-1)).eval_complex()
     terms = [SaddleTerm("trivial", Fraction(0), CycloNumber.one(), i_trivial, 0)]
@@ -274,10 +266,8 @@ def _trivial_saddle(ctx: RootContext, K: int, scale: complex, P: int,
                     combo: dict[int, int], const: complex = 0j) -> SaddleTerm:
     """The trivial-connection term of a sector, const + scale times the
     order-K asymptotic series of the Eichler integral of Psi_combo."""
-    series = AsymptoticSeries(0, 2 * P, tuple(
-        l_value(psi_combo(P, combo), P, k) for k in range(K + 1)))
-    return SaddleTerm("trivial", Fraction(0), CycloNumber.one(),
-                      const + scale * series.evaluate(ctx, K), 0)
+    value = const + scale * trivial_series(psi_combo(P, combo), P, K, ctx)
+    return SaddleTerm("trivial", Fraction(0), CycloNumber.one(), value, 0)
 
 
 def _sector0_saddles_233(m: Manifold, ctx: RootContext, K: int) -> list[SaddleTerm]:
@@ -377,7 +367,7 @@ def _tilde_w_exact(d: SeifertData, ctx: RootContext) -> CycloNumber:
         W(xi~) = xi~^(1/2 - phi/4) ([xi~^(1/120) if spherical]
                                     + (1/2) F_(1,1,1)(-r/s))."""
     if ctx.s > 1:
-        return w_exact(d, ctx.tilde())
+        return w_seifert_closed(d, ctx.tilde()).exact
     inv = invariants(d)
     p = tuple(x for x, _ in d.fibers)
     inner = Fraction(1, 2) * eichler_limit(phi_basis(p, (1, 1, 1)), inv.P,
@@ -571,7 +561,7 @@ def decomposition_report(selector: str | Manifold,
         ref = w_normalized(wrt_lens_brute(p, ctx), p, ctx).exact
         name = "lens_decomposition_vs_surgery"
     else:
-        ref = w_exact(m.data, ctx)
+        ref = w_seifert_closed(m.data, ctx).exact
         name = "decomposition_vs_closed_form"
     diff = total - ref
     ok = diff.is_zero()

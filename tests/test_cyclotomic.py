@@ -7,15 +7,16 @@ import pytest
 from qmwrt.cyclotomic import (
     CycloNumber,
     cyclotomic_poly,
-    eval_complex,
-    invert,
-    is_integral,
     root_power,
-    to_power_basis,
     xi_power,
     xi_tilde_power,
 )
 from qmwrt.number_theory import RootContext, euler_phi
+
+eval_complex = CycloNumber.eval_complex
+invert = CycloNumber.invert
+is_integral = CycloNumber.is_integral
+to_power_basis = CycloNumber.to_power_basis
 
 
 def rand_element(rng, D, terms=5, int_coeffs=False):
@@ -147,6 +148,26 @@ def test_invert_examples():
     assert got * x == 1
     with pytest.raises(ZeroDivisionError):
         invert(CycloNumber.zero(5))
+
+
+def test_invert_rejects_values_zero_in_the_field():
+    for x in (CycloNumber(3, {0: 1, 1: 1, 2: 1}),
+              CycloNumber(5, {k: 1 for k in range(5)}).embed(20)):
+        assert x.c and x.is_zero()
+        with pytest.raises(ZeroDivisionError):
+            x.invert()
+
+
+def test_invert_returns_the_reduced_representative():
+    rng = random.Random(61)
+    for D in (2, 4, 8, 16, 9, 25, 27, 12, 60, 124, 420):
+        for _ in range(4):
+            x = rand_element(rng, D, terms=4)
+            if len(x.c) < 2 or x.is_zero():
+                continue
+            inv = x.invert()
+            assert x * inv == 1, (D, x)
+            assert inv.D == D and max(inv.c) < euler_phi(D), (D, x)
 
 
 def test_eval_complex_examples():
