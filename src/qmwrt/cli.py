@@ -78,7 +78,15 @@ def _parse_range(text: str) -> tuple[int, int, int]:
     start, stop, step = (int(x) for x in parts)
     if start % 2 == 0 or step % 2:
         raise ValueError("r-range must start odd with even step (r stays odd)")
+    if step <= 0:
+        raise ValueError("r-range step must be positive")
     return start, stop, step
+
+
+def _r_values(job: JobSpec) -> range:
+    """The values of r in --r-range start:stop:step, stop included."""
+    start, stop, step = job.r_range
+    return range(start, stop + 1, step)
 
 
 def parse_args(argv: list[str]) -> JobSpec:
@@ -180,6 +188,8 @@ def parse_args(argv: list[str]) -> JobSpec:
         if r < 1 or r % 2 == 0:
             raise UsageError("r must be odd and positive")
         job.r = r
+    if job.order < 0:
+        raise UsageError(f"--order must be >= 0, got {job.order}")
     rr = getattr(ns, "r_range", None)
     if rr:
         try:
@@ -191,9 +201,21 @@ def parse_args(argv: list[str]) -> JobSpec:
             raise UsageError("verify modularity needs --r-range")
         if job.suite != "modularity" and job.r is None:
             raise UsageError(f"verify {job.suite} needs --r")
+    if job.suite == "modularity" or ns.command == "sweep":
+        # a slope fit needs two values of r, a sweep one
+        need, what = (2, "verify modularity") if ns.command == "verify" \
+            else (1, "sweep")
+        count = len(_r_values(job))
+        if count < need:
+            raise UsageError(f"--r-range {rr} holds {count} value(s) of r; "
+                             f"{what} needs {need} or more")
     if ns.command == "falsetheta":
         job.p = _parse_int_tuple(ns.p)
         job.a = _parse_int_tuple(ns.a)
+        size = 3 if job.basis == "phi" else 1
+        if len(job.p) != size or len(job.a) != size:
+            raise UsageError(f"the {job.basis} basis takes {size} value(s) "
+                             f"in --p and in --a")
     if job.manifold is not None:
         job.model = _parse_model(job)
     return job
@@ -295,8 +317,6 @@ def _run_falsetheta(job: JobSpec) -> int:
     ctx = _ctx(job)
     alpha = Fraction(-ctx.r, ctx.s) if job.at_tilde else Fraction(ctx.s, ctx.r)
     if job.basis == "phi":
-        if len(job.p) != 3 or len(job.a) != 3:
-            raise UsageError("phi basis needs --p p1,p2,p3 and --a a1,a2,a3")
         f = false_theta.phi_basis(job.p, job.a)
         big_p = job.p[0] * job.p[1] * job.p[2]
     else:
@@ -373,9 +393,8 @@ def _verify_reports(job: JobSpec) -> list[harness.VerificationReport]:
         elif suite == "lemmas":
             reports.append(harness.appendix_b_checks(p, (1, 1, 1), ctx.r))
         elif suite == "modularity":
-            start, stop, step = job.r_range
-            r_list = list(range(start, stop + 1, step))
-            rows, slope = harness.residual_scan(model, job.s, r_list, job.order)
+            rows, slope = harness.residual_scan(model, job.s, list(_r_values(job)),
+                                                job.order)
             expected = -(job.order + 1)
             ok = abs(slope - expected) <= job.slope_tol
             rep = harness.VerificationReport(job.manifold,
@@ -411,8 +430,7 @@ def _run_verify(job: JobSpec) -> int:
 
 
 def _run_sweep(job: JobSpec) -> int:
-    start, stop, step = job.r_range
-    r_list = list(range(start, stop + 1, step))
+    r_list = list(_r_values(job))
 
     def one(r: int):
         rows, _ = harness.residual_scan(job.model, job.s, [r], job.order)

@@ -29,7 +29,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .number_theory import RootContext, _unit_generators, euler_phi, moebius
+from .number_theory import RootContext, _factorize, _unit_generators, euler_phi, moebius
 
 __all__ = [
     "IntPolynomial",
@@ -127,32 +127,15 @@ def _tensor_layout(d: int):
     a pair (sign, indices).
     """
     factors = []
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            pe = 1
-            while n % p == 0:
-                n //= p
-                pe *= p
-            t = pe // p
-            table = []
-            for k in range(pe):
-                block, j = divmod(k, t)
-                if block < p - 1:
-                    table.append((1, (k,)))
-                else:
-                    table.append((-1, tuple(a * t + j for a in range(p - 1))))
-            factors.append((pe, tuple(table)))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        pe, t = n, 1
+    for p, e in _factorize(d).items():
+        pe, t = p ** e, p ** (e - 1)
         table = []
         for k in range(pe):
-            if k < pe - 1:
+            block, j = divmod(k, t)
+            if block < p - 1:
                 table.append((1, (k,)))
             else:
-                table.append((-1, tuple(range(pe - 1))))
+                table.append((-1, tuple(a * t + j for a in range(p - 1))))
         factors.append((pe, tuple(table)))
 
     strides = []
@@ -488,10 +471,6 @@ class CycloNumber:
         if not self.c:
             return True
         return not self._tensor_coords()
-
-    def is_rational(self) -> bool:
-        coords = self._tensor_coords()
-        return not coords or set(coords) == {0}
 
     def as_rational(self) -> Fraction:
         coords = self._tensor_coords()

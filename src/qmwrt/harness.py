@@ -15,25 +15,27 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .cyclotomic import CycloNumber, root_power, xi_power, xi_tilde_power
 from .false_theta import (
+    PeriodicFunction,
     eichler_limit,
     eichler_limit_complex,
     phi_basis,
     psi_combo,
     s_matrix_phi,
-    s_matrix_psi,
     trivial_series,
 )
 from .number_theory import RootContext, normalize_s
 from .seifert import (
+    Geometry,
     Manifold,
-    SeifertData,
     abelian_connections,
     brieskorn,
+    classify_geometry,
     cs_nonabelian,
     geometric_connection,
     invariants,
@@ -95,30 +97,89 @@ class VerificationReport:
                 "results": [c.to_json() for c in self.checks]}
 
 
+# -- the sector-0 model -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Sector0:
+    """The sector-0 model of a Seifert family: its row (c, f0) and the
+    quantities of the manifold the row is evaluated with.  Sector 0 is
+
+        x^(-delta) (c F_f0(alpha) + [x^(-cs) if spherical])
+
+    at x = xi, alpha = s/r, or at x = xi~, alpha = -r/s, where F is the
+    Eichler limit of the 2P-periodic table f0, delta = phi/4 - 1/2, cs is
+    the lift CS_* of the geometric flat connection, H = |H_1| and
+    spherical means S^3 geometry."""
+
+    c: Fraction
+    f: PeriodicFunction
+    delta: Fraction
+    cs: Fraction
+    H: int
+    spherical: bool
+
+    @property
+    def P(self) -> int:
+        return self.f.period // 2
+
+
+@lru_cache(maxsize=None)
+def _model(m: Manifold) -> Sector0:
+    c, f = FAMILIES[m.kind].row(m)
+    inv = invariants(m.data)
+    return Sector0(c, f, inv.phi / 4 - Fraction(1, 2),
+                   geometric_connection(m.data).cs_lift, inv.H,
+                   classify_geometry(inv.e, inv.chi) is Geometry.S3)
+
+
+def _brieskorn(p: tuple[int, int, int]) -> Manifold:
+    return Manifold("brieskorn", tuple(p), brieskorn(p),
+                    f"brieskorn:{','.join(map(str, p))}")
+
+
+def _side(ctx: RootContext, tilde: bool):
+    """The Eichler point and the power map of one side: (s/r, xi^x), or
+    (-r/s, xi~^x) on the companion side."""
+    if tilde:
+        return Fraction(-ctx.r, ctx.s), lambda x: xi_tilde_power(ctx, x)
+    return Fraction(ctx.s, ctx.r), lambda x: xi_power(ctx, x)
+
+
+def _numeric_power(ctx: RootContext):
+    return lambda x: xi_power(ctx, x).eval_complex()
+
+
+def _sector0(row: Sector0, alpha: Fraction, pw: Callable,
+             limit: Callable | None = None):
+    """Sector 0 of row at alpha, with pw(y) = x^y.  limit(f, P, alpha) is
+    the exact Eichler limit unless given (its numeric twin, or the trivial
+    asymptotic series)."""
+    head = pw(-row.delta)
+    value = head * (row.c * (limit or eichler_limit)(row.f, row.P, alpha))
+    return value + head * pw(-row.cs) if row.spherical else value
+
+
 # -- Brieskorn false-theta identity -----------------------------------------
 
 
 def brieskorn_identity(p: tuple[int, int, int], ctx: RootContext) -> VerificationReport:
-    """Exact check of xi^(phi/4-1/2)(xi-1) tau = (1/2) F_(1,1,1)(s/r)
-    (plus the extra xi^(1/120) for fiber orders (2,3,5)), cross-multiplied
-    against the Gauss prefactor so no field inversion is involved."""
+    """Exact check of xi^(phi/4-1/2)(xi-1) tau = xi^delta (sector 0), that is
+    (1/2) F_(1,1,1)(s/r), plus xi^(-CS_*) = xi^(1/120) on the spherical
+    (2,3,5); cross-multiplied against the Gauss prefactor so no field
+    inversion is involved."""
     from .wrt import seifert_gauss_sum, seifert_hat_sum
 
-    d = brieskorn(p)
-    inv = invariants(d)
-    report = VerificationReport(f"brieskorn:{','.join(map(str, p))}",
-                                {"r": ctx.r, "s": ctx.s})
-    hat = seifert_hat_sum(d, ctx)
-    big_g = seifert_gauss_sum(inv.P, ctx)
-    ft = eichler_limit(phi_basis(tuple(p), (1, 1, 1)), inv.P,
-                       Fraction(ctx.s, ctx.r))
-    rhs = big_g * ft
-    spherical = sorted(p) == [2, 3, 5]
-    if spherical:
-        rhs = rhs + 2 * big_g * xi_power(ctx, Fraction(1, 120))
+    m = _brieskorn(p)
+    row = _model(m)
+    report = VerificationReport(m.selector, {"r": ctx.r, "s": ctx.s})
+    alpha, pw = _side(ctx, False)
+    hat = seifert_hat_sum(m.data, ctx)
+    rhs = 2 * seifert_gauss_sum(row.P, ctx) \
+        * (pw(row.delta) * _sector0(row, alpha, pw))
     diff = hat - rhs
     ok = diff.is_zero()
-    name = "poincare_identity" if spherical else "brieskorn_identity"
+    name = "poincare_identity" if row.spherical else "brieskorn_identity"
     report.add(name, ok,
                "both sides reduce to the same cyclotomic number" if ok
                else _witness(diff))
@@ -161,48 +222,43 @@ def _psi_limit(P: int, terms: dict[int, int], alpha: Fraction) -> CycloNumber:
     return eichler_limit(psi_combo(P, terms), P, alpha)
 
 
-def _side(ctx: RootContext, tilde: bool):
-    """The Eichler point and the power map of one side: (s/r, xi^x), or
-    (-r/s, xi~^x) on the companion side."""
-    if tilde:
-        return Fraction(-ctx.r, ctx.s), lambda x: xi_tilde_power(ctx, x)
-    return Fraction(ctx.s, ctx.r), lambda x: xi_power(ctx, x)
+def _family_psi(p: int, cu: int, cv: int, cw: int) -> PeriodicFunction:
+    """cu psi^(u) + cv psi^(v) + cw psi^(w) of family p, at P = p(2p+1)
+    with u, v, w = P-4p-1, P-2p-1, P-1."""
+    P = p * (2 * p + 1)
+    return psi_combo(P, {P - 4 * p - 1: cu, P - 2 * p - 1: cv, P - 1: cw})
 
 
 def _sectors_233(m: Manifold, ctx: RootContext, tilde: bool):
     """Sector values W^(a) of S^2(1;2,3,3); tilde evaluates at -r/s."""
+    row = _model(m)
     alpha, pw = _side(ctx, tilde)
-    head = pw(Fraction(-13, 24))
-    w0 = head * (Fraction(-1, 2) * _psi_limit(6, {1: 1, 3: 2, 5: 1}, alpha)
-                 + pw(Fraction(1, 24)))
-    w1 = head * (-1 * _psi_limit(6, {1: 1, 3: -1, 5: 1}, alpha)
-                 + 2 * pw(Fraction(1, 24)))
-    return [w0, w1]
+    w1 = pw(-row.delta) * (-1 * _psi_limit(6, {1: 1, 3: -1, 5: 1}, alpha)
+                           + 2 * pw(-row.cs))
+    return [_sector0(row, alpha, pw), w1]
 
 
 def _sectors_neg239(m: Manifold, ctx: RootContext, tilde: bool):
+    row = _model(m)
     alpha, pw = _side(ctx, tilde)
-    head = pw(Fraction(107, 72)) * Fraction(1, 2)
-    w0 = head * _psi_limit(18, {1: 1, 5: -1, 13: -1, 17: 1}, alpha)
-    w1 = head * _psi_limit(18, {1: 2, 5: 1, 13: 1, 17: 2}, alpha)
-    return [w0, w1]
+    w1 = pw(-row.delta) * (Fraction(1, 2)
+                           * _psi_limit(18, {1: 2, 5: 1, 13: 1, 17: 2}, alpha))
+    return [_sector0(row, alpha, pw), w1]
 
 
 def _sectors_family(m: Manifold, ctx: RootContext, tilde: bool):
     p = m.params[0]
-    inv = invariants(m.data)
-    H, P = 2 * p + 1, p * (2 * p + 1)
-    u, v, w = P - 4 * p - 1, P - 2 * p - 1, P - 1
-    dp = inv.phi / 4 - Fraction(1, 2)
+    row = _model(m)
     alpha, pw = _side(ctx, tilde)
+    head = pw(-row.delta)
+    f_uw = eichler_limit(_family_psi(p, 1, 0, 1), row.P, alpha)
+    f_v = eichler_limit(_family_psi(p, 0, 1, 0), row.P, alpha)
     # cos(2 pi c a / H) with c = s on the direct side, c = -r on the tilde side
     c = (-ctx.r) if tilde else ctx.s
-    head = pw(-dp)
-    out = [head * Fraction(1, 2) * _psi_limit(P, {u: 1, v: -2, w: 1}, alpha)]
+    out = [_sector0(row, alpha, pw)]
     for a in range(1, p + 1):
-        cos2 = root_power(H, c * a) + root_power(H, -c * a)
-        out.append(head * (_psi_limit(P, {u: 1, w: 1}, alpha)
-                           - cos2 * _psi_limit(P, {v: 1}, alpha)))
+        cos2 = root_power(row.H, c * a) + root_power(row.H, -c * a)
+        out.append(head * (f_uw - cos2 * f_v))
     return out
 
 
@@ -231,112 +287,88 @@ def _sqrt_r_over_is(ctx: RootContext) -> complex:
 
 
 def _p_star(ctx: RootContext, c: Fraction, lift: Fraction, P: int,
-            combo: dict[int, int]) -> CycloNumber:
-    """A saddle coefficient c xi~^lift Psi~_combo(-r/s) at the companion root."""
+            f: PeriodicFunction) -> CycloNumber:
+    """A saddle coefficient c xi~^lift F_f(-r/s) at the companion root."""
     return c * xi_tilde_power(ctx, lift) \
-        * _psi_limit(P, combo, Fraction(-ctx.r, ctx.s))
+        * eichler_limit(f, P, Fraction(-ctx.r, ctx.s))
+
+
+def _trivial_term(row: Sector0, ctx: RootContext, K: int) -> SaddleTerm:
+    """The trivial-connection term: sector 0 with the Eichler limit replaced
+    by its asymptotic series through order K."""
+    value = _sector0(row, Fraction(ctx.s, ctx.r), _numeric_power(ctx),
+                     lambda f, P, _alpha: trivial_series(f, P, K, ctx))
+    return SaddleTerm("trivial", Fraction(0), CycloNumber.one(), value, 0)
 
 
 def _brieskorn_saddles(p: tuple[int, int, int], ctx: RootContext,
                        K: int) -> list[SaddleTerm]:
     pc = rotation_order(tuple(p))   # rotation numbers index this order
-    d = brieskorn(p)
-    inv = invariants(d)
-    P = inv.P
-    geom = geometric_connection(d)
-    pre = xi_power(ctx, Fraction(1, 2) - inv.phi / 4).eval_complex()
-    spherical = sorted(p) == [2, 3, 5]
-    i_trivial = 0.5 * pre * trivial_series(phi_basis(pc, (1, 1, 1)), P, K, ctx)
-    if spherical:
-        i_trivial += xi_power(ctx, Fraction(-1)).eval_complex()
-    terms = [SaddleTerm("trivial", Fraction(0), CycloNumber.one(), i_trivial, 0)]
+    row = _model(_brieskorn(p))
+    pre = _numeric_power(ctx)(-row.delta)
+    terms = [_trivial_term(row, ctx, K)]
     smat = s_matrix_phi(pc)
     labels = rotation_triples(pc)
     idx0 = labels.index((1, 1, 1))
     for j, a in enumerate(labels):
-        lift = geom.cs_lift if a == geom.rotation else cs_nonabelian(pc, a)
-        p_val = Fraction(1, 2) * xi_tilde_power(ctx, lift) \
-            * eichler_limit(phi_basis(pc, a), P, Fraction(-ctx.r, ctx.s))
+        # (1, 1, 1) is the rotation number of the geometric connection
+        lift = row.cs if a == (1, 1, 1) else cs_nonabelian(pc, a)
+        p_val = _p_star(ctx, row.c, lift, row.P, phi_basis(pc, a))
         i_val = -_sqrt_r_over_is(ctx) * smat[idx0, j] * pre
         terms.append(SaddleTerm(f"nonabelian{a}", lift, p_val, i_val, -1))
     return terms
 
 
-def _trivial_saddle(ctx: RootContext, K: int, scale: complex, P: int,
-                    combo: dict[int, int], const: complex = 0j) -> SaddleTerm:
-    """The trivial-connection term of a sector, const + scale times the
-    order-K asymptotic series of the Eichler integral of Psi_combo."""
-    value = const + scale * trivial_series(psi_combo(P, combo), P, K, ctx)
-    return SaddleTerm("trivial", Fraction(0), CycloNumber.one(), value, 0)
+def _psi_classes(row: Sector0) -> list[tuple[Fraction, PeriodicFunction,
+                                              CycloNumber]]:
+    """The S-image sum_b M_b psi^(b) of a psi-basis f0, grouped by the
+    Chern-Simons class -b^2/4P mod 1 of the labels b = 1..P-1.
 
-
-def _sector0_saddles_233(m: Manifold, ctx: RootContext, K: int) -> list[SaddleTerm]:
-    pre = xi_power(ctx, Fraction(-13, 24)).eval_complex()
-    terms = [_trivial_saddle(ctx, K, -0.5 * pre, 6, {1: 1, 3: 2, 5: 1},
-                             xi_power(ctx, Fraction(-1, 2)).eval_complex())]
-    i_val = -cmath.sqrt(ctx.r / (3j * ctx.s)) * pre
-    terms.append(SaddleTerm("cs=-1/24", Fraction(-1, 24),
-                            _p_star(ctx, *_ROW_233[:4]), i_val, -1))
-    return terms
-
-
-def _sector0_saddles_neg239(m: Manifold, ctx: RootContext,
-                            K: int) -> list[SaddleTerm]:
-    pre = xi_power(ctx, Fraction(107, 72)).eval_complex()
-    terms = [_trivial_saddle(ctx, K, 0.5 * pre, 18, {1: 1, 5: -1, 13: -1, 17: 1})]
-    combos = {
-        Fraction(-1, 72): ({1: 3, 17: 3},
-                           -(math.sin(math.pi / 18) - math.sin(5 * math.pi / 18))),
-        Fraction(-25, 72): ({5: 3, 13: 3},
-                            -(math.sin(5 * math.pi / 18) + math.sin(7 * math.pi / 18))),
-        Fraction(-49, 72): ({7: 3, 11: 3},
-                            -(math.sin(math.pi / 18) + math.sin(7 * math.pi / 18))),
-    }
-    for lift, (combo, amp) in combos.items():
-        p_val = _p_star(ctx, Fraction(1, 2), lift, 18, combo)
-        i_val = (2 / 9) * amp * _sqrt_r_over_is(ctx) * pre
-        terms.append(SaddleTerm(f"cs={lift}", lift, p_val, i_val, -1))
-    # the nonabelian class at CS = -1/8 does not contribute to sector 0
-    terms.append(SaddleTerm("cs=-1/8", Fraction(-1, 8), CycloNumber.zero(1), 0j, -1))
-    return terms
-
-
-def _sector0_saddles_family(m: Manifold, ctx: RootContext,
-                            K: int) -> list[SaddleTerm]:
-    p = m.params[0]
-    inv = invariants(m.data)
-    H, P = 2 * p + 1, p * (2 * p + 1)
-    u, v, w = P - 4 * p - 1, P - 2 * p - 1, P - 1
-    dp = inv.phi / 4 - Fraction(1, 2)
-    pre = xi_power(ctx, -dp).eval_complex()
-    terms = [_trivial_saddle(ctx, K, 0.5 * pre, P, {u: 1, v: -2, w: 1})]
-    # group the S-image of the sector combo by Chern-Simons class; the
-    # combo row values coincide within each class, so each class carries
-    # P = (1/2) xi~^lift Psi~^(sum_b H (b)) and I = -(1/H) sqrt(r/is) x^-Dp M_b
-    m = s_matrix_psi(P)
-    row = {b: m[u - 1, b - 1] - 2 * m[v - 1, b - 1] + m[w - 1, b - 1]
-           for b in range(1, P)}
+    M_b = g_b / (i sqrt(2P)) with g_b = sum_l f0(l) zeta_2P^(lb), exact.
+    Within a class the nonzero g_b agree up to sign, so each class is
+    (lift, f, g): f = H sum_b sign_b psi^(b) and g the g_b of its first
+    nonzero label.  The lift is CS_* on the geometric class and lies in
+    [-1, 0) on the others; a class with every g_b zero has f = 0, g = 0."""
+    P = row.P
+    g = {}
+    for b in range(1, P):
+        acc: dict[int, int] = {}
+        for l in row.f.support():
+            k = l * b % (2 * P)
+            acc[k] = acc.get(k, 0) + row.f(l)
+        g[b] = CycloNumber.from_int_dict(2 * P, acc)
     classes: dict[Fraction, list[int]] = {}
     for b in range(1, P):
-        if abs(row[b]) < 1e-12:
-            continue
-        lift_b = -Fraction(b * b, 4 * P)
-        lift_b -= math.floor(lift_b)
-        classes.setdefault(lift_b - 1, []).append(b)
-    geom_lift = -Fraction((P - 1) ** 2, 4 * P)
-    for lift_mod, members in sorted(classes.items()):
-        base = row[members[0]]
-        signs = []
-        for b in members:
-            ratio = row[b] / base
-            if abs(abs(ratio) - 1) > 1e-9:
+        classes.setdefault(-Fraction(b * b, 4 * P) % 1, []).append(b)
+    out = []
+    for cls, members in sorted(classes.items()):
+        live = [b for b in members if not g[b].is_zero()]
+        combo = {}
+        for b in live:
+            if (g[b] - g[live[0]]).is_zero():
+                combo[b] = row.H
+            elif (g[b] + g[live[0]]).is_zero():
+                combo[b] = -row.H
+            else:
                 raise ArithmeticError(f"class {members} has non-unit S-row ratios")
-            signs.append(1 if ratio > 0 else -1)
-        lift = geom_lift if (P - 1) in members else lift_mod
-        p_val = _p_star(ctx, Fraction(1, 2), lift, P,
-                        {b: H * sg for b, sg in zip(members, signs)})
-        i_val = -(1 / H) * _sqrt_r_over_is(ctx) * pre * base
-        name = "geometric" if (P - 1) in members else f"cs={lift}"
+        lift = row.cs if cls == row.cs % 1 else cls - 1
+        out.append((lift, psi_combo(P, combo),
+                    g[live[0]] if live else CycloNumber.zero(1)))
+    return out
+
+
+def _sector0_saddles(m: Manifold, ctx: RootContext, K: int) -> list[SaddleTerm]:
+    """Sector 0 of a psi-basis family: the trivial term, then one term per
+    Chern-Simons class of _psi_classes, P = c xi~^lift F_f(-r/s) and
+    I = -(1/H) sqrt(r/is) x^-delta M, named "geometric" at CS_*."""
+    row = _model(m)
+    pre = _numeric_power(ctx)(-row.delta)
+    terms = [_trivial_term(row, ctx, K)]
+    for lift, f, g in _psi_classes(row):
+        p_val = _p_star(ctx, row.c, lift, row.P, f)
+        big_m = g.eval_complex().imag / math.sqrt(2 * row.P)
+        i_val = -(1 / row.H) * _sqrt_r_over_is(ctx) * pre * big_m
+        name = "geometric" if lift == row.cs else f"cs={lift}"
         terms.append(SaddleTerm(name, lift, p_val, i_val, -1))
     return terms
 
@@ -356,93 +388,34 @@ def _lens_saddles(m: Manifold, ctx: RootContext, K: int) -> list[SaddleTerm]:
 # -- geometric relation -------------------------------------------------------
 
 
-def _tilde_w_exact(d: SeifertData, ctx: RootContext) -> CycloNumber:
-    """W of an integer homology sphere at the companion root
-    xi~ = e^(-2 pi i r/s), via the closed form at the swapped context.
-
-    For s = 1 the companion root is 1 and tau degenerates (0/0 in the
-    closed form); there the false-theta identity with canonical fractional
-    powers defines the value:
-
-        W(xi~) = xi~^(1/2 - phi/4) ([xi~^(1/120) if spherical]
-                                    + (1/2) F_(1,1,1)(-r/s))."""
-    if ctx.s > 1:
-        return w_seifert_closed(d, ctx.tilde()).exact
-    inv = invariants(d)
-    p = tuple(x for x, _ in d.fibers)
-    inner = Fraction(1, 2) * eichler_limit(phi_basis(p, (1, 1, 1)), inv.P,
-                                           Fraction(-ctx.r, ctx.s))
-    if sorted(p) == [2, 3, 5]:
-        inner = inner + xi_tilde_power(ctx, Fraction(1, 120))
-    return xi_tilde_power(ctx, Fraction(1, 2) - inv.phi / 4) * inner
-
-
-def _brieskorn_geometric(m: Manifold, ctx: RootContext,
-                         report: VerificationReport) -> None:
-    """P_*(xi~) = xi~^delta W(xi~) for an integer delta (SL(2,R)~), and
-    P_*(xi~) = xi~ W(xi~) - 1 for (2,3,5)."""
-    p, d = m.params, m.data
-    inv = invariants(d)
-    geom = geometric_connection(d)
-    p_star = Fraction(1, 2) * xi_tilde_power(ctx, geom.cs_lift) \
-        * eichler_limit(phi_basis(p, (1, 1, 1)), inv.P, Fraction(-ctx.r, ctx.s))
-    w_tilde = _tilde_w_exact(d, ctx)
-    if sorted(p) == [2, 3, 5]:
-        diff = p_star - (xi_tilde_power(ctx, 1) * w_tilde - 1)
-        ok = diff.is_zero()
-        report.add("geometric_relation", ok,
-                   "P_*(xi~) = xi~ W(xi~) - 1" if ok else _witness(diff))
-        return
-    found = None
-    w_num = w_tilde.eval_complex()
-    p_num = p_star.eval_complex()
-    candidates = []
-    for delta in range(ctx.s):
-        shift = xi_tilde_power(ctx, delta)
-        if abs(shift.eval_complex() * w_num - p_num) < 1e-6:
-            candidates.append(delta)
-            if (p_star - shift * w_tilde).is_zero():
-                found = delta
-                break
-    report.add("geometric_relation", found is not None,
-               f"delta = {found}" if found is not None
-               else f"no integer delta in [0, {ctx.s}) matches exactly; "
-                    f"numeric candidates {candidates}, "
-                    f"P_* = {p_num:.6g}, W = {w_num:.6g}")
-
-
-# Rows (c, lift, P, combo, shift, const) of the ex: families' geometric
-# relation  c xi~^lift Psi~_combo(-r/s) = xi~^shift sum_a W^(a)(xi~) + const.
-_ROW_233 = (Fraction(-1, 2), Fraction(-1, 24), 6, {1: 3, 5: 3}, Fraction(1, 2), -3)
-_ROW_NEG239 = (Fraction(1, 2), Fraction(-1, 72), 18, {1: 3, 17: 3},
-               Fraction(-3, 2), 0)
-
-
-def _row_family(m: Manifold, ctx: RootContext):
-    p = m.params[0]
-    H, P = 2 * p + 1, p * (2 * p + 1)
-    if math.gcd(ctx.r, H) != 1:
+def _geometric(m: Manifold, ctx: RootContext, report: VerificationReport) -> None:
+    """P_*(xi~) = xi~^(delta + CS_*) W(xi~) - [H if spherical], exactly."""
+    row = _model(m)
+    if m.kind == "family" and math.gcd(ctx.r, row.H) != 1:
         raise ValueError(f"the geometric relation holds along r coprime "
-                         f"with H = {H}; got r = {ctx.r}")
-    lift = -Fraction((P - 1) ** 2, 4 * P)
-    dp = invariants(m.data).phi / 4 - Fraction(1, 2)
-    return (Fraction(1, 2), lift, P, {P - 4 * p - 1: H, P - 1: H}, dp + lift, 0)
-
-
-def _ex_geometric(row):
-    """The geometric-relation check of an ex: family whose row is
-    row(m, ctx)."""
-    def check(m: Manifold, ctx: RootContext, report: VerificationReport) -> None:
-        c, lift, P, combo, shift, const = row(m, ctx)
-        sectors = FAMILIES[m.kind].sectors(m, ctx, True)
-        target = xi_tilde_power(ctx, shift) * sum(sectors, CycloNumber.zero(1)) \
-            + const
-        diff = _p_star(ctx, c, lift, P, combo) - target
-        ok = diff.is_zero()
-        report.add("geometric_relation", ok,
-                   f"P_* = xi~^({shift}) sum W^(a)" + (f" + ({const})" if const else "")
-                   if ok else _witness(diff))
-    return check
+                         f"with H = {row.H}; got r = {ctx.r}")
+    alpha, pw = _side(ctx, True)
+    if m.kind == "brieskorn":
+        # f0 is the table of the geometric rotation number (1, 1, 1).  For
+        # s > 1 the closed form at the swapped context is the independent
+        # side; for s = 1 it is 0/0 at xi~ = 1 and sector 0 defines W(xi~).
+        f_star = row.f
+        w = w_seifert_closed(m.data, ctx.tilde()).exact if ctx.s > 1 \
+            else _sector0(row, alpha, pw)
+    else:
+        f_star = next(f for lift, f, _ in _psi_classes(row) if lift == row.cs)
+        w = sum(FAMILIES[m.kind].sectors(m, ctx, True), CycloNumber.zero(1))
+    shift = row.delta + row.cs
+    const = row.H if row.spherical else 0
+    diff = _p_star(ctx, row.c, row.cs, row.P, f_star) - (pw(shift) * w - const)
+    if m.kind != "brieskorn":
+        text = f"P_* = xi~^({shift}) sum W^(a)" + (f" + ({-const})" if const else "")
+    elif row.spherical:   # (2, 3, 5), where the shift is 1
+        text = f"P_*(xi~) = xi~ W(xi~) - {const}"
+    else:                 # an integer shift, read mod s
+        text = f"delta = {shift % ctx.s}"
+    ok = diff.is_zero()
+    report.add("geometric_relation", ok, text if ok else _witness(diff))
 
 
 def _lens_geometric(m: Manifold, ctx: RootContext,
@@ -488,32 +461,35 @@ class Family:
     saddles(m, ctx, K) gives the saddle terms; geometric(m, ctx, report)
     adds the geometric-relation checks to report; sectors(m, ctx, tilde)
     gives the abelian sector values W^(a) at xi (or xi~), in the label
-    order of connections(m), the flat connections; suites are the verify
-    suites that apply.
+    order of connections(m), the flat connections; row(m) gives the
+    sector-0 row (c, f0) of a Seifert family (see Sector0); suites are the
+    verify suites that apply.
     """
 
     saddles: Callable
     geometric: Callable
     sectors: Callable | None = None
+    row: Callable | None = None
     suites: tuple[str, ...] = ("decomposition", "geometric")
     connections: Callable = abelian_connections
 
 
 FAMILIES = {
     "brieskorn": Family(
-        lambda m, ctx, K: _brieskorn_saddles(m.params, ctx, K),
-        _brieskorn_geometric,
+        lambda m, ctx, K: _brieskorn_saddles(m.params, ctx, K), _geometric,
+        row=lambda m: (Fraction(1, 2), phi_basis(m.params, (1, 1, 1))),
         suites=("identity", "integrality", "geometric", "lemmas", "modularity"),
         connections=lambda m: nonabelian_connections(m.params)
         + [replace(geometric_connection(m.data), kind="geometric")]),
     "lens": Family(_lens_saddles, _lens_geometric,
                    lambda m, ctx, tilde: lens_sectors(m.params[0], ctx, tilde)),
-    "2-3-3": Family(_sector0_saddles_233,
-                    _ex_geometric(lambda m, ctx: _ROW_233), _sectors_233),
-    "neg-2-3-9": Family(_sector0_saddles_neg239,
-                        _ex_geometric(lambda m, ctx: _ROW_NEG239), _sectors_neg239),
-    "family": Family(_sector0_saddles_family, _ex_geometric(_row_family),
-                     _sectors_family),
+    "2-3-3": Family(_sector0_saddles, _geometric, _sectors_233,
+                    lambda m: (Fraction(-1, 2), psi_combo(6, {1: 1, 3: 2, 5: 1}))),
+    "neg-2-3-9": Family(_sector0_saddles, _geometric, _sectors_neg239,
+                        lambda m: (Fraction(1, 2),
+                                   psi_combo(18, {1: 1, 5: -1, 13: -1, 17: 1}))),
+    "family": Family(_sector0_saddles, _geometric, _sectors_family,
+                     lambda m: (Fraction(1, 2), _family_psi(m.params[0], 1, -2, 1))),
 }
 
 
@@ -585,14 +561,18 @@ def saddle_expansion(selector: str | Manifold, ctx: RootContext,
 def geometric_relation(selector: str | Manifold,
                        ctx: RootContext) -> VerificationReport:
     """Exact check that the geometric saddle coefficient P_* recovers the
-    invariant at the companion root:
+    invariant at the companion root.  For the Seifert families, with the
+    sector-0 model of Sector0,
 
-      Brieskorn, SL(2,R)~ : P_*(xi~) = xi~^delta W(xi~) for an integer delta
-      Brieskorn (2,3,5)   : P_*(xi~) = xi~ W(xi~) - 1
-      S^2(1;2,3,3)        : P_*(xi~) = xi~^(1/2) sum_a W^(a)(xi~) - 3
-      S^2(-1;-2,-3,-9)    : P_*(xi~) = xi~^(-3/2) sum_a W^(a)(xi~)
-      family p            : P_*(xi~) = xi~^(Dp - (P-1)^2/4P) sum_a W^(a)(xi~)
-      lens p              : sum_a W^(a)(x) = p x^((5-p)/4), sector-0 P_* = 0
+      P_*(xi~) = xi~^(delta + CS_*) W(xi~) - [H if spherical],
+      P_* = c xi~^CS_* F_f*(-r/s),
+
+    where f* is f0 for Brieskorn spheres and the geometric class of the
+    S-image of f0 otherwise (see _psi_classes), and W = sum_a W^(a) for
+    the rational homology spheres.  Brieskorn spheres report delta + CS_*
+    mod s, an integer.  Lens spaces keep their own form:
+
+      lens p : sum_a W^(a)(x) = p x^((5-p)/4), sector-0 P_* = 0
     """
     m = parse(selector)
     report = VerificationReport(m.selector, {"r": ctx.r, "s": ctx.s})
@@ -609,19 +589,13 @@ def residual_scan(selector: str | Manifold, s: int, r_list: list[int], K: int):
     m = parse(selector)
     if "modularity" not in family(m).suites:
         raise ValueError("residual scan is implemented for Brieskorn spheres")
-    p = m.params
-    inv = invariants(m.data)
-    P = inv.P
-    f111 = phi_basis(p, (1, 1, 1))
-    spherical = sorted(p) == [2, 3, 5]
+    row = _model(m)
     rows = []
     for r in r_list:
         ctx = RootContext(r, normalize_s(s, r))
-        pre = xi_power(ctx, Fraction(1, 2) - inv.phi / 4).eval_complex()
-        w_num = 0.5 * pre * eichler_limit_complex(f111, P, Fraction(ctx.s, ctx.r))
-        if spherical:
-            w_num += pre * xi_power(ctx, Fraction(1, 120)).eval_complex()
-        total = sum(t.numeric(ctx) for t in _brieskorn_saddles(p, ctx, K))
+        w_num = _sector0(row, Fraction(ctx.s, ctx.r), _numeric_power(ctx),
+                         eichler_limit_complex)
+        total = sum(t.numeric(ctx) for t in _brieskorn_saddles(m.params, ctx, K))
         rows.append((r, abs(w_num - total)))
     if len(rows) < 2:
         return rows, float("nan")

@@ -211,10 +211,6 @@ class RationalMod1:
     def __neg__(self) -> "RationalMod1":
         return RationalMod1.of(-self.value)
 
-    def __sub__(self, other) -> "RationalMod1":
-        return self + (-RationalMod1.of(other if not isinstance(other, RationalMod1)
-                                        else other.value))
-
 
 @dataclass(frozen=True)
 class RootContext:
@@ -244,11 +240,6 @@ class RootContext:
     def conductor(self) -> int:
         """Base conductor 4r housing xi^(1/4)."""
         return 4 * self.r
-
-    @staticmethod
-    def normalized(r: int, s: int) -> "RootContext":
-        """Context with s replaced by its canonical residue (1 mod 4, coprime 4r)."""
-        return RootContext(r, normalize_s(s, r))
 
     def tilde(self) -> "RootContext":
         """Context whose root equals xi~ = e^(-2 pi i r / s) of this one."""

@@ -178,6 +178,17 @@ def test_output_file(tmp_path, capsys):
     ["verify", "all", "--manifold", "brieskorn:2,3,5,7", "--r", "7"],
     ["verify", "all", "--manifold", "seifert:1;2/1,3/1,3/1", "--r", "7"],
     ["wrt", "--manifold", "brieskorn:2,3,5", "--r", "1"],
+    ["verify", "modularity", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "101:99:2"],
+    ["verify", "modularity", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "101:101:2"],
+    ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:99:2"],
+    ["verify", "modularity", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "101:301:100", "--order", "-1"],
+    ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:301:100",
+     "--order", "-2"],
+    ["falsetheta", "--basis", "psi", "--p", "6", "--a", "1,2", "--r", "7"],
+    ["falsetheta", "--basis", "psi", "--p", "6,7", "--a", "1", "--r", "7"],
 ])
 def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
     def no_products(*_args):

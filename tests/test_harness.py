@@ -17,7 +17,13 @@ from qmwrt.harness import (
     saddle_expansion,
 )
 from qmwrt.number_theory import RootContext, normalize_s
-from qmwrt.seifert import abelian_connections, brieskorn, invariants, parse_manifold
+from qmwrt.seifert import (
+    abelian_connections,
+    brieskorn,
+    geometric_connection,
+    invariants,
+    parse_manifold,
+)
 
 
 def test_brieskorn_identity_reports():
@@ -103,6 +109,30 @@ def test_geometric_relation_qhs_examples():
         geometric_relation("ex:family:2", RootContext(5, 13))
 
 
+@pytest.mark.parametrize("selector", ["ex:2-3-3", "ex:neg-2-3-9", "ex:family:2",
+                                      "ex:family:3"])
+def test_ex_saddles_have_one_geometric_term(selector):
+    terms = saddle_expansion(selector, RootContext(7, 13), 1)
+    geom = [t for t in terms if t.connection == "geometric"]
+    assert len(geom) == 1
+    assert geom[0].cs_lift == geometric_connection(parse_manifold(selector)).cs_lift
+
+
+def test_geometric_relation_from_the_sector0_model():
+    # Brieskorn spheres at s > 1, one with the even fiber order in the middle
+    for sel in ("brieskorn:3,4,5", "brieskorn:2,3,11"):
+        for r, s in ((7, 13), (9, 17)):
+            assert geometric_relation(sel, RootContext(r, s)).passed, (sel, r, s)
+    # the family at r coprime with H = 7 and 9; the shift is delta + CS_*
+    for sel, r, s, shift in (("ex:family:3", 11, 5, "-5/2"),
+                             ("ex:family:3", 9, 13, "-5/2"),
+                             ("ex:family:4", 7, 5, "-5"),
+                             ("ex:family:4", 11, 17, "-5")):
+        rep = geometric_relation(sel, RootContext(r, s))
+        assert rep.passed, (sel, r, s)
+        assert rep.checks[0].detail == f"P_* = xi~^({shift}) sum W^(a)"
+
+
 def test_saddle_expansion_counts_and_structure():
     ctx = RootContext(7, 1)
     terms = saddle_expansion("brieskorn:2,3,7", ctx, 2)
@@ -141,7 +171,7 @@ def test_lens_saddle_abelian_vanishing():
 
 
 def test_sector0_expansion_approximates_sector():
-    for sel in ("ex:2-3-3", "ex:neg-2-3-9", "ex:family:2"):
+    for sel in ("ex:2-3-3", "ex:neg-2-3-9", "ex:family:2", "ex:family:3"):
         res = []
         for r in (101, 201, 401):
             ctx = RootContext(r, 1)
