@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -140,7 +141,9 @@ def parse_args(argv: list[str]) -> JobSpec:
     p_v.add_argument("--manifold", required=True)
     p_v.add_argument("--r", type=int)
     p_v.add_argument("--r-range")
-    p_v.add_argument("--s", type=int, default=1)
+    p_v.add_argument("--s", type=int, default=1,
+                     help="numerator class; geometric and modularity take "
+                          "only s = 1 mod 4 below 4r")
     p_v.add_argument("--order", type=int, default=2)
     p_v.add_argument("--slope-tol", type=float, default=0.5)
     p_v.add_argument("--json", action="store_true")
@@ -149,7 +152,8 @@ def parse_args(argv: list[str]) -> JobSpec:
     p_sw = sub.add_parser("sweep", help="residual sweep over r, CSV output")
     p_sw.add_argument("--manifold", required=True)
     p_sw.add_argument("--r-range", required=True)
-    p_sw.add_argument("--s", type=int, default=1)
+    p_sw.add_argument("--s", type=int, default=1,
+                      help="numerator class, 1 mod 4 and below 4r")
     p_sw.add_argument("--order", type=int, default=2)
     p_sw.add_argument("--jobs", type=int, default=1)
     p_sw.add_argument("--json", action="store_true")
@@ -190,6 +194,11 @@ def parse_args(argv: list[str]) -> JobSpec:
         job.r = r
     if job.order < 0:
         raise UsageError(f"--order must be >= 0, got {job.order}")
+    if not (math.isfinite(job.slope_tol) and job.slope_tol >= 0):
+        raise UsageError(f"--slope-tol must be finite and >= 0, "
+                         f"got {job.slope_tol}")
+    if job.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {job.jobs}")
     rr = getattr(ns, "r_range", None)
     if rr:
         try:
@@ -218,6 +227,7 @@ def parse_args(argv: list[str]) -> JobSpec:
                              f"in --p and in --a")
     if job.manifold is not None:
         job.model = _parse_model(job)
+        _check_roots(job)
     return job
 
 
@@ -233,6 +243,42 @@ def _parse_model(job: JobSpec) -> seifert.Manifold:
         raise UsageError(f"{job.command} {suite} does not apply to "
                          f"{job.manifold!r}; it takes {', '.join(suites)}")
     return model
+
+
+def _suites(job: JobSpec) -> list[str]:
+    """The suites a verify or sweep job runs (`all` leaves out modularity)."""
+    if job.command == "sweep":
+        return ["modularity"]
+    if job.suite == "all":
+        return [s for s in harness.family(job.model).suites if s != "modularity"]
+    return [job.suite]
+
+
+def _check_roots(job: JobSpec) -> None:
+    """Reject the r and s that the job's suites cannot use.
+
+    The geometric and modularity suites evaluate at xi~ = e(-r/s) or in the
+    series variable s/r.  Both would silently use normalize_s(s, r) in
+    place of s, so they take only an s that is its own normal form."""
+    suites = _suites(job)
+    if "modularity" in suites:
+        rs = _r_values(job)
+    elif "geometric" in suites:
+        rs = (job.r,)
+    else:
+        return
+    try:
+        if "geometric" in suites:
+            harness.check_geometric_root(job.model, job.r)
+        for r in rs:
+            used = normalize_s(job.s, r)
+            if used != job.s:
+                raise UsageError(
+                    f"--s {job.s} would be replaced by s' = {used} at r = {r}; "
+                    f"the geometric and modularity suites evaluate at "
+                    f"xi~ = e(-r/s) and take only s = 1 mod 4 below 4r")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _ctx(job: JobSpec, r: int | None = None) -> RootContext:
@@ -371,11 +417,7 @@ def _verify_reports(job: JobSpec) -> list[harness.VerificationReport]:
     model, p = job.model, job.model.params
     reports = []
     ctx = _ctx(job) if job.r else None
-    if job.suite == "all":
-        suites = [s for s in harness.family(model).suites if s != "modularity"]
-    else:
-        suites = [job.suite]
-    for suite in suites:
+    for suite in _suites(job):
         if suite == "identity":
             reports.append(harness.brieskorn_identity(p, ctx))
         elif suite == "integrality":

@@ -20,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,6 +119,34 @@ def psi_combo(P: int, terms: dict[int, int]) -> PeriodicFunction:
     return out
 
 
+def _eichler_terms(f: PeriodicFunction, P: int, alpha: Fraction):
+    """The terms of the Eichler limit of f at alpha = a/c (lowest terms).
+
+    The terms l and 2Pc - l of the defining sum are equal (f is odd and
+    (2Pc - l)^2 = l^2 mod 4Pc), so only 0 < l < Pc is kept, with weight
+    2 f(l) (Pc - l), and only l = j + 2Pm over the support residues j of f.
+    Modulo 4Pc, a l^2 = a j^2 + 4P n with n = a (jm + Pm^2) mod c.
+
+    Returns D = 4Pc, c, k0[j] = a j^2 mod D, and the int64 weights w and
+    indices n on a (j, m) grid whose Fortran order runs l upwards (w is 0
+    where l >= Pc).  Every product stays below c^2 < 2^62."""
+    alpha = Fraction(alpha)
+    a, c = alpha.numerator, alpha.denominator
+    if c >= 2 ** 31:
+        raise ValueError(f"Eichler limit at denominator {c} is past the int64 "
+                         f"bound c < 2^31")
+    D = 4 * P * c
+    support = f.support()
+    k0 = np.array([a * j * j % D for j in support], dtype=np.int64)
+    j = np.array(support, dtype=np.int64)[:, None]
+    m = np.arange((c + 1) // 2, dtype=np.int64)
+    l = j + 2 * P * m
+    w = 2 * np.array([f(x) for x in support], dtype=np.int64)[:, None] \
+        * np.maximum(P * c - l, 0)
+    n = m * ((j + P * m) % c) % c * (a % c) % c
+    return D, c, k0, w, n
+
+
 def eichler_limit(f: PeriodicFunction, P: int, alpha: Fraction) -> CycloNumber:
     """Exact limit of the Eichler integral sum_{l>=0} f(l) q^(l^2/4P) at the
     rational point alpha = a/c (lowest terms):
@@ -125,33 +154,22 @@ def eichler_limit(f: PeriodicFunction, P: int, alpha: Fraction) -> CycloNumber:
         (1/2) sum_{l=0}^{2Pc} f(l) e^(2 pi i alpha l^2 / 4P) (1 - l/(Pc)),
 
     as a cyclotomic number of conductor 4Pc."""
-    alpha = Fraction(alpha)
-    a, c = alpha.numerator, alpha.denominator
-    D = 4 * P * c
-    den = 2 * P * c
+    D, c, k0, w, n = _eichler_terms(f, P, alpha)
+    keys = (k0[:, None] + 4 * P * n) % D
     acc: dict[int, int] = {}
-    for l in range(1, 2 * P * c):
-        v = f(l)
+    for k, v in zip(keys.ravel("F").tolist(), w.ravel("F").tolist()):
         if v:
-            k = (a * l * l) % D
-            acc[k] = acc.get(k, 0) + v * (P * c - l)
-    return CycloNumber.from_int_dict(D, acc, den)
+            acc[k] = acc.get(k, 0) + v
+    return CycloNumber.from_int_dict(D, acc, 2 * P * c)
 
 
 def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction) -> complex:
-    """Numeric twin of eichler_limit, vectorized for large denominators."""
-    alpha = Fraction(alpha)
-    a, c = alpha.numerator, alpha.denominator
-    D = 4 * P * c
-    n = 2 * P * c
-    l = np.arange(1, n, dtype=np.int64)
-    vals = np.array(f.values, dtype=np.int64)[l % (2 * P)]
-    nz = vals != 0
-    l = l[nz]
-    vals = vals[nz]
-    k = (a % D) * ((l * l) % D) % D
-    weights = vals * (P * c - l) / (2.0 * P * c)
-    return complex(np.sum(weights * np.exp(2j * np.pi * k / D)))
+    """Float value of eichler_limit, from the same terms: sum over the
+    support residues j of e(a j^2/4Pc) sum_m w e(n/c), over 2Pc."""
+    D, c, k0, w, n = _eichler_terms(f, P, alpha)
+    table = np.exp(2j * np.pi / c * np.arange(c))
+    inner = np.sum(w * table[n], axis=1)
+    return complex(np.sum(inner * np.exp(2j * np.pi / D * k0))) / (2 * P * c)
 
 
 def t_phase(p: tuple[int, int, int], a: tuple[int, int, int]) -> Fraction:
@@ -162,10 +180,11 @@ def t_phase(p: tuple[int, int, int], a: tuple[int, int, int]) -> Fraction:
     return Fraction(P, 2) * t * t
 
 
+@lru_cache(maxsize=None)
 def s_matrix_phi(p: tuple[int, int, int]) -> np.ndarray:
     """S-transformation matrix of the triple basis, indexed by the canonical
     rotation-number enumeration (entries are computed against the same
-    relabeled fiber order the rotation numbers use):
+    relabeled fiber order the rotation numbers use), read-only:
 
         S^a_b = -(8/sqrt(2P)) (-1)^E prod_j sin(pi P a_j b_j / p_j^2),
         E = P(1 + sum (a_j+b_j)/p_j) + P sum_{j != k} a_j b_k/(p_j p_k).
@@ -190,6 +209,7 @@ def s_matrix_phi(p: tuple[int, int, int]) -> np.ndarray:
             for x, y, q in zip(a, b, p):
                 prod *= math.sin(math.pi * P * x * y / q / q)
             out[i, j] = -8 / math.sqrt(2 * P) * sign * prod
+    out.setflags(write=False)
     return out
 
 
@@ -202,6 +222,7 @@ def s_matrix_psi(P: int) -> np.ndarray:
     return np.sqrt(2 / P) * np.sin(np.outer(a, a) * np.pi / P)
 
 
+@lru_cache(maxsize=None)
 def l_value(f: PeriodicFunction, P: int, k: int) -> Fraction:
     """L(-2k, f) = -(2P)^(2k)/(2k+1) sum_{l=1}^{2P} f(l) B_{2k+1}(l/2P),
     the analytically continued L-value, as an exact rational."""

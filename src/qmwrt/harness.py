@@ -58,6 +58,7 @@ __all__ = [
     "decomposition_report",
     "saddle_expansion",
     "geometric_relation",
+    "check_geometric_root",
     "residual_scan",
     "appendix_b_checks",
     "Family",
@@ -390,10 +391,8 @@ def _lens_saddles(m: Manifold, ctx: RootContext, K: int) -> list[SaddleTerm]:
 
 def _geometric(m: Manifold, ctx: RootContext, report: VerificationReport) -> None:
     """P_*(xi~) = xi~^(delta + CS_*) W(xi~) - [H if spherical], exactly."""
+    check_geometric_root(m, ctx.r)
     row = _model(m)
-    if m.kind == "family" and math.gcd(ctx.r, row.H) != 1:
-        raise ValueError(f"the geometric relation holds along r coprime "
-                         f"with H = {row.H}; got r = {ctx.r}")
     alpha, pw = _side(ctx, True)
     if m.kind == "brieskorn":
         # f0 is the table of the geometric rotation number (1, 1, 1).  For
@@ -416,6 +415,15 @@ def _geometric(m: Manifold, ctx: RootContext, report: VerificationReport) -> Non
         text = f"delta = {shift % ctx.s}"
     ok = diff.is_zero()
     report.add("geometric_relation", ok, text if ok else _witness(diff))
+
+
+def check_geometric_root(m: Manifold, r: int) -> None:
+    """ValueError unless the geometric relation of m is stated at r: the
+    ex:family relation holds along r coprime with H."""
+    H = _model(m).H if m.kind == "family" else 1
+    if math.gcd(r, H) != 1:
+        raise ValueError(f"the geometric relation holds along r coprime "
+                         f"with H = {H}; got r = {r}")
 
 
 def _lens_geometric(m: Manifold, ctx: RootContext,

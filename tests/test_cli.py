@@ -189,6 +189,26 @@ def test_output_file(tmp_path, capsys):
      "--order", "-2"],
     ["falsetheta", "--basis", "psi", "--p", "6", "--a", "1,2", "--r", "7"],
     ["falsetheta", "--basis", "psi", "--p", "6,7", "--a", "1", "--r", "7"],
+    ["verify", "modularity", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "101:301:100", "--slope-tol", "-1"],
+    ["verify", "modularity", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "101:301:100", "--slope-tol", "nan"],
+    ["verify", "modularity", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "101:301:100", "--slope-tol", "inf"],
+    ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:301:100",
+     "--jobs", "0"],
+    ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:301:100",
+     "--jobs", "-3"],
+    ["verify", "all", "--manifold", "ex:family:2", "--r", "5"],
+    ["verify", "geometric", "--manifold", "brieskorn:2,5,7", "--r", "503",
+     "--s", "3"],
+    ["verify", "all", "--manifold", "ex:2-3-3", "--r", "13", "--s", "61"],
+    ["verify", "modularity", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "2003:40000:4200", "--s", "7"],
+    ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "2003:40000:4200",
+     "--s", "3", "--order", "3"],
+    ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:305:4",
+     "--s", "5", "--jobs", "2"],
 ])
 def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
     def no_products(*_args):
@@ -221,3 +241,21 @@ def test_integrality_with_even_fiber_order_not_first(capsys):
                                       "brieskorn:3,4,5", "--r", "7", "--s", "5"])
     assert code == 0
     assert out.count("[pass] integrality") == 6
+
+
+def test_replaced_s_is_named(capsys):
+    code, _out, err = invoke(capsys, ["verify", "geometric", "--manifold",
+                                      "brieskorn:2,5,7", "--r", "503",
+                                      "--s", "3"])
+    assert code == 2
+    assert "s' = 1009" in err
+
+
+def test_xi_only_commands_keep_any_s(capsys):
+    # s = 3 is taken as s' = 17 at r = 7: xi = e(s'/r) = e(3/7) is the same
+    # root, so commands that evaluate at xi alone accept it
+    for args in (["wrt", "--manifold", "brieskorn:2,3,7", "--r", "7"],
+                 ["verify", "identity", "--manifold", "brieskorn:2,3,7",
+                  "--r", "7"]):
+        code, _out, _err = invoke(capsys, args + ["--s", "3"])
+        assert code == 0

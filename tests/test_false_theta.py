@@ -161,6 +161,63 @@ def test_eichler_numeric_twin():
         exact = eichler_limit(f, big_p, alpha).eval_complex()
         fast = eichler_limit_complex(f, big_p, alpha)
         assert abs(exact - fast) < 1e-10
+    # denominators near 2001, where the sums run over about 8,000 terms
+    for p, a, alpha in (((2, 3, 7), (1, 1, 1), Fraction(5, 2001)),
+                        ((2, 5, 7), (1, 2, 3), Fraction(-1999, 2003))):
+        big_p = math.prod(p)
+        f = phi_basis(p, a)
+        exact = eichler_limit(f, big_p, alpha).eval_complex()
+        assert abs(eichler_limit_complex(f, big_p, alpha) - exact) < 1e-10
+
+
+def _eichler_reference(f, big_p, alpha):
+    """The defining sum over every l < 2Pc, term by term."""
+    from qmwrt.cyclotomic import CycloNumber
+
+    a, c = alpha.numerator, alpha.denominator
+    d_cond = 4 * big_p * c
+    acc: dict[int, int] = {}
+    for l in range(1, 2 * big_p * c):
+        if f(l):
+            k = a * l * l % d_cond
+            acc[k] = acc.get(k, 0) + f(l) * (big_p * c - l)
+    return CycloNumber.from_int_dict(d_cond, acc, 2 * big_p * c)
+
+
+def test_eichler_limit_equals_the_defining_sum():
+    rng = random.Random(17)
+    tables = []
+    for p in [(2, 3, 5), (2, 3, 7), (2, 5, 7)]:
+        labels = rotation_triples(p)
+        tables += [(math.prod(p), phi_basis(p, rng.choice(labels)))
+                   for _ in range(2)]
+    for _ in range(4):
+        big_p = rng.randint(2, 40)
+        terms = {rng.randint(1, big_p - 1): rng.randint(-3, 3)
+                 for _ in range(rng.randint(1, 4))}
+        tables.append((big_p, psi_combo(big_p, terms)))
+    for big_p, f in tables:
+        for c in (1, 2, 2 * rng.randint(2, 40), 2 * rng.randint(250, 300) + 1):
+            a = rng.randint(1, 3 * c)
+            while math.gcd(a, c) != 1:
+                a += 1
+            for alpha in (Fraction(a, c), Fraction(-a, c)):
+                got = eichler_limit(f, big_p, alpha)
+                ref = _eichler_reference(f, big_p, alpha)
+                assert (got.D, got.c, got.den) == (ref.D, ref.c, ref.den), \
+                    (big_p, f.support(), alpha)
+
+
+def test_eichler_limit_rejects_denominators_past_int64(monkeypatch):
+    from qmwrt import false_theta
+
+    f = phi_basis((2, 3, 5), (1, 1, 1))
+    # with numpy out of reach, only a check made before any array is built
+    # can raise the ValueError
+    monkeypatch.setattr(false_theta, "np", None)
+    for limit in (eichler_limit, eichler_limit_complex):
+        with pytest.raises(ValueError, match="2\\^31"):
+            limit(f, 30, Fraction(1, 2 ** 31 + 1))
 
 
 def test_l_value_examples():
