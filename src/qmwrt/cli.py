@@ -255,11 +255,8 @@ def _suites(job: JobSpec) -> list[str]:
 
 
 def _check_roots(job: JobSpec) -> None:
-    """Reject the r and s that the job's suites cannot use.
-
-    The geometric and modularity suites evaluate at xi~ = e(-r/s) or in the
-    series variable s/r.  Both would silently use normalize_s(s, r) in
-    place of s, so they take only an s that is its own normal form."""
+    """Reject the r and s that the job's suites cannot use: the geometric
+    and modularity suites take only an s that is its own normal form."""
     suites = _suites(job)
     if "modularity" in suites:
         rs = _r_values(job)
@@ -270,13 +267,7 @@ def _check_roots(job: JobSpec) -> None:
     try:
         if "geometric" in suites:
             harness.check_geometric_root(job.model, job.r)
-        for r in rs:
-            used = normalize_s(job.s, r)
-            if used != job.s:
-                raise UsageError(
-                    f"--s {job.s} would be replaced by s' = {used} at r = {r}; "
-                    f"the geometric and modularity suites evaluate at "
-                    f"xi~ = e(-r/s) and take only s = 1 mod 4 below 4r")
+        harness.check_companion_s(job.s, rs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

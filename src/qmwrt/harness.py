@@ -58,6 +58,7 @@ __all__ = [
     "decomposition_report",
     "saddle_expansion",
     "geometric_relation",
+    "check_companion_s",
     "check_geometric_root",
     "residual_scan",
     "appendix_b_checks",
@@ -426,6 +427,20 @@ def check_geometric_root(m: Manifold, r: int) -> None:
                          f"with H = {H}; got r = {r}")
 
 
+def check_companion_s(s: int, rs) -> None:
+    """ValueError unless s is its own normal form at every r in rs.
+
+    The geometric relation evaluates at xi~ = e(-r/s) and the residual scan
+    in the series variable s/r; both would silently use normalize_s(s, r)
+    in place of any other s."""
+    for r in rs:
+        used = normalize_s(s, r)
+        if used != s:
+            raise ValueError(f"s = {s} would be replaced by s' = {used} at "
+                             f"r = {r}; the geometric and modularity suites "
+                             f"take only s = 1 mod 4 below 4r")
+
+
 def _lens_geometric(m: Manifold, ctx: RootContext,
                     report: VerificationReport) -> None:
     """sum_a W^(a)(x) = p x^((5-p)/4) at x = xi and x = xi~, and the
@@ -583,6 +598,7 @@ def geometric_relation(selector: str | Manifold,
       lens p : sum_a W^(a)(x) = p x^((5-p)/4), sector-0 P_* = 0
     """
     m = parse(selector)
+    check_companion_s(ctx.s, (ctx.r,))
     report = VerificationReport(m.selector, {"r": ctx.r, "s": ctx.s})
     family(m).geometric(m, ctx, report)
     return report
@@ -597,10 +613,11 @@ def residual_scan(selector: str | Manifold, s: int, r_list: list[int], K: int):
     m = parse(selector)
     if "modularity" not in family(m).suites:
         raise ValueError("residual scan is implemented for Brieskorn spheres")
+    check_companion_s(s, r_list)
     row = _model(m)
     rows = []
     for r in r_list:
-        ctx = RootContext(r, normalize_s(s, r))
+        ctx = RootContext(r, s)
         w_num = _sector0(row, Fraction(ctx.s, ctx.r), _numeric_power(ctx),
                          eichler_limit_complex)
         total = sum(t.numeric(ctx) for t in _brieskorn_saddles(m.params, ctx, K))

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -62,22 +62,36 @@ def max_color_tuples() -> int:
     return int(raw) if raw else DEFAULT_MAX_COLORS
 
 
-@dataclass
 class WrtValue:
-    """An exact WRT-type invariant value; numeric is its evaluation.
+    """An exact WRT-type invariant value, kept as the product of its exact
+    factors (CycloNumbers, integers or other WrtValues).
+
+    exact multiplies the factors out on first read and caches the product;
+    numeric is the product of the factors' evaluations (evaluation is a
+    ring homomorphism), so a value that is only evaluated is never formed.
 
     normalization is "tau" for the bare invariant (1 on S^3), "W" for
     sqrt(H) (H/s) (xi - 1) tau, or "prefactored-W" for xi^Delta (xi-1) tau
     with the recorded rational exponent Delta.
     """
 
-    exact: CycloNumber
-    normalization: str = "tau"
-    prefactor_exponent: Fraction | None = None
+    def __init__(self, *factors, normalization: str = "tau",
+                 prefactor_exponent: Fraction | None = None):
+        self.factors = factors
+        self.normalization = normalization
+        self.prefactor_exponent = prefactor_exponent
+
+    @cached_property
+    def exact(self) -> CycloNumber:
+        return reduce(operator.mul, [
+            f.exact if isinstance(f, WrtValue) else f for f in self.factors])
 
     @cached_property
     def numeric(self) -> complex:
-        return self.exact.eval_complex()
+        return reduce(operator.mul, [
+            f.numeric if isinstance(f, WrtValue)
+            else f.eval_complex() if isinstance(f, CycloNumber) else f
+            for f in self.factors])
 
 
 def _one_over_root_minus_one(D: int, k: int, h: int) -> CycloNumber:
@@ -243,7 +257,8 @@ def _closed_prefactored_positive(d: SeifertData, ctx: RootContext) -> WrtValue:
     g = seifert_gauss_sum(inv.P, ctx)
     norm = seifert_gauss_norm(inv.P, ctx)
     value = hat * g.conjugate() * Fraction(1, 2 * norm)
-    return WrtValue(value, "prefactored-W", inv.phi / 4 - Fraction(1, 2))
+    return WrtValue(value, normalization="prefactored-W",
+                    prefactor_exponent=inv.phi / 4 - Fraction(1, 2))
 
 
 def _closed_form_invariants(d: SeifertData, ctx: RootContext):
@@ -284,7 +299,12 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
 
     and the scalar E_j = e^(pi i sgn(f_j)/4) sqrt(2r) / sqrt(s |f_j|) is
     pinned exactly as the ratio A_j(w0) / (K_j B_j(w0)) at a probe value w0.
-    Requires gcd(s, p_j) = 1.
+    Only the central factors and the brackets depend on n0, so the constant
+
+        C = delta prod_j xi^(-f_j/4) delta^-2 E_j K_j
+
+    (its delta is the numerator of 1/[n0]) is formed once, before the sum
+    over n0, and multiplies the sum once.  Requires gcd(s, p_j) = 1.
     """
     r, s = ctx.r, ctx.s
     for p, q in d.fibers:
@@ -313,7 +333,7 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
             acc[k] = acc.get(k, 0) + 1
         return CycloNumber.from_int_dict(F, acc)
 
-    fiber_scalar = []   # E_j K_j, exact
+    const = delta       # C = delta prod_j xi^(-f_j/4) delta^-2 E_j K_j
     fiber_b = []        # B_j tables, indexed by w mod |f_j|
     for p, q in d.fibers:
         f = p * q
@@ -325,23 +345,23 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
         else:
             raise ArithmeticError("no nonvanishing probe for the fiber sum")
         ek = a_sum(f, w0) * b0.invert() * xi_power(ctx, Fraction(w0 * w0, 4 * f))
-        fiber_scalar.append(ek)
+        const = const * xi_power(ctx, Fraction(-f, 4)) * inv_delta2 * ek
         fiber_b.append((f, {w % F: b_sum(f, w % F) for w in range(F)}))
 
     total = CycloNumber.zero(D)
     for n0 in range(1, r):
-        part = xi_power(ctx, Fraction(d.b * (n0 * n0 - 1), 4))
-        part = part * delta * _one_over_root_minus_one(D, 4 * s * n0 % D, r // math.gcd(n0, r)) \
+        # the last two factors and the delta in C are 1/[n0] = delta
+        # xi^(n0/2) / (xi^(n0) - 1)
+        part = xi_power(ctx, Fraction(d.b * (n0 * n0 - 1), 4)) \
+            * _one_over_root_minus_one(D, 4 * s * n0 % D, r // math.gcd(n0, r)) \
             * xi_power(ctx, Fraction(n0, 2))
-        # the line above is 1/[n0] = delta * xi^(n0/2) / (xi^(n0) - 1)
-        for (f, btab), ek in zip(fiber_b, fiber_scalar):
+        for f, btab in fiber_b:
             F = abs(f)
             plus = xi_power(ctx, Fraction(-(n0 + 1) ** 2, 4 * f)) * btab[(n0 + 1) % F]
             minus = xi_power(ctx, Fraction(-(n0 - 1) ** 2, 4 * f)) * btab[(n0 - 1) % F]
-            part = part * xi_power(ctx, Fraction(-f, 4)) * inv_delta2 \
-                * ek * (plus - minus)
+            part = part * (plus - minus)
         total = total + part
-    return total * _surgery_normalization(d, ctx)
+    return total * const * _surgery_normalization(d, ctx)
 
 
 def tau_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
@@ -355,13 +375,13 @@ def tau_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
     inv = _closed_form_invariants(d, ctx)
     if inv.e < 0:
         rev = tau_seifert_closed(d.reversed_orientation(), ctx)
-        return WrtValue(rev.exact.conjugate(), "tau")
+        return WrtValue(rev.exact.conjugate())
     if inv.H != 1:
-        return WrtValue(_tau_qhs_reciprocity(d, ctx), "tau")
+        return WrtValue(_tau_qhs_reciprocity(d, ctx))
     # tau = xi^(-Delta) / (xi - 1) * prefactored value
     v = _closed_prefactored_positive(d, ctx)
     one_over = _one_over_root_minus_one(4 * ctx.r, 4 * ctx.s % (4 * ctx.r), ctx.r)
-    return WrtValue(v.exact * xi_power(ctx, -v.prefactor_exponent) * one_over, "tau")
+    return WrtValue(v.exact * xi_power(ctx, -v.prefactor_exponent) * one_over)
 
 
 def wrt_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
@@ -377,7 +397,7 @@ def wrt_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
     delta = inv.phi / 4 - Fraction(1, 2)
     tau = tau_seifert_closed(d, ctx).exact
     return WrtValue(xi_power(ctx, delta) * (xi_power(ctx, 1) - 1) * tau,
-                    "prefactored-W", delta)
+                    normalization="prefactored-W", prefactor_exponent=delta)
 
 
 def sqrt_homology_order(H: int) -> CycloNumber:
@@ -401,15 +421,8 @@ def w_normalized(tau: WrtValue, H: int, ctx: RootContext) -> WrtValue:
     """W = sqrt(H) (H/s) (xi - 1) tau."""
     if math.gcd(ctx.s, H) != 1:
         raise ValueError(f"s={ctx.s} must be coprime to H={H}")
-    jac = jacobi(H, ctx.s)
-    xi_minus_1 = xi_power(ctx, 1) - 1
-    sqrt_h = sqrt_homology_order(H)
-    w = WrtValue(jac * sqrt_h * xi_minus_1 * tau.exact, "W")
-    # evaluation is a ring homomorphism: evaluating the factors avoids
-    # evaluating W itself, whose support can reach hundreds of thousands
-    w.numeric = (jac * sqrt_h.eval_complex() * xi_minus_1.eval_complex()
-                 * tau.numeric)
-    return w
+    return WrtValue(jacobi(H, ctx.s), sqrt_homology_order(H),
+                    xi_power(ctx, 1) - 1, tau, normalization="W")
 
 
 def w_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
@@ -527,7 +540,7 @@ def wrt_brute_surgery(d: SeifertData, ctx: RootContext) -> WrtValue:
                     * quantum_integer(n0 * nj, ctx) * quantum_integer(nj, ctx)
             part = part * inner
         total = total + part
-    return WrtValue(total * _surgery_normalization(d, ctx), "tau")
+    return WrtValue(total * _surgery_normalization(d, ctx))
 
 
 # -- lens spaces ------------------------------------------------------------
@@ -574,7 +587,7 @@ def wrt_lens(p: int, ctx: RootContext) -> tuple[WrtValue, list[CycloNumber]]:
     for a in range((p - 1) // 2 + 1):
         phase = CycloNumber.from_turns(Fraction(-r * s * a * a, p))
         total = total + phase * sectors[a]
-    return WrtValue(total, "W"), sectors
+    return WrtValue(total, normalization="W"), sectors
 
 
 def wrt_lens_brute(p: int, ctx: RootContext) -> WrtValue:
@@ -583,4 +596,4 @@ def wrt_lens_brute(p: int, ctx: RootContext) -> WrtValue:
         raise ValueError("p = 0 is not a rational homology sphere")
     tau = f_surgery_normalization(p, ctx) \
         * f_surgery_normalization(1 if p > 0 else -1, ctx).invert()
-    return WrtValue(tau, "tau")
+    return WrtValue(tau)

@@ -284,3 +284,12 @@ def test_failed_identity_reports_a_witness(monkeypatch):
     assert int(found[2]) == len(coords)
     assert (int(found[3]), Fraction(found[4])) \
         == (first, Fraction(coords[first], diff.den))
+
+
+def test_replaced_s_is_rejected_in_the_library():
+    # an s that is not its own normal form would move xi~ = e(-r/s) and the
+    # series variable s/r: s = 3 is s' = 505 at r = 251, s = 13 is 1 at r = 3
+    with pytest.raises(ValueError, match="s' = 505 at r = 251"):
+        residual_scan("brieskorn:2,3,7", 3, [251], 2)
+    with pytest.raises(ValueError, match="s' = 1 at r = 3"):
+        geometric_relation("brieskorn:2,3,7", RootContext(3, 13))

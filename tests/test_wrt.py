@@ -1,12 +1,15 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from qmwrt import cyclotomic
+from qmwrt.cli import main
 from qmwrt.cyclotomic import CycloNumber, xi_power
 from qmwrt.false_theta import phi_basis, eichler_limit
-from qmwrt.number_theory import RootContext, normalize_s
+from qmwrt.number_theory import RootContext, jacobi, normalize_s
 from qmwrt.seifert import (
     EXAMPLE_233,
     SeifertData,
@@ -27,6 +30,7 @@ from qmwrt.wrt import (
     surgery_linking_matrix,
     tau_seifert_closed,
     w_normalized,
+    w_seifert_closed,
     wrt_brute_surgery,
     wrt_lens,
     wrt_lens_brute,
@@ -313,7 +317,6 @@ def test_oracle_presentation_invariance():
 
 
 def test_w_seifert_closed_matches_assembled_w():
-    from qmwrt.wrt import w_seifert_closed
     for d in (brieskorn((2, 3, 7)), EXAMPLE_233):
         ctx = RootContext(7, 1)
         inv = invariants(d)
@@ -418,3 +421,55 @@ def test_hat_sum_equals_generic_path_for_one_to_four_fibers():
 def test_hat_sum_rejects_sizes_past_the_int64_bound():
     with pytest.raises(ValueError, match="bound"):
         seifert_hat_sum(brieskorn((2, 3, 5, 7)), RootContext(1001, 1))
+
+
+FOUR_FIBERS = "seifert:0;2/1,3/1,5/1,7/1"
+
+
+@pytest.mark.parametrize("selector, r, s", [
+    ("ex:2-3-3", 11, 1),
+    ("ex:neg-2-3-9", 11, 5),
+    ("ex:family:3", 9, 5),
+    (FOUR_FIBERS, 9, 1),
+])
+def test_reciprocity_form_equals_state_sum_at_the_oracle_roots(selector, r, s):
+    d = parse_manifold(selector)
+    ctx = RootContext(r, s)
+    assert tau_seifert_closed(d, ctx).exact == wrt_brute_surgery(d, ctx).exact
+
+
+def test_reciprocity_form_keeps_its_exact_representation():
+    # (D, den, terms, digest of the sorted numerators) as given by the sum
+    # that multiplied the fiber constant into every one of its terms
+    x = tau_seifert_closed(parse_manifold(FOUR_FIBERS), RootContext(9, 1)).exact
+    digest = hashlib.sha256(repr(sorted(x.c.items())).encode()).hexdigest()
+    assert (x.D, x.den, len(x.c), digest[:16]) == \
+        (7560, 17010, 4620, "2589c3e6940bf3d3")
+
+
+def test_unread_w_is_not_formed(monkeypatch, capsys):
+    conductors = []
+    product = cyclotomic._product
+
+    def recorded(ca, cb, D):
+        conductors.append(D)
+        return product(ca, cb, D)
+
+    monkeypatch.setattr(cyclotomic, "_product", recorded)
+    assert main(["wrt", "--manifold", FOUR_FIBERS, "--r", "9", "--s", "1",
+                 "--json"]) == 0
+    capsys.readouterr()
+    assert max(conductors) <= 7560
+    # W lives at lcm(4Pr, H) = 1,867,320, its factors at most at 7,560
+    d, ctx = parse_manifold(FOUR_FIBERS), RootContext(9, 1)
+    tau = tau_seifert_closed(d, ctx)
+    w = w_seifert_closed(d, ctx)
+    numeric = w.numeric
+    assert max(conductors) <= 7560
+    exact = w.exact
+    assert max(conductors) == 1_867_320
+    H = invariants(d).H
+    expect = jacobi(H, ctx.s) * sqrt_homology_order(H) * (xi_power(ctx, 1) - 1) \
+        * tau.exact
+    assert (exact.D, exact.c, exact.den) == (expect.D, expect.c, expect.den)
+    assert abs(numeric - exact.eval_complex()) < 1e-9 * abs(numeric)
