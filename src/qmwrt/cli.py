@@ -280,12 +280,48 @@ def _ctx(job: JobSpec, r: int | None = None) -> RootContext:
         raise UsageError(str(exc)) from exc
 
 
+class _Rows(list):
+    """Integer rows (k, numerator, denominator) of an exact value."""
+
+
 def _serialize_exact(x: CycloNumber) -> dict:
-    coeffs = []
+    """The coefficient c_k/den of zeta_D^k in lowest terms, one row
+    (k, c_k/g, den/g) with g = gcd(c_k, den) per exponent, ascending."""
+    den = x.den
+    rows = _Rows()
     for k, v in sorted(x.c.items()):
-        q = Fraction(v, x.den)
-        coeffs.append([k, q.numerator, q.denominator])
-    return {"conductor": x.D, "coeffs": coeffs}
+        g = math.gcd(v, den)
+        rows.append((k, v // g, den // g))
+    return {"conductor": x.D, "coeffs": rows}
+
+
+def _dumps(obj, indent: str = "") -> str:
+    """The text of json.dumps(obj, indent=2), byte for byte.
+
+    `_Rows` are written with one format string per nesting depth; every
+    other scalar and every key goes through the json module's encoder,
+    with a number, boolean or None key taken as the string of its JSON
+    text, as json does.
+    """
+    inner = indent + "  "
+    if isinstance(obj, _Rows):
+        if not obj:
+            return "[]"
+        item = inner + "  "
+        row = f"{inner}[\n{item}%d,\n{item}%d,\n{item}%d\n{inner}]"
+        return "[\n" + ",\n".join([row % r for r in obj]) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_dumps(v, inner)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [inner + _dumps(v, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(obj)
 
 
 def _fmt(z: complex) -> dict:
@@ -296,7 +332,7 @@ def _emit(job: JobSpec, payload, exit_code: int) -> int:
     if isinstance(payload, str):
         text = payload
     else:
-        text = json.dumps(payload, indent=2)
+        text = _dumps(payload)
     if job.out_path:
         with open(job.out_path, "w") as fh:
             fh.write(text + "\n")

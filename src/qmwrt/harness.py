@@ -642,7 +642,10 @@ def appendix_b_checks(p: tuple[int, int, int], a: tuple[int, int, int],
       (ii)  sum_eps e1 e2 e3 e_j sum_L xi^(F_eps(L)) = 0 for j = 1, 2, 3
       (iii) (1/2r) sum_eps e1 e2 e3 sum_L L xi^(F_eps(L))  is integral
 
-    where F_eps(L) = P(L + sum (e_j+1)/2 a_j/p_j)(L + 1 + sum (e_j-1)/2 a_j/p_j).
+    where F_eps(L) = P(L + u_eps)(L + 1 + v_eps) = P L^2 + B_eps L + C_eps,
+    u_eps = sum (e_j+1)/2 a_j/p_j, v_eps = sum (e_j-1)/2 a_j/p_j,
+    B_eps = P(1 + u_eps + v_eps) and C_eps = P u_eps (1 + v_eps).  F_eps(L)
+    is an integer for every L exactly when B_eps and C_eps are.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError("r must be odd")
@@ -650,22 +653,18 @@ def appendix_b_checks(p: tuple[int, int, int], a: tuple[int, int, int],
     P = math.prod(p)
     eps_range = [(e1, e2, e3) for e1 in (1, -1) for e2 in (1, -1) for e3 in (1, -1)]
 
-    def f_eps(eps, L):
-        up = Fraction(L) + sum(Fraction((e + 1) * aj, 2 * pj)
-                               for e, aj, pj in zip(eps, a, p))
-        down = Fraction(L + 1) + sum(Fraction((e - 1) * aj, 2 * pj)
-                                     for e, aj, pj in zip(eps, a, p))
-        val = P * up * down
-        assert val.denominator == 1
-        return int(val)
-
     sums = {}
     lin = {}
     for eps in eps_range:
+        u = sum(Fraction((e + 1) * aj, 2 * pj) for e, aj, pj in zip(eps, a, p))
+        v = sum(Fraction((e - 1) * aj, 2 * pj) for e, aj, pj in zip(eps, a, p))
+        b, c = P * (1 + u + v), P * u * (1 + v)
+        assert b.denominator == 1 and c.denominator == 1
+        b, c = int(b), int(c)
         acc: dict[int, int] = {}
         acc_l: dict[int, int] = {}
         for L in range(r):
-            k = f_eps(eps, L) % r
+            k = (P * L * L + b * L + c) % r
             acc[k] = acc.get(k, 0) + 1
             acc_l[k] = acc_l.get(k, 0) + L
         sums[eps] = CycloNumber.from_int_dict(r, acc)

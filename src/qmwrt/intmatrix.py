@@ -36,25 +36,22 @@ def det_int(m: Matrix) -> int:
 
 
 def charpoly_int(m: Matrix) -> list[int]:
-    """Coefficients of det(x I - M), ascending degree, via Faddeev-LeVerrier."""
+    """Coefficients of det(x I - M), ascending degree, via Faddeev-LeVerrier.
+
+    Every M_k = M (M_(k-1) + c_(n-k+1) I) is an integer matrix and k divides
+    tr M_k, so the recursion runs on integers with exact division."""
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    ident = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-    def matmul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
-    mk = [row[:] for row in ident]
+    coeffs = [1]  # leading coefficient of x^n
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = matmul(a, mk)
-        ck = -sum(mk[i][i] for i in range(n)) / k
+        mk = [[sum(x * y for x, y in zip(row, col)) for col in zip(*mk)]
+              for row in m]
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        assert rem == 0
         coeffs.append(ck)
         for i in range(n):
             mk[i][i] += ck
-    assert all(c.denominator == 1 for c in coeffs)
-    return [int(c) for c in reversed(coeffs)]
+    return coeffs[::-1]
 
 
 def eigenvalue_sign_counts(m: Matrix) -> tuple[int, int, int]:

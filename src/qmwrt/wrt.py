@@ -526,18 +526,20 @@ def wrt_brute_surgery(d: SeifertData, ctx: RootContext) -> WrtValue:
         raise ValueError(f"color space {nominal} exceeds cap {max_color_tuples()}; "
                          f"raise {MAX_COLORS_ENV} to override")
     D = 4 * r
+    # the n0-free factor xi^(f (nj^2-1)/4) [nj] of each fiber colour
+    fiber_weights = [[root_power(D, s * p * q * (nj * nj - 1))
+                      * quantum_integer(nj, ctx) for nj in range(1, r)]
+                     for p, q in d.fibers]
     total = CycloNumber.zero(D)
     for n0 in range(1, r):
         q0 = quantum_integer(n0, ctx)
         inv_q0 = q0.invert()
         # J * prod [n_i] has one surviving 1/[n0]
         part = root_power(D, s * d.b * (n0 * n0 - 1)) * inv_q0
-        for p, q in d.fibers:
-            f = p * q
+        for weights in fiber_weights:
             inner = CycloNumber.zero(D)
-            for nj in range(1, r):
-                inner = inner + root_power(D, s * f * (nj * nj - 1)) \
-                    * quantum_integer(n0 * nj, ctx) * quantum_integer(nj, ctx)
+            for nj, weight in enumerate(weights, start=1):
+                inner = inner + weight * quantum_integer(n0 * nj, ctx)
             part = part * inner
         total = total + part
     return WrtValue(total * _surgery_normalization(d, ctx))

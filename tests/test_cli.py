@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from qmwrt import wrt
+from qmwrt import cli, wrt
 from qmwrt.cli import UsageError, main, parse_args
 from qmwrt.cyclotomic import CycloNumber
+from qmwrt.number_theory import RootContext
+from qmwrt.seifert import parse_manifold
 
 
 def invoke(capsys, args):
@@ -259,3 +262,76 @@ def test_xi_only_commands_keep_any_s(capsys):
                   "--r", "7"]):
         code, _out, _err = invoke(capsys, args + ["--s", "3"])
         assert code == 0
+
+
+JSON_COMMANDS = [
+    ["wrt", "--manifold", "brieskorn:2,3,7", "--r", "11", "--s", "5", "--exact"],
+    ["wrt", "--manifold", "ex:2-3-3", "--r", "11", "--s", "5", "--exact"],
+    ["wrt", "--manifold", "lens:5", "--r", "11", "--exact"],
+    ["falsetheta", "--basis", "phi", "--p", "2,3,7", "--a", "1,1,1",
+     "--r", "29", "--s", "5", "--tilde", "--exact"],
+    ["flatconn", "--manifold", "ex:family:3"],
+    ["gauss", "--s", "2", "--r", "8"],
+    ["verify", "all", "--manifold", "brieskorn:2,3,5", "--r", "7", "--s", "5"],
+    ["verify", "modularity", "--manifold", "brieskorn:2,3,7", "--s", "1",
+     "--r-range", "101:301:100", "--order", "2", "--slope-tol", "1e-9"],
+    ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:301:100",
+     "--order", "2"],
+]
+
+
+@pytest.mark.parametrize("args", JSON_COMMANDS)
+def test_json_output_is_the_indent_2_dump_of_the_payload(capsys, monkeypatch,
+                                                         args):
+    payloads = []
+    emit = cli._emit
+
+    def recording(job, payload, exit_code):
+        payloads.append(payload)
+        return emit(job, payload, exit_code)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    code, out, _err = invoke(capsys, args + ["--json"])
+    assert code == (1 if "--slope-tol" in args else 0)
+    assert len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+def _exact_values():
+    d = parse_manifold("brieskorn:2,3,7")
+    tau = wrt.tau_seifert_closed(d, RootContext(11, 5))
+    return [
+        CycloNumber.zero(7),
+        CycloNumber.from_int_dict(12, {0: -3, 5: 2 ** 70 + 1, 7: 6}, den=4),
+        CycloNumber.from_int_dict(5, {1: -(2 ** 65)}, den=3 ** 50),
+        tau.exact,
+        wrt.w_normalized(tau, 1, RootContext(11, 5)).exact,
+    ]
+
+
+def test_writer_equals_json_dumps_on_hand_built_payloads():
+    rows = [cli._serialize_exact(x) for x in _exact_values()]
+    payloads = [
+        {"exact": rows[0]},
+        {"results": [{"name": "tau", "exact": row} for row in rows]},
+        [[rows[1]], {"deeper": {"still": [rows[2]]}}],
+        {"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": {"f": []}}},
+        {"nan": float("nan"), "inf": [float("inf"), -float("inf")],
+         "floats": [0.1, -0.0, 1e300, 5e-324], "flags": [True, False, None]},
+        {"名前": "Σ(2,3,5) — ξ̃ ∞ \U0001d70f", "esc": "tab\t\"quote\"\\\n"},
+        {1: "int", 2.5: "float", False: "bool", None: "none", -3: [2 ** 80]},
+        "a string", 17, -2.5, None, [], {},
+    ]
+    for payload in payloads:
+        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+def test_serialized_rows_are_coefficients_in_lowest_terms():
+    for x in _exact_values():
+        out = cli._serialize_exact(x)
+        assert out["conductor"] == x.D
+        assert [k for k, _n, _d in out["coeffs"]] == sorted(x.c)
+        for k, num, den in out["coeffs"]:
+            q = Fraction(x.c[k], x.den)
+            assert (num, den) == (q.numerator, q.denominator)
+            assert type(num) is int and type(den) is int
