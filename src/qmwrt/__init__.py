@@ -16,7 +16,6 @@ The package is organized bottom-up:
 
 from .cyclotomic import (
     CycloNumber,
-    cyclotomic_poly,
     root_power,
     xi_power,
     xi_tilde_power,

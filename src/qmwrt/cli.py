@@ -97,11 +97,9 @@ def parse_args(argv: list[str]) -> JobSpec:
                     "quantum modularity checks for Seifert fibered spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_ctx(sp, need_r=True):
-        if need_r:
-            sp.add_argument("--r", type=int, required=True, help="odd order of the root")
-        sp.add_argument("--s", type=int, default=1,
-                        help="numerator class; normalized to 1 mod 4 automatically")
+    def add_ctx(sp, s_help="numerator class; normalized to 1 mod 4 automatically"):
+        sp.add_argument("--r", type=int, required=True, help="odd order of the root")
+        sp.add_argument("--s", type=int, default=1, help=s_help)
 
     p_wrt = sub.add_parser("wrt", help="tau and W at a root of unity")
     p_wrt.add_argument("--manifold", required=True)
@@ -116,7 +114,7 @@ def parse_args(argv: list[str]) -> JobSpec:
                       help="fiber triple p1,p2,p3 (phi) or the period half P (psi)")
     p_ft.add_argument("--a", required=True,
                       help="rotation triple a1,a2,a3 (phi) or label a (psi)")
-    add_ctx(p_ft)
+    add_ctx(p_ft, s_help="nonzero numerator coprime to r, used as given")
     p_ft.add_argument("--tilde", action="store_true",
                       help="evaluate at -r/s instead of s/r")
     p_ft.add_argument("--exact", action="store_true")
@@ -225,6 +223,8 @@ def parse_args(argv: list[str]) -> JobSpec:
         if len(job.p) != size or len(job.a) != size:
             raise UsageError(f"the {job.basis} basis takes {size} value(s) "
                              f"in --p and in --a")
+        if job.s == 0 or math.gcd(job.s, job.r) != 1:
+            raise UsageError(f"s={job.s} must be nonzero and coprime to r={job.r}")
     if job.manifold is not None:
         job.model = _parse_model(job)
         _check_roots(job)
@@ -387,8 +387,8 @@ def _run_wrt_lens(job: JobSpec, ctx: RootContext, p: int) -> int:
 
 
 def _run_falsetheta(job: JobSpec) -> int:
-    ctx = _ctx(job)
-    alpha = Fraction(-ctx.r, ctx.s) if job.at_tilde else Fraction(ctx.s, ctx.r)
+    # the Eichler limit needs no quarter-root convention: s is used as given
+    alpha = Fraction(-job.r, job.s) if job.at_tilde else Fraction(job.s, job.r)
     if job.basis == "phi":
         f = false_theta.phi_basis(job.p, job.a)
         big_p = job.p[0] * job.p[1] * job.p[2]
@@ -398,7 +398,7 @@ def _run_falsetheta(job: JobSpec) -> int:
     val = false_theta.eichler_limit(f, big_p, alpha)
     num = val.eval_complex()
     payload = {"basis": job.basis, "p": list(job.p), "a": list(job.a),
-               "ctx": {"r": ctx.r, "s": ctx.s}, "at": str(alpha),
+               "ctx": {"r": job.r, "s": job.s}, "at": str(alpha),
                "results": [{"name": "eichler_limit", **_fmt(num),
                             **({"exact": _serialize_exact(val)} if job.exact else {})}]}
     if job.output == "json":
@@ -425,7 +425,11 @@ def _run_gauss(job: JobSpec) -> int:
     brute = gauss_sums.gauss_brute(job.gauss_s, job.r)
     closed = gauss_sums.gauss_closed(job.gauss_s, job.r)
     bn = brute.eval_complex()
-    match = abs(bn - closed.numeric) < 1e-10
+    # the float error of the brute sum grows with its weight sum |c_k|/den
+    # (= r), measured at most 1.3e-16 per unit at r = 2,000,005 to 3,000,007;
+    # distinct closed forms differ by a multiple of sqrt(r), far above 1e-12 r
+    weight = sum(map(abs, brute.c.values())) / brute.den
+    match = abs(bn - closed.numeric) <= 1e-12 * weight
     payload = {"s": job.gauss_s, "r": job.r,
                "closed": {"multiplier": closed.multiplier,
                           "jacobi": closed.jacobi, "phase": closed.phase,

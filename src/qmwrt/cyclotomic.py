@@ -4,20 +4,20 @@ A CycloNumber is a rational linear combination of the roots of unity
 e^(2 pi i k / D), stored sparsely by exponent k mod D as integer numerators
 over one common denominator.  In this "group algebra" picture a product of
 roots is an index addition, which matches how the big structured sums
-downstream are indexed.  The representation is not canonical: reduction
-modulo the D-th cyclotomic polynomial happens only where it matters, namely
-equality, integrality and inversion.  Products run on Python integers, by a
-schoolbook loop for sparse operands and by Kronecker substitution (one
-big-integer multiply) for dense ones.  Inversion multiplies Galois
-conjugates, so it runs on the same products.
+downstream are indexed.  Products run on Python integers, by a schoolbook
+loop for sparse operands and by Kronecker substitution (one big-integer
+multiply) for dense ones.  Inversion multiplies Galois conjugates, so it
+runs on the same products.
 
-Zero and integrality tests at composite conductors do not run a dense
-polynomial division.  They reduce coordinate-wise over the prime-power
-factorization D = prod p^e, using Q(zeta_D) = tensor of the Q(zeta_{p^e})
-and the relation 1 + x^t + x^(2t) + ... + x^((p-1)t) = 0 with t = p^(e-1)
-in each factor.  The resulting coordinates live on an integral basis of
-Z[zeta_D], so "all coordinates integral" is equivalent to power-basis
-integrality while staying linear in the support size.
+The stored representation is not unique; `canonical()` gives the unique
+one, and equality, zero tests, integrality and inversion all read it.  It
+reduces coordinate-wise over the prime-power factorization D = prod p^e,
+using Q(zeta_D) = tensor of the Q(zeta_{p^e}) and the relation
+1 + x^t + x^(2t) + ... + x^((p-1)t) = 0 with t = p^(e-1) in each factor,
+in time linear in the support size.  The coordinates live on an integral
+basis of Z[zeta_D] whose elements are themselves roots zeta_D^k, so the
+canonical form is a CycloNumber of at most phi(D) terms, and a number is
+in Z[zeta_D] exactly when its canonical denominator is 1.
 """
 
 from __future__ import annotations
@@ -29,121 +29,42 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .number_theory import RootContext, _factorize, _unit_generators, euler_phi, moebius
+from .number_theory import RootContext, _factorize, _unit_generators
 
 __all__ = [
-    "IntPolynomial",
     "CycloNumber",
-    "cyclotomic_poly",
+    "quadratic_sum",
     "root_power",
     "xi_power",
     "xi_tilde_power",
 ]
 
 
-class IntPolynomial:
-    """Dense integer polynomial, ascending coefficients, used for Phi_D."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = list(coeffs)
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return IntPolynomial(out)
-
-    def divexact(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Exact division (remainder must vanish); divisor need not be monic
-        but must divide exactly over Z."""
-        rem = list(self.coeffs)
-        d = other.coeffs
-        lead = d[-1]
-        out = [0] * (len(rem) - len(d) + 1)
-        for shift in range(len(rem) - len(d), -1, -1):
-            q, rr = divmod(rem[shift + len(d) - 1], lead)
-            if rr:
-                raise ArithmeticError("division is not exact")
-            if q:
-                out[shift] = q
-                for j, y in enumerate(d):
-                    rem[shift + j] -= q * y
-        if any(rem):
-            raise ArithmeticError("division left a remainder")
-        return IntPolynomial(out)
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial via the Moebius product
-    prod_{e | d} (x^(d/e) - 1)^mu(e), computed with exact division."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    num = IntPolynomial([1])
-    den = IntPolynomial([1])
-    for e in range(1, d + 1):
-        if d % e:
-            continue
-        mu = moebius(e)
-        if mu == 0:
-            continue
-        factor = IntPolynomial([-1] + [0] * (d // e - 1) + [1])  # x^(d/e) - 1
-        if mu == 1:
-            num = num * factor
-        else:
-            den = den * factor
-    out = num.divexact(den)
-    assert out.degree == euler_phi(d)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _tensor_layout(d: int):
     """Reduction tables for the prime-power tensor decomposition of Q(zeta_d).
 
-    Returns (factors, strides) where factors[i] = (pe, table) and table[k]
-    describes the local reduction of zeta_{pe}^k to the local power basis:
-    a pair (sign, indices).
+    One pair (pe, table) per prime power pe = p^e exactly dividing d.  With
+    t = p^(e-1), the local integral basis of Z[zeta_pe] is zeta_pe^j for
+    j // t < p - 1, and table[k] = (sign, exponents) writes zeta_pe^k on it.
+    A local index j is stored as the exponent j * e_pe mod d, e_pe the CRT
+    idempotent (1 mod pe, 0 mod d/pe): so the tensor basis element with
+    local indices (j_pe) is zeta_d^k with k = j_pe mod every pe.
     """
     factors = []
     for p, e in _factorize(d).items():
         pe, t = p ** e, p ** (e - 1)
+        idem = d // pe * pow(d // pe, -1, pe) % d
         table = []
         for k in range(pe):
             block, j = divmod(k, t)
             if block < p - 1:
-                table.append((1, (k,)))
+                table.append((1, (k * idem % d,)))
             else:
-                table.append((-1, tuple(a * t + j for a in range(p - 1))))
+                table.append((-1, tuple((a * t + j) * idem % d
+                                        for a in range(p - 1))))
         factors.append((pe, tuple(table)))
-
-    strides = []
-    acc = 1
-    for pe, _table in factors:
-        strides.append(acc)
-        acc *= euler_phi(pe)
-    return tuple(factors), tuple(strides)
+    return tuple(factors)
 
 
 def _exact(q):
@@ -442,42 +363,33 @@ class CycloNumber:
 
     # -- reduction, equality, integrality -----------------------------
 
-    def _tensor_coords(self) -> dict[int, int]:
-        """Numerators, over self.den, of the coordinates on the tensor
-        integral basis of Z[zeta_D]."""
-        factors, strides = _tensor_layout(self.D)
+    def canonical(self) -> "CycloNumber":
+        """The unique representative of this value on the integral basis of
+        Z[zeta_D] (see `_tensor_layout`), in lowest terms: at most phi(D)
+        terms, on exponents whose residue mod each p^e dividing D lies below
+        (p - 1) p^(e-1).  Equal values at one conductor give equal (c, den)."""
+        D = self.D
+        factors = _tensor_layout(D)
         coords: dict[int, int] = {}
+        get = coords.get
         for k, v in self.c.items():
             # expand k across the prime power factors
             terms = [(1, 0)]
-            for (pe, table), stride in zip(factors, strides):
-                sign, idxs = table[k % pe]
-                terms = [(sg * sign, base + idx * stride)
-                         for sg, base in terms for idx in idxs]
-            for sg, flat in terms:
-                w = coords.get(flat)
-                val = v if sg > 0 else -v
-                if w is None:
-                    coords[flat] = val
-                else:
-                    w += val
-                    if w:
-                        coords[flat] = w
-                    else:
-                        del coords[flat]
-        return coords
+            for pe, table in factors:
+                sign, exps = table[k % pe]
+                terms = [(sg * sign, base + e) for sg, base in terms for e in exps]
+            for sg, base in terms:
+                base %= D
+                coords[base] = get(base, 0) + (v if sg > 0 else -v)
+        return _number(D, {k: v for k, v in coords.items() if v}, self.den)
 
     def is_zero(self) -> bool:
-        if not self.c:
-            return True
-        return not self._tensor_coords()
+        return not self.c or not self.canonical().c
 
     def as_rational(self) -> Fraction:
-        coords = self._tensor_coords()
-        if not coords:
-            return Fraction(0)
-        if set(coords) == {0}:
-            return Fraction(coords[0], self.den)
+        y = self.canonical()
+        if y.c.keys() <= {0}:
+            return Fraction(y.c.get(0, 0), y.den)
         raise ValueError("value is not rational")
 
     def __eq__(self, other) -> bool:
@@ -490,30 +402,9 @@ class CycloNumber:
     __hash__ = None  # mutable-ish container; equality is field equality
 
     def is_integral(self) -> bool:
-        """True iff the value lies in Z[zeta_D] (all integral-basis coords in Z)."""
-        den = self.den
-        return den == 1 or all(v % den == 0 for v in self._tensor_coords().values())
-
-    def to_power_basis(self) -> list[Fraction]:
-        """Coefficients of the canonical representative of degree < phi(D)
-        modulo the D-th cyclotomic polynomial."""
-        return [Fraction(v, self.den) for v in self._power_basis()]
-
-    def _power_basis(self) -> list[int]:
-        """Numerators, over self.den, of `to_power_basis`."""
-        dense = [0] * self.D
-        for k, v in self.c.items():
-            dense[k] = v
-        mod = cyclotomic_poly(self.D).coeffs   # monic
-        deg = len(mod) - 1
-        for i in range(self.D - 1, deg - 1, -1):
-            lead = dense[i]
-            if lead:
-                dense[i] = 0
-                for j in range(deg):
-                    if mod[j]:
-                        dense[i - deg + j] -= lead * mod[j]
-        return dense[:deg]
+        """True iff the value lies in Z[zeta_D]: its canonical form has
+        integer coefficients."""
+        return self.den == 1 or self.canonical().den == 1
 
     # -- inversion ------------------------------------------------------
 
@@ -524,8 +415,8 @@ class CycloNumber:
         return _raw(D, {a * k % D: v for k, v in self.c.items()}, self.den)
 
     def invert(self) -> "CycloNumber":
-        """Multiplicative inverse in Q(zeta_D), as its representative of
-        degree < phi(D).
+        """Multiplicative inverse in Q(zeta_D): a root of unity's is a root,
+        any other value's is given in its canonical form.
 
         1/x = prod_{sigma != 1} sigma(x) / N(x).  The Galois group
         (Z/D)^x is a direct product of cyclic groups <a>; the conjugates
@@ -543,10 +434,7 @@ class CycloNumber:
         n = norm.as_rational()
         if not n:
             raise ZeroDivisionError("value is zero in the field")
-        scale = n.denominator if n > 0 else -n.denominator
-        return _number(self.D, {i: v * scale for i, v in
-                                enumerate(cofactor._power_basis()) if v},
-                       cofactor.den * abs(n.numerator))
+        return cofactor.canonical() * (1 / n)
 
     # -- numerics --------------------------------------------------------
 
@@ -575,6 +463,17 @@ def root_power(D: int, k: int) -> CycloNumber:
     if D < 1:
         raise ValueError("conductor must be >= 1")
     return CycloNumber(D, {k % D: 1})
+
+
+def quadratic_sum(N: int, a: int, b: int = 0, count: int | None = None) -> CycloNumber:
+    """sum_{0 <= n < count} zeta_N^(a n^2 + b n), count = N by default,
+    exact in conductor N."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for n in range(N if count is None else count):
+        k = (a * n + b) * n % N
+        acc[k] = get(k, 0) + 1
+    return CycloNumber.from_int_dict(N, acc)
 
 
 # -- root-context helpers -------------------------------------------------

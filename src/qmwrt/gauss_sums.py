@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycloNumber, root_power
+from .cyclotomic import CycloNumber, quadratic_sum, root_power
 from .intmatrix import (
     cokernel_representatives,
     det_int,
@@ -42,11 +42,7 @@ def gauss_brute(s: int, r: int) -> CycloNumber:
     """G(s, r) = sum over n mod r of e^(2 pi i s n^2 / r), exact in conductor r."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    acc: dict[int, int] = {}
-    for n in range(r):
-        k = (s * n * n) % r
-        acc[k] = acc.get(k, 0) + 1
-    return CycloNumber.from_int_dict(r, acc)
+    return quadratic_sum(r, s)
 
 
 @dataclass(frozen=True)

@@ -190,12 +190,12 @@ def brieskorn_identity(p: tuple[int, int, int], ctx: RootContext) -> Verificatio
 
 def _witness(diff: CycloNumber) -> str:
     """Detail of a failed exact check: the conductor, the support and the
-    first nonzero integral-basis coordinate of the nonzero difference."""
-    coords = diff._tensor_coords()
-    first = min(coords)
+    lowest-exponent term of the nonzero difference's canonical form."""
+    canon = diff.canonical()
+    first = min(canon.c)
     return (f"difference is nonzero: conductor {diff.D}, "
-            f"{len(coords)} nonzero integral-basis coordinates, first "
-            f"[{first}] = {Fraction(coords[first], diff.den)}, "
+            f"{len(canon.c)} nonzero integral-basis coordinates, first "
+            f"[{first}] = {Fraction(canon.c[first], canon.den)}, "
             f"numeric {diff.eval_complex():.3e}")
 
 
@@ -206,15 +206,15 @@ def integrality_check(p: tuple[int, int, int], a: tuple[int, int, int],
                       ctx: RootContext) -> tuple[bool, list]:
     """True iff xi^(CS-lift[a]) * (1/2) F_a(s/r) has all-integer coordinates
     on the integral basis (conductor drops to r after the lift clears the
-    4P-denominator exponents).  Also returns the coordinate witness."""
+    4P-denominator exponents).  Also returns the coordinates, the terms
+    (k, coefficient of zeta^k) of its canonical form."""
     P = math.prod(p)
     lift = cs_nonabelian(tuple(p), tuple(a))
     value = xi_power(ctx, lift) * Fraction(1, 2) \
         * eichler_limit(phi_basis(tuple(p), tuple(a)), P, Fraction(ctx.s, ctx.r))
-    reduced = value.reduce_conductor()
-    coords = [(k, Fraction(v, reduced.den))
-              for k, v in sorted(reduced._tensor_coords().items())]
-    return reduced.is_integral(), coords
+    canon = value.reduce_conductor().canonical()
+    return canon.den == 1, [(k, Fraction(v, canon.den))
+                            for k, v in sorted(canon.c.items())]
 
 
 # -- abelian decompositions ---------------------------------------------------

@@ -28,7 +28,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .cyclotomic import CycloNumber, root_power, xi_power, xi_tilde_power
+from .cyclotomic import CycloNumber, quadratic_sum, root_power, xi_power, xi_tilde_power
 from .intmatrix import eigenvalue_sign_counts
 from .number_theory import RootContext, jacobi
 from .seifert import SeifertData, invariants
@@ -105,13 +105,7 @@ def _one_over_root_minus_one(D: int, k: int, h: int) -> CycloNumber:
 
 def seifert_gauss_sum(P: int, ctx: RootContext) -> CycloNumber:
     """G = sum_{n mod 2Pr} xi^(-n^2/4P), exact of conductor 4Pr."""
-    D = 4 * P * ctx.r
-    acc: dict[int, int] = {}
-    s = ctx.s
-    for n in range(2 * P * ctx.r):
-        k = (-s * n * n) % D
-        acc[k] = acc.get(k, 0) + 1
-    return CycloNumber.from_int_dict(D, acc)
+    return quadratic_sum(4 * P * ctx.r, -ctx.s, count=2 * P * ctx.r)
 
 
 def seifert_gauss_norm(P: int, ctx: RootContext) -> int:
@@ -318,20 +312,11 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
     inv_delta2 = (delta * delta).invert()
 
     def a_sum(f: int, w: int) -> CycloNumber:
-        acc: dict[int, int] = {}
-        for n in range(2 * r):
-            k = (s * (f * n * n + 2 * w * n)) % D
-            acc[k] = acc.get(k, 0) + 1
-        return CycloNumber.from_int_dict(D, acc)
+        return quadratic_sum(D, s * f, 2 * s * w, count=2 * r)
 
     def b_sum(f: int, w: int) -> CycloNumber:
-        F = abs(f)
         sgn = 1 if f > 0 else -1
-        acc: dict[int, int] = {}
-        for a in range(F):
-            k = (-sgn * s * a * (r * a + w)) % F
-            acc[k] = acc.get(k, 0) + 1
-        return CycloNumber.from_int_dict(F, acc)
+        return quadratic_sum(abs(f), -sgn * s * r, -sgn * s * w)
 
     const = delta       # C = delta prod_j xi^(-f_j/4) delta^-2 E_j K_j
     fiber_b = []        # B_j tables, indexed by w mod |f_j|
@@ -405,13 +390,7 @@ def sqrt_homology_order(H: int) -> CycloNumber:
     H = 1 mod 4, and -i G(1, H) for H = 3 mod 4."""
     if H < 1 or H % 2 == 0:
         raise ValueError("homology order must be odd and positive")
-    if H == 1:
-        return CycloNumber.one()
-    acc: dict[int, int] = {}
-    for n in range(H):
-        k = (n * n) % H
-        acc[k] = acc.get(k, 0) + 1
-    g = CycloNumber.from_int_dict(H, acc)
+    g = quadratic_sum(H, 1)
     if H % 4 == 1:
         return g
     return root_power(4, 3) * g  # -i * (i sqrt H)

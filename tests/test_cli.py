@@ -86,6 +86,34 @@ def test_gauss_allows_even_modulus(capsys):
     assert data["match"] is True and data["closed"]["phase"] == "1+i"
 
 
+def test_gauss_match_tolerates_the_brute_sums_rounding(capsys):
+    # the brute sum's float error here is 2.5e-10: above a fixed 1e-10, far
+    # below the sqrt(r) that separates distinct closed forms
+    code, out, _ = invoke(capsys, ["gauss", "--s", "1", "--r", "2000005", "--json"])
+    data = json.loads(out)
+    assert code == 0 and data["match"] is True
+    assert abs(data["brute_re"] - 2000005 ** 0.5) > 1e-10
+
+
+def test_falsetheta_evaluates_at_the_given_s(capsys):
+    from qmwrt.false_theta import eichler_limit, phi_basis
+
+    f = phi_basis((2, 3, 5), (1, 1, 1))
+    for extra, at in (([], Fraction(7, 9)), (["--tilde"], Fraction(-9, 7))):
+        code, out, _ = invoke(capsys, ["falsetheta", "--p", "2,3,5", "--a", "1,1,1",
+                                       "--r", "9", "--s", "7", "--json", *extra])
+        data = json.loads(out)
+        assert code == 0 and data["at"] == str(at) and data["ctx"] == {"r": 9, "s": 7}
+        row = data["results"][0]
+        want = eichler_limit(f, 30, at).eval_complex()
+        assert abs(complex(row["re"], row["im"]) - want) < 1e-12
+    for s in ("0", "3", "-6"):
+        for extra in ([], ["--tilde"]):
+            code, _out, err = invoke(capsys, ["falsetheta", "--p", "2,3,5", "--a", "1,1,1",
+                                              "--r", "9", "--s", s, *extra])
+            assert code == 2 and "coprime" in err, (s, extra)
+
+
 def test_verify_pass_and_fields(capsys):
     code, out, _ = invoke(capsys, ["verify", "geometric", "--manifold",
                                    "brieskorn:2,3,5", "--r", "7", "--s", "5",

@@ -6,7 +6,6 @@ import pytest
 
 from qmwrt.cyclotomic import (
     CycloNumber,
-    cyclotomic_poly,
     root_power,
     xi_power,
     xi_tilde_power,
@@ -16,7 +15,6 @@ from qmwrt.number_theory import RootContext, euler_phi
 eval_complex = CycloNumber.eval_complex
 invert = CycloNumber.invert
 is_integral = CycloNumber.is_integral
-to_power_basis = CycloNumber.to_power_basis
 
 
 def rand_element(rng, D, terms=5, int_coeffs=False):
@@ -42,7 +40,7 @@ def test_ring_examples():
     assert z3 * z3 * z3 == 1
     total = sum((root_power(5, k) for k in range(5)), CycloNumber.zero())
     assert total.is_zero()
-    assert all(c == 0 for c in total.to_power_basis())
+    assert not total.canonical().c
 
 
 def test_conductor_mixing_is_lcm():
@@ -52,51 +50,78 @@ def test_conductor_mixing_is_lcm():
     assert (a + b).D == 12
 
 
-def test_cyclotomic_poly_examples():
-    assert list(cyclotomic_poly(1).coeffs) == [-1, 1]
-    assert list(cyclotomic_poly(12).coeffs) == [1, 0, -1, 0, 1]
-    for p in (2, 3, 5, 7, 11):
-        assert list(cyclotomic_poly(p).coeffs) == [1] * p
+def _prime_powers(D):
+    out, p = [], 2
+    while D > 1:
+        e = 0
+        while D % p == 0:
+            D //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out
 
 
-def test_cyclotomic_poly_degree_and_divisibility():
-    from qmwrt.cyclotomic import IntPolynomial
-    for d in range(1, 201):
-        phi_d = cyclotomic_poly(d)
-        assert phi_d.degree == euler_phi(d)
-    for d in (12, 36, 60, 97):
-        x_d_minus_1 = IntPolynomial([-1] + [0] * (d - 1) + [1])
-        quotient = x_d_minus_1.divexact(cyclotomic_poly(d))  # exact or raises
-        assert quotient.degree == d - euler_phi(d)
+def _is_canonical_form(x):
+    """At most phi(D) terms, each on a basis exponent: its residue mod every
+    p^e exactly dividing D lies below (p - 1) p^(e-1)."""
+    pes = _prime_powers(x.D)
+    return len(x.c) <= euler_phi(x.D) and all(
+        k % p ** e < (p - 1) * p ** (e - 1) for k in x.c for p, e in pes)
 
 
-def test_power_basis_examples():
-    assert to_power_basis(root_power(5, 4)) == [Fraction(-1)] * 4
-    # integer combinations stay integral after reduction
+CANONICAL_CONDUCTORS = (1, 2, 4, 8, 9, 12, 25, 27, 30, 36, 60, 124, 420)
+
+
+def test_canonical_examples():
+    assert _fraction_coeffs(root_power(5, 4).canonical()) == {k: -1 for k in range(4)}
+    assert _fraction_coeffs(root_power(2, 1).canonical()) == {0: -1}
+    # zeta_12^3 = i: 3 mod 4 is off the basis (zeta_4^3 = -zeta_4), and the
+    # exponent that is 1 mod 4 and 0 mod 3 is 9, so i = -zeta_12^9
+    assert _fraction_coeffs(root_power(12, 3).canonical()) == {9: -1}
+    # integer inputs stay integral
     rng = random.Random(3)
     for _ in range(50):
-        D = rng.choice([8, 12, 20, 30])
-        x = rand_element(rng, D, int_coeffs=True)
-        assert all(c.denominator == 1 for c in to_power_basis(x))
+        D = rng.choice([8, 12, 20, 30, 420])
+        x = rand_element(rng, D, int_coeffs=True).canonical()
+        assert x.den == 1 and _is_canonical_form(x)
 
 
-def test_power_basis_idempotent_linear_and_numeric():
+def test_canonical_idempotent_linear_and_numeric():
     rng = random.Random(9)
-    for _ in range(100):
-        D = rng.choice([12, 30, 36])
-        x = rand_element(rng, D)
-        y = rand_element(rng, D)
-        bx = to_power_basis(x)
-        # reinterpreting the reduced coefficients reduces to itself
-        again = to_power_basis(CycloNumber(D, dict(enumerate(bx))))
-        assert again == bx
-        by = to_power_basis(y)
-        bxy = to_power_basis(x + y)
-        assert bxy == [a + b for a, b in zip(bx, by)]
-        # numeric agreement
-        num = sum(float(c) * root_power(D, k).eval_complex()
-                  for k, c in enumerate(bx))
-        assert abs(num - x.eval_complex()) < 1e-9
+    for D in CANONICAL_CONDUCTORS:
+        for _ in range(12):
+            x = rand_element(rng, D, terms=rng.randint(1, 12))
+            y = rand_element(rng, D, terms=rng.randint(1, 12))
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            cx, cy = x.canonical(), y.canonical()
+            assert cx.D == D and _is_canonical_form(cx)
+            again = cx.canonical()
+            assert (again.c, again.den) == (cx.c, cx.den)
+            assert _fraction_coeffs((x + y).canonical()) == _fraction_coeffs(cx + cy)
+            assert _fraction_coeffs((q * x).canonical()) == _fraction_coeffs(q * cx)
+            assert abs(cx.eval_complex() - x.eval_complex()) < 1e-9
+
+
+def test_equality_is_an_empty_canonical_difference():
+    rng = random.Random(13)
+    for D in CANONICAL_CONDUCTORS:
+        for _ in range(12):
+            x = rand_element(rng, D, terms=6)
+            # y is x plus a multiple of a vanishing sum 1 + z + ... + z^(p-1)
+            # (z a primitive p-th root, p | D), or an unrelated element
+            vanishing = CycloNumber.zero(D)
+            for p, _e in _prime_powers(D)[:1]:
+                vanishing = sum((root_power(p, k) for k in range(p)), vanishing) \
+                    * root_power(D, rng.randrange(D))
+            y = x + rng.randint(-3, 3) * vanishing if rng.random() < 0.5 \
+                else rand_element(rng, D, terms=6)
+            assert (x == y) == (not (x - y).canonical().c), (D, x, y)
+            if x == y:
+                assert abs(x.eval_complex() - y.eval_complex()) < 1e-9
+                cx, cy = x.canonical(), y.canonical()
+                assert (cx.c, cx.den) == (cy.c, cy.den)
 
 
 def test_equality_matches_numeric():
@@ -167,7 +192,8 @@ def test_invert_returns_the_reduced_representative():
                 continue
             inv = x.invert()
             assert x * inv == 1, (D, x)
-            assert inv.D == D and max(inv.c) < euler_phi(D), (D, x)
+            canon = inv.canonical()
+            assert inv.D == D and (inv.c, inv.den) == (canon.c, canon.den), (D, x)
 
 
 def test_eval_complex_examples():

@@ -274,16 +274,16 @@ def test_failed_identity_reports_a_witness(monkeypatch):
     assert not rep.passed
     detail = rep.checks[0].detail
     diff = -seifert_gauss_sum(42, ctx)
-    coords = diff._tensor_coords()
-    first = min(coords)
+    canon = diff.canonical()
+    first = min(canon.c)
     found = re.match(r"difference is nonzero: conductor (\d+), (\d+) nonzero "
                      r"integral-basis coordinates, first \[(\d+)\] = (\S+),",
                      detail)
     assert found, detail
     assert int(found[1]) == 4 * 42 * 7
-    assert int(found[2]) == len(coords)
+    assert int(found[2]) == len(canon.c)
     assert (int(found[3]), Fraction(found[4])) \
-        == (first, Fraction(coords[first], diff.den))
+        == (first, Fraction(canon.c[first], canon.den))
 
 
 def test_replaced_s_is_rejected_in_the_library():

@@ -440,11 +440,12 @@ def test_reciprocity_form_equals_state_sum_at_the_oracle_roots(selector, r, s):
 
 def test_reciprocity_form_keeps_its_exact_representation():
     # (D, den, terms, digest of the sorted numerators) as given by the sum
-    # that multiplied the fiber constant into every one of its terms
+    # that multiplied the fiber constant into every one of its terms, with
+    # each inverse in its canonical form
     x = tau_seifert_closed(parse_manifold(FOUR_FIBERS), RootContext(9, 1)).exact
     digest = hashlib.sha256(repr(sorted(x.c.items())).encode()).hexdigest()
     assert (x.D, x.den, len(x.c), digest[:16]) == \
-        (7560, 17010, 4620, "2589c3e6940bf3d3")
+        (7560, 210, 1260, "80f68014254f2126")
 
 
 def test_unread_w_is_not_formed(monkeypatch, capsys):
