@@ -168,18 +168,17 @@ def _sector0(row: Sector0, alpha: Fraction, pw: Callable,
 def brieskorn_identity(p: tuple[int, int, int], ctx: RootContext) -> VerificationReport:
     """Exact check of xi^(phi/4-1/2)(xi-1) tau = xi^delta (sector 0), that is
     (1/2) F_(1,1,1)(s/r), plus xi^(-CS_*) = xi^(1/120) on the spherical
-    (2,3,5); cross-multiplied against the Gauss prefactor so no field
+    (2,3,5).  The left side is hat/(2G) from `seifert_hat_over_2g`, where
+    dividing by 2G is a multiplication by conj(G)/(2 G conj(G)), so no field
     inversion is involved."""
-    from .wrt import seifert_gauss_sum, seifert_hat_sum
+    from .wrt import seifert_hat_over_2g
 
     m = _brieskorn(p)
     row = _model(m)
     report = VerificationReport(m.selector, {"r": ctx.r, "s": ctx.s})
     alpha, pw = _side(ctx, False)
-    hat = seifert_hat_sum(m.data, ctx)
-    rhs = 2 * seifert_gauss_sum(row.P, ctx) \
-        * (pw(row.delta) * _sector0(row, alpha, pw))
-    diff = hat - rhs
+    diff = seifert_hat_over_2g(m.data, ctx) \
+        - pw(row.delta) * _sector0(row, alpha, pw)
     ok = diff.is_zero()
     name = "poincare_identity" if row.spherical else "brieskorn_identity"
     report.add(name, ok,

@@ -8,9 +8,11 @@ quadratic Gauss sum
 
     G = sum_{n mod 2Pr} xi^(-n^2/4P)
 
-satisfies G * conj(G) = 2 P r gcd(s, P) exactly, so dividing by 2G is a
-conjugation, an integer-dict product and one rational division.  Quantum
-integer denominators are cleared with the root-of-unity identity
+satisfies G * conj(G) = 2 P r gcd(s, P) exactly.  The structured (hat) sum
+is summed over n in closed form, as a short list of sparse root-of-unity sums
+R times one quadratic sum T each; where T is G itself, R T / 2G is R/2, and
+only the other groups meet a product with conj(G).  Quantum integer
+denominators are cleared with the root-of-unity identity
 
     1/(chi - 1) = (1/h) sum_{t=0}^{h-1} t chi^t        (chi^h = 1, chi != 1),
 
@@ -26,17 +28,16 @@ import os
 from fractions import Fraction
 from functools import cached_property, reduce
 
-import numpy as np
-
 from .cyclotomic import CycloNumber, quadratic_sum, root_power, xi_power, xi_tilde_power
 from .intmatrix import eigenvalue_sign_counts
-from .number_theory import RootContext, jacobi
+from .number_theory import RootContext, jacobi, moebius
 from .seifert import SeifertData, invariants
 
 __all__ = [
     "WrtValue",
     "seifert_gauss_sum",
     "seifert_hat_sum",
+    "seifert_hat_over_2g",
     "wrt_seifert_closed",
     "tau_seifert_closed",
     "w_seifert_closed",
@@ -113,6 +114,71 @@ def seifert_gauss_norm(P: int, ctx: RootContext) -> int:
     return 2 * P * ctx.r * math.gcd(ctx.s, P)
 
 
+def _positive_b0(d: SeifertData):
+    nd = d.normalized_b0()
+    inv = invariants(nd)
+    if inv.e <= 0:
+        raise ValueError("hat sum requires e > 0 data; reverse orientation first")
+    return nd, inv
+
+
+def _hat_groups(d: SeifertData, ctx: RootContext):
+    """The hat sum as (P, den, groups), hat = (1/den) sum R T over the groups
+    (R, (A, rho, N)): R a sparse integer sum of roots zeta = zeta_D, D = 4Pr,
+    and T = sum_{j<N} zeta^(A j^2 + rho j).
+
+    Term n is zeta^(-sHn^2) times the 2^m signed shifts of
+    prod_j (zeta^(c_j n) - zeta^(-c_j n)), c_j = 2Ps/p_j, times the (m-2)-th
+    power of 1/(zeta^a - zeta^-a), a = 2Psn, written as in the generic path
+    as (1/r) sum_{t=1}^{h-1} t g zeta^(a(1+2t)) with g = gcd(n, r), h = r/g.
+    Since zeta^(2ah) = 1, that power is one integer series
+    sum_e w_e zeta^(ae), e mod 2h, over r^(m-2) per class g; for m < 2 it is
+    the binomial expansion of (zeta^a - zeta^-a)^(2-m).  A Moebius sum over
+    d | h replaces the n with gcd(n, r) = g by all n = kj, k = gd,
+    j mod N = 2Pr/k, weighted mu(d), so each signed shift delta and each e
+    give a quadratic sum with A = -sHk^2 and linear coefficient
+    b = k(delta + 2Pse).  Substituting j -> j + t multiplies it by
+    zeta^(At^2 + bt) and moves b to b + 2At, which t makes the residue
+    rho = b mod gcd(2A, D).  Both steps hold in Z[x]/(x^D - 1), so the
+    groups sum to the generic path's coefficients.
+    """
+    nd, inv = _positive_b0(d)
+    P, H, r, s, m = inv.P, inv.H, ctx.r, ctx.s, nd.m
+    D = 4 * P * r
+    cs = [2 * P * s // p for p, _ in nd.fibers]
+    shifts = [(math.prod(eps), sum(x * c for x, c in zip(eps, cs)))
+              for eps in itertools.product((1, -1), repeat=m)]
+    groups: dict[tuple[int, int, int], dict[int, int]] = {}
+    for g in range(1, r):
+        if r % g:
+            continue
+        h = r // g
+        base = {1 + 2 * t: t * g for t in range(1, h)} if m > 2 \
+            else {1: 1, 2 * h - 1: -1}
+        series = CycloNumber.from_int_dict(2 * h, base) ** abs(m - 2)
+        lin: dict[int, int] = {}     # b/k mod D -> weight
+        for sign, delta in shifts:
+            for e, w in series.c.items():
+                key = (delta + 2 * P * s * e) % D
+                lin[key] = lin.get(key, 0) + sign * w
+        for k in range(g, r + 1, g):
+            mu = moebius(k // g) if r % k == 0 else 0
+            if not mu:
+                continue
+            A = -s * H * k * k % D
+            L = math.gcd(2 * A, D)
+            inv_2a = pow(2 * A // L, -1, D // L)
+            for c, w in lin.items():
+                b = k * c % D
+                rho = b % L
+                t = (rho - b) // L * inv_2a % (D // L)
+                acc = groups.setdefault((A, rho, D // (2 * k)), {})
+                key = (A * t + b) * t % D
+                acc[key] = acc.get(key, 0) + mu * w
+    out = [(CycloNumber.from_int_dict(D, acc), q) for q, acc in groups.items()]
+    return P, r ** max(m - 2, 0), [(R, q) for R, q in out if R.c]
+
+
 def seifert_hat_sum(d: SeifertData, ctx: RootContext,
                     fast: bool = True) -> CycloNumber:
     """The structured sum of the Seifert closed form, exact of conductor 4Pr:
@@ -120,23 +186,22 @@ def seifert_hat_sum(d: SeifertData, ctx: RootContext,
         sum_{n mod 2Pr, r does not divide n} xi^(-H n^2 / 4P)
             prod_j (xi^(n/2p_j) - xi^(-n/2p_j)) / (xi^(n/2) - xi^(-n/2))^(m-2)
 
-    for data normalized to b = 0 with e > 0, accumulated with numpy for any
-    number m of exceptional fibers.  fast=False forces the generic
-    term-by-term route in cyclotomic arithmetic, the reference the tests
-    compare against.
+    for data normalized to b = 0 with e > 0 and any number m of exceptional
+    fibers, summed over n in closed form: one product R T per group of
+    `_hat_groups`.  fast=False forces the generic term-by-term route in
+    cyclotomic arithmetic, the reference the tests compare against.
     """
-    nd = d.normalized_b0()
-    inv = invariants(nd)
-    if inv.e <= 0:
-        raise ValueError("hat sum requires e > 0 data; reverse orientation first")
-    P, H, r, s = inv.P, inv.H, ctx.r, ctx.s
-    m = nd.m
-    D = 4 * P * r
-    ps = [p for p, _ in nd.fibers]
-
     if fast:
-        return _hat_sum_vectorised(ps, P, H, r, s)
+        P, den, groups = _hat_groups(d, ctx)
+        D = 4 * P * ctx.r
+        total = CycloNumber.zero(D)
+        for R, (A, rho, N) in groups:
+            total = total + R * quadratic_sum(D, A, rho, count=N)
+        return total * Fraction(1, den)
 
+    nd, inv = _positive_b0(d)
+    P, H, r, s, m = inv.P, inv.H, ctx.r, ctx.s, nd.m
+    D = 4 * P * r
     # generic fiber count: cyclotomic arithmetic per term, with the
     # denominator 1/(zeta^a - zeta^-a) = zeta^a (1/h) sum_t t zeta^(2at)
     # cleared through the order h = r/gcd(n, r) of zeta^(2a)
@@ -145,7 +210,7 @@ def seifert_hat_sum(d: SeifertData, ctx: RootContext,
         if n % r == 0:
             continue
         term = root_power(D, (-s * H * n * n) % D)
-        for p in ps:
+        for p, _ in nd.fibers:
             c = 2 * P * s // p
             term = term * (root_power(D, c * n) - root_power(D, -c * n))
         if m != 2:
@@ -164,95 +229,30 @@ def seifert_hat_sum(d: SeifertData, ctx: RootContext,
     return total
 
 
-# Rows of n per chunk are chosen so that one chunk holds about this many
-# (n, shift) pairs: its int64 keys and float64 weights stay near 512 kB
-# each, below the peak memory of the exact products around the sum.
-_HAT_CHUNK = 1 << 16
-
-
-def _cyclic_power(base: np.ndarray, power: int) -> np.ndarray:
-    """base**power in Z[y]/(y^len(base) - 1), on int64 coefficients."""
-    period = len(base)
-    out = np.zeros(period, dtype=np.int64)
-    out[0] = 1
-    for _ in range(power):
-        full = np.convolve(out, base)
-        out = full[:period].copy()
-        out[:period - 1] += full[period:]
-    return out
-
-
-def _hat_sum_vectorised(ps, P, H, r, s) -> CycloNumber:
-    """The hat sum for any fiber count m, accumulated with numpy.
-
-    Term n is zeta^(-sHn^2) times the 2^m signed shifts
-
-        prod_j (zeta^(c_j n) - zeta^(-c_j n))
-            = sum_eps sgn(eps) zeta^(n sum_j eps_j c_j),     c_j = 2Ps/p_j,
-
-    times the (m-2)-th power of 1/(zeta^a - zeta^-a), a = 2Psn, represented
-    as in the generic path by (1/r) sum_{t=1}^{h-1} t g zeta^(a(1+2t)) with
-    g = gcd(n, r) and h = r/g.  Since zeta^(2ah) = 1, that power is one
-    integer series in zeta^a mod 2h over r^(m-2) for each class g; for
-    m < 2 it is the binomial expansion of (zeta^a - zeta^-a)^(2-m).  The
-    result is the same coefficient dict as the generic path's.
+def seifert_hat_over_2g(d: SeifertData, ctx: RootContext) -> CycloNumber:
+    """hat / (2G) = hat conj(G) / (2 G conj(G)), exact, from the groups of
+    `_hat_groups`.  The group whose quadratic sum is G itself (A = -s,
+    rho = 0, N = 2Pr; at H = 1 and a prime r usually the only one left) gives
+    R G conj(G) = 2Pr gcd(s, P) R; the others are summed and multiplied by
+    conj(G) once.
     """
-    m = len(ps)
-    D = 4 * P * r
-    # The weights of all n together sum in absolute value to at most
-    # 2Pr 2^m ||series||_1, where ||series||_1 <= (r(r-1)/2)^(m-2) for m > 2
-    # and = 2^(2-m) for m <= 2.  Below 2^53 every float64 partial sum of
-    # bincount is an exact integer and the int64 accumulator cannot wrap.
-    # Keys are formed as n * shift + phase with every factor below D.
-    per_n = 2 ** m * (r * (r - 1) // 2) ** (m - 2) if m > 2 else 4
-    if 2 * P * r * per_n >= 2 ** 53 or D * D >= 2 ** 63:
-        raise ValueError(f"hat sum with {m} fibers at P={P}, r={r} is past "
-                         f"the exact int64 accumulation bound")
-    a_unit = 2 * P * s % D
-    cs = [2 * P * s // p % D for p in ps]
-    eps = list(itertools.product((1, -1), repeat=m))
-    signs = np.array([math.prod(e) for e in eps], dtype=np.int64)
-    deltas = np.array([sum(x * c for x, c in zip(e, cs)) for e in eps],
-                      dtype=np.int64) % D
-    minus_sh = (-s * H) % D
-    acc = np.zeros(D, dtype=np.int64)
-    for g in range(1, r):
-        if r % g:
-            continue
-        h = r // g
-        base = np.zeros(2 * h, dtype=np.int64)
-        if m > 2:
-            t = np.arange(1, h)
-            base[1 + 2 * t] = t * g
+    P, den, groups = _hat_groups(d, ctx)
+    D = 4 * P * ctx.r
+    norm = seifert_gauss_norm(P, ctx)
+    total, rest = CycloNumber.zero(D), CycloNumber.zero(D)
+    for R, (A, rho, N) in groups:
+        if (A, rho, N) == (-ctx.s % D, 0, 2 * P * ctx.r):
+            total = total + R * norm
         else:
-            base[1], base[-1] = 1, -1
-        series = _cyclic_power(base, abs(m - 2))
-        es = np.flatnonzero(series)
-        shifts = ((deltas[:, None] + a_unit * es) % D).ravel()
-        weights = (signs[:, None] * series[es]).ravel().astype(np.float64)
-        j = np.arange(1, 2 * P * h)
-        n = g * j[np.gcd(j, h) == 1]           # the n with gcd(n, r) = g
-        phase = n * n % D * minus_sh % D
-        rows = max(1, _HAT_CHUNK // len(shifts))
-        for i in range(0, len(n), rows):
-            keys = np.multiply.outer(n[i:i + rows], shifts)
-            keys += phase[i:i + rows, None]
-            keys %= D
-            acc += np.bincount(keys.ravel(), np.tile(weights, len(keys)),
-                               minlength=D).astype(np.int64)
-    nz = np.flatnonzero(acc)
-    return CycloNumber.from_int_dict(D, dict(zip(nz.tolist(), acc[nz].tolist())),
-                                     r ** max(m - 2, 0))
+            rest = rest + R * quadratic_sum(D, A, rho, count=N)
+    if rest.c:
+        total = total + rest * seifert_gauss_sum(P, ctx).conjugate()
+    return total * Fraction(1, 2 * norm * den)
 
 
 def _closed_prefactored_positive(d: SeifertData, ctx: RootContext) -> WrtValue:
-    inv = invariants(d)
-    hat = seifert_hat_sum(d.normalized_b0(), ctx)
-    g = seifert_gauss_sum(inv.P, ctx)
-    norm = seifert_gauss_norm(inv.P, ctx)
-    value = hat * g.conjugate() * Fraction(1, 2 * norm)
-    return WrtValue(value, normalization="prefactored-W",
-                    prefactor_exponent=inv.phi / 4 - Fraction(1, 2))
+    return WrtValue(seifert_hat_over_2g(d, ctx), normalization="prefactored-W",
+                    prefactor_exponent=invariants(d).phi / 4 - Fraction(1, 2))
 
 
 def _closed_form_invariants(d: SeifertData, ctx: RootContext):

@@ -267,13 +267,15 @@ def test_failed_identity_reports_a_witness(monkeypatch):
     from qmwrt.wrt import seifert_gauss_sum
 
     real = harness.eichler_limit
-    # a right-hand side off by one: the difference becomes -G exactly
-    monkeypatch.setattr(harness, "eichler_limit", lambda *a: real(*a) + 1)
     ctx = RootContext(7, 5)
+    gauss = seifert_gauss_sum(42, ctx)
+    # an Eichler limit off by 2G moves the right-hand side (1/2) F by G:
+    # the difference becomes -G exactly
+    monkeypatch.setattr(harness, "eichler_limit", lambda *a: real(*a) + 2 * gauss)
     rep = brieskorn_identity((2, 3, 7), ctx)
     assert not rep.passed
     detail = rep.checks[0].detail
-    diff = -seifert_gauss_sum(42, ctx)
+    diff = -gauss
     canon = diff.canonical()
     first = min(canon.c)
     found = re.match(r"difference is nonzero: conductor (\d+), (\d+) nonzero "

@@ -9,6 +9,7 @@ from qmwrt import cyclotomic
 from qmwrt.cli import main
 from qmwrt.cyclotomic import CycloNumber, xi_power
 from qmwrt.false_theta import phi_basis, eichler_limit
+from qmwrt.harness import brieskorn_identity
 from qmwrt.number_theory import RootContext, jacobi, normalize_s
 from qmwrt.seifert import (
     EXAMPLE_233,
@@ -25,6 +26,7 @@ from qmwrt.wrt import (
     quantum_integer,
     seifert_gauss_norm,
     seifert_gauss_sum,
+    seifert_hat_over_2g,
     seifert_hat_sum,
     sqrt_homology_order,
     surgery_linking_matrix,
@@ -375,37 +377,43 @@ def test_conjugate_root_conjugates_ihs_tau():
         assert (t2 - t1.conjugate()).is_zero(), (p, r)
 
 
+def _four_fiber_hat_sum_in_floats(d, inv, r, s):
+    """An independent floating point transcription of the 4-fiber hat sum."""
+    import cmath
+
+    P = inv.P
+    total = 0j
+    for n in range(2 * P * r):
+        if n % r == 0:
+            continue
+        term = cmath.exp(-2j * math.pi * s * inv.H * n * n / (4 * P * r))
+        for p, _q in d.normalized_b0().fibers:
+            term *= 2j * math.sin(math.pi * s * n / (p * r))
+        term /= (2j * math.sin(math.pi * s * n / r)) ** 2
+        total += term
+    return total
+
+
 def test_four_fiber_hat_sum_against_float_transcription():
     # no integer-framed surgery presentation exists for this 4-fiber
     # homology sphere, so cross-check the exact structured sum against an
     # independent floating point transcription of the same sum
-    import cmath
-
     d = brieskorn((2, 3, 5, 7))
     inv = invariants(d)
     assert inv.H == 1 and d.m == 4
     for (r, s) in ((5, 1), (7, 5)):
-        ctx = RootContext(r, s)
-        exact = seifert_hat_sum(d, ctx).eval_complex()
-        P = inv.P
-        total = 0j
-        for n in range(2 * P * r):
-            if n % r == 0:
-                continue
-            term = cmath.exp(-2j * math.pi * s * inv.H * n * n / (4 * P * r))
-            for p, _q in d.normalized_b0().fibers:
-                term *= 2j * math.sin(math.pi * s * n / (p * r))
-            term /= (2j * math.sin(math.pi * s * n / r)) ** 2
-            total += term
+        exact = seifert_hat_sum(d, RootContext(r, s)).eval_complex()
+        total = _four_fiber_hat_sum_in_floats(d, inv, r, s)
         assert abs(exact - total) < 1e-7 * max(1, abs(total)), (r, s)
 
 
 def test_hat_sum_equals_generic_path_for_one_to_four_fibers():
-    # composite r gives several gcd(n, r) classes; every s here is != 1
+    # composite r gives several gcd(n, r) classes and Moebius terms (r = 45
+    # has the divisor 9 with mu = 0, r = 35 two prime factors)
     cases = [
         (SeifertData(0, ((5, 1),)), ((9, 5), (15, 13), (21, 5))),
         (SeifertData(0, ((2, 1), (3, 1))), ((9, 5), (15, 13), (21, 5))),
-        (brieskorn((2, 3, 5)), ((9, 5), (15, 13), (21, 5))),
+        (brieskorn((2, 3, 5)), ((9, 5), (15, 13), (21, 5), (45, 13), (35, 1))),
         (brieskorn((2, 3, 7)), ((9, 5), (7, 5))),
         (brieskorn((2, 3, 5, 7)), ((9, 5), (5, 13))),
     ]
@@ -418,9 +426,54 @@ def test_hat_sum_equals_generic_path_for_one_to_four_fibers():
                 (d, r, s)
 
 
-def test_hat_sum_rejects_sizes_past_the_int64_bound():
-    with pytest.raises(ValueError, match="bound"):
-        seifert_hat_sum(brieskorn((2, 3, 5, 7)), RootContext(1001, 1))
+def test_four_fiber_hat_sum_at_a_large_root():
+    # at r = 353 the bound 2Pr 2^m (r(r-1)/2)^(m-2) on the summed absolute
+    # weights of the terms passes 2^53, beyond exact float64 accumulation
+    d = brieskorn((2, 3, 5, 7))
+    inv = invariants(d)
+    exact = seifert_hat_sum(d, RootContext(353, 1)).eval_complex()
+    total = _four_fiber_hat_sum_in_floats(d, inv, 353, 1)
+    assert abs(exact - total) < 1e-7 * max(1, abs(total))
+
+
+HAT_OVER_2G_CASES = [
+    (SeifertData(0, ((5, 1),)), (7, 9)),
+    (SeifertData(0, ((2, 1), (3, 1))), (7, 15)),
+    (brieskorn((2, 3, 5)), (11, 21, 25)),
+    (brieskorn((2, 3, 7)), (5, 9)),
+    (brieskorn((2, 3, 5, 7)), (5, 9)),
+]
+
+
+@pytest.mark.parametrize("d, rs", HAT_OVER_2G_CASES)
+def test_hat_over_2g_equals_the_hat_sum_times_conj_g(d, rs):
+    P = invariants(d).P
+    for r in rs:
+        for s in (1, 5, 13):
+            if math.gcd(r, s) != 1:
+                continue
+            ctx = RootContext(r, s)
+            expect = seifert_hat_sum(d, ctx) \
+                * seifert_gauss_sum(P, ctx).conjugate() \
+                * Fraction(1, 2 * seifert_gauss_norm(P, ctx))
+            assert seifert_hat_over_2g(d, ctx) == expect, (d, r, s)
+
+
+def test_large_root_closed_form_needs_no_dense_product(monkeypatch):
+    pairs = []
+    product = cyclotomic._product
+
+    def recorded(ca, cb, D):
+        pairs.append(len(ca) * len(cb))
+        return product(ca, cb, D)
+
+    monkeypatch.setattr(cyclotomic, "_product", recorded)
+    ctx = RootContext(601, 1)
+    w = w_seifert_closed(brieskorn((2, 3, 7)), ctx).exact
+    assert w.c and sum(pairs) < 10 ** 6
+    pairs.clear()
+    assert brieskorn_identity((2, 3, 7), ctx).passed
+    assert sum(pairs) < 10 ** 6
 
 
 FOUR_FIBERS = "seifert:0;2/1,3/1,5/1,7/1"
