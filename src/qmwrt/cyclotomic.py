@@ -6,11 +6,12 @@ over one common denominator.  In this "group algebra" picture a product of
 roots is an index addition, which matches how the big structured sums
 downstream are indexed.  Products run on Python integers, by a schoolbook
 loop for sparse operands and by Kronecker substitution (one big-integer
-multiply) for dense ones.  Inversion multiplies Galois conjugates, so it
-runs on the same products.
+multiply) for dense ones.  There is no general field division: a value
+divides only by a scalar, and the invariants clear their denominators
+(Gauss sums, quantum integers) by conjugation.
 
 The stored representation is not unique; `canonical()` gives the unique
-one, and equality, zero tests, integrality and inversion all read it.  It
+one, and equality, zero tests and integrality all read it.  It
 reduces coordinate-wise over the prime-power factorization D = prod p^e,
 using Q(zeta_D) = tensor of the Q(zeta_{p^e}) and the relation
 1 + x^t + x^(2t) + ... + x^((p-1)t) = 0 with t = p^(e-1) in each factor,
@@ -29,7 +30,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .number_theory import RootContext, _factorize, _unit_generators
+from .number_theory import RootContext, _factorize
 
 __all__ = [
     "CycloNumber",
@@ -190,17 +191,6 @@ def _kronecker(ca: dict[int, int], cb: dict[int, int], D: int,
     return out
 
 
-def _orbit_product(y: "CycloNumber", a: int, m: int) -> "CycloNumber":
-    """prod_{j<m} sigma_a^j(y) for m >= 1, by doubling: O(log m) products."""
-    if m == 1:
-        return y
-    half = _orbit_product(y, a, m // 2)
-    out = half * half._galois(pow(a, m // 2, y.D))
-    if m % 2:
-        out = out * y._galois(pow(a, m - 1, y.D))
-    return out
-
-
 class CycloNumber:
     """An exact element of Q(zeta_D), with D the conductor.
 
@@ -338,19 +328,20 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "CycloNumber":
-        if isinstance(other, CycloNumber):
-            return self * other.invert()
         return self * (1 / Fraction(_exact(other)))
 
     def conjugate(self) -> "CycloNumber":
-        return self._galois(-1)
+        """The complex conjugate: zeta_D^k -> zeta_D^-k."""
+        D = self.D
+        return _raw(D, {-k % D: v for k, v in self.c.items()}, self.den)
 
     def __pow__(self, n: int) -> "CycloNumber":
         if len(self.c) == 1:
             ((k, v),) = self.c.items()
             return CycloNumber(self.D, {k * n: Fraction(v, self.den) ** n})
         if n < 0:
-            return self.invert() ** (-n)
+            raise ArithmeticError("negative power of a sum of roots; "
+                                  "clear the denominator by conjugation")
         result = CycloNumber.one()
         base = self
         while n:
@@ -405,36 +396,6 @@ class CycloNumber:
         """True iff the value lies in Z[zeta_D]: its canonical form has
         integer coefficients."""
         return self.den == 1 or self.canonical().den == 1
-
-    # -- inversion ------------------------------------------------------
-
-    def _galois(self, a: int) -> "CycloNumber":
-        """The conjugate sigma_a(x), sigma_a: zeta_D -> zeta_D^a for a unit
-        a mod D."""
-        D = self.D
-        return _raw(D, {a * k % D: v for k, v in self.c.items()}, self.den)
-
-    def invert(self) -> "CycloNumber":
-        """Multiplicative inverse in Q(zeta_D): a root of unity's is a root,
-        any other value's is given in its canonical form.
-
-        1/x = prod_{sigma != 1} sigma(x) / N(x).  The Galois group
-        (Z/D)^x is a direct product of cyclic groups <a>; the conjugates
-        over each one are multiplied by doubling, in O(log order) products.
-        """
-        if not self.c:
-            raise ZeroDivisionError("zero has no inverse")
-        if len(self.c) == 1:
-            ((k, v),) = self.c.items()
-            return CycloNumber(self.D, {-k: Fraction(self.den, v)})
-        norm, cofactor = self, _raw(self.D, {0: 1}, 1)
-        for a, order in _unit_generators(self.D):
-            rest = _orbit_product(norm, a, order - 1)._galois(a)
-            norm, cofactor = norm * rest, cofactor * rest
-        n = norm.as_rational()
-        if not n:
-            raise ZeroDivisionError("value is zero in the field")
-        return cofactor.canonical() * (1 / n)
 
     # -- numerics --------------------------------------------------------
 

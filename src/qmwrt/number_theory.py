@@ -144,29 +144,6 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _unit_generators(n: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (a, order) whose cyclic groups <a mod n> multiply directly to
-    the unit group (Z/n)^x: -1 and 5 for the factor 2^e, a primitive root
-    for each odd prime power, each lifted by the CRT to 1 mod the other
-    prime powers."""
-    out = []
-    for p, e in _factorize(n).items():
-        pe = p ** e
-        rest = n // pe
-        if p == 2:
-            local = [(-1, 2)] * (e >= 2) + [(5, pe // 4)] * (e >= 3)
-        else:
-            g = next(g for g in range(2, p)
-                     if all(pow(g, (p - 1) // q, p) != 1 for q in _factorize(p - 1)))
-            if e > 1 and pow(g, p - 1, p * p) == 1:
-                g += p   # then g + p is primitive mod every power of p
-            local = [(g, pe - pe // p)]
-        for g, order in local:
-            out.append(((g + pe * ((1 - g) * pow(pe, -1, rest))) % n, order))
-    return tuple(out)
-
-
 def moebius(n: int) -> int:
     """Moebius function mu(n)."""
     if n < 1:

@@ -17,6 +17,11 @@ denominators are cleared with the root-of-unity identity
     1/(chi - 1) = (1/h) sum_{t=0}^{h-1} t chi^t        (chi^h = 1, chi != 1),
 
 with h the multiplicative order of chi, which is at most r here.
+
+The surgery paths clear every other denominator by conjugation: with
+delta = xi^(1/2) - xi^(-1/2), 1/[n] = delta xi^(n/2) / (xi^n - 1), and
+g = F(U^f) u with u = delta xi^(3f/4), f = +-1, is a Gauss sum with
+g conj(g) = 2r, so 1/F(U^f) = u conj(g) / 2r.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ __all__ = [
     "quantum_integer",
     "colored_jones_seifert_link",
     "f_surgery_normalization",
+    "f_surgery_inverse",
     "wrt_brute_surgery",
     "wrt_lens",
     "wrt_lens_brute",
@@ -99,6 +105,37 @@ def _one_over_root_minus_one(D: int, k: int, h: int) -> CycloNumber:
     """1/(zeta_D^k - 1) for a root of multiplicative order h > 1."""
     acc = {(k * t) % D: t for t in range(1, h)}
     return CycloNumber.from_int_dict(D, acc, h)
+
+
+def _delta(ctx: RootContext) -> CycloNumber:
+    """delta = xi^(1/2) - xi^(-1/2), of conductor 2r."""
+    return xi_power(ctx, Fraction(1, 2)) - xi_power(ctx, Fraction(-1, 2))
+
+
+def _inverse_by_conjugate(x: CycloNumber) -> CycloNumber:
+    """1/x = conj(x) / (x conj(x)) for a nonzero x whose norm x conj(x) is
+    rational (a quadratic Gauss sum), in canonical form."""
+    bar = x.conjugate()
+    try:
+        norm = (x * bar).as_rational()
+    except ValueError:
+        raise ArithmeticError("x conj(x) is not rational") from None
+    return (bar * (1 / norm)).canonical()
+
+
+def _one_over_delta_squared(ctx: RootContext) -> CycloNumber:
+    """delta^-2 = xi / (xi - 1)^2, in canonical form at conductor 2r."""
+    one_over = _one_over_root_minus_one(2 * ctx.r, 2 * ctx.s % (2 * ctx.r), ctx.r)
+    return (root_power(2 * ctx.r, 2 * ctx.s) * one_over * one_over).canonical()
+
+
+def _one_over_quantum_integer(n: int, ctx: RootContext) -> CycloNumber:
+    """1/[n] = delta xi^(n/2) / (xi^n - 1) for r not dividing n, in
+    canonical form at conductor 4r."""
+    D = 4 * ctx.r
+    return (_delta(ctx) * xi_power(ctx, Fraction(n, 2))
+            * _one_over_root_minus_one(D, 4 * ctx.s * n % D,
+                                       ctx.r // math.gcd(n, ctx.r))).canonical()
 
 
 # -- the structured closed-form sum ----------------------------------------
@@ -271,10 +308,25 @@ def _surgery_normalization(d: SeifertData, ctx: RootContext) -> CycloNumber:
         raise ValueError("surgery matrix is degenerate (not a QHS)")
     norm = CycloNumber.one()
     if b_plus:
-        norm = norm * f_surgery_normalization(1, ctx) ** b_plus
+        norm = norm * f_surgery_inverse(1, ctx) ** b_plus
     if b_minus:
-        norm = norm * f_surgery_normalization(-1, ctx) ** b_minus
-    return norm.invert()
+        norm = norm * f_surgery_inverse(-1, ctx) ** b_minus
+    return norm.canonical()
+
+
+def _fiber_b_sum(f: int, w: int, ctx: RootContext) -> CycloNumber:
+    """B(w) = sum_{a mod |f|} e^(-2 pi i s a (r a + w)/f), of conductor |f|."""
+    sgn = 1 if f > 0 else -1
+    return quadratic_sum(abs(f), -sgn * ctx.s * ctx.r, -sgn * ctx.s * w)
+
+
+def _fiber_probe(f: int, ctx: RootContext) -> tuple[int, CycloNumber]:
+    """The first w0 in 0..|f| with B(w0) != 0, and B(w0)."""
+    for w0 in range(abs(f) + 1):
+        b0 = _fiber_b_sum(f, w0, ctx)
+        if not b0.is_zero():
+            return w0, b0
+    raise ArithmeticError("no nonvanishing probe for the fiber sum")
 
 
 def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
@@ -308,30 +360,17 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
         if math.gcd(s, p) != 1:
             raise ValueError(f"s={s} must be coprime to the fiber order {p}")
     D = 4 * r
-    delta = xi_power(ctx, Fraction(1, 2)) - xi_power(ctx, Fraction(-1, 2))
-    inv_delta2 = (delta * delta).invert()
-
-    def a_sum(f: int, w: int) -> CycloNumber:
-        return quadratic_sum(D, s * f, 2 * s * w, count=2 * r)
-
-    def b_sum(f: int, w: int) -> CycloNumber:
-        sgn = 1 if f > 0 else -1
-        return quadratic_sum(abs(f), -sgn * s * r, -sgn * s * w)
-
-    const = delta       # C = delta prod_j xi^(-f_j/4) delta^-2 E_j K_j
-    fiber_b = []        # B_j tables, indexed by w mod |f_j|
+    inv_delta2 = _one_over_delta_squared(ctx)
+    const = _delta(ctx)     # C = delta prod_j xi^(-f_j/4) delta^-2 E_j K_j
+    fiber_b = []            # B_j tables, indexed by w mod |f_j|
     for p, q in d.fibers:
         f = p * q
         F = abs(f)
-        for w0 in range(F + 1):
-            b0 = b_sum(f, w0)
-            if not b0.is_zero():
-                break
-        else:
-            raise ArithmeticError("no nonvanishing probe for the fiber sum")
-        ek = a_sum(f, w0) * b0.invert() * xi_power(ctx, Fraction(w0 * w0, 4 * f))
+        w0, b0 = _fiber_probe(f, ctx)
+        ek = quadratic_sum(D, s * f, 2 * s * w0, count=2 * r) \
+            * _inverse_by_conjugate(b0) * xi_power(ctx, Fraction(w0 * w0, 4 * f))
         const = const * xi_power(ctx, Fraction(-f, 4)) * inv_delta2 * ek
-        fiber_b.append((f, {w % F: b_sum(f, w % F) for w in range(F)}))
+        fiber_b.append((f, {w: _fiber_b_sum(f, w, ctx) for w in range(F)}))
 
     total = CycloNumber.zero(D)
     for n0 in range(1, r):
@@ -463,8 +502,7 @@ def colored_jones_seifert_link(d: SeifertData, colors: tuple[int, ...],
     D = 4 * ctx.r
     s = ctx.s
     val = root_power(D, s * d.b * (n0 * n0 - 1))
-    q0 = quantum_integer(n0, ctx)
-    inv_q0 = q0.invert()
+    inv_q0 = _one_over_quantum_integer(n0, ctx)
     val = val * inv_q0 * inv_q0
     for (p, q), nj in zip(d.fibers, colors[1:]):
         f = p * q
@@ -486,6 +524,19 @@ def f_surgery_normalization(f: int, ctx: RootContext) -> CycloNumber:
             k = (base + 4 * s * m) % D
             acc[k] = acc.get(k, 0) + n - abs(m)
     return CycloNumber.from_int_dict(D, acc)
+
+
+def f_surgery_inverse(f: int, ctx: RootContext) -> CycloNumber:
+    """1/F(U^f) = u conj(g) / 2r, g = F(U^f) u, u = delta xi^(3f/4), f = +-1,
+    in canonical form at conductor 4r; g conj(g) != 2r is an ArithmeticError."""
+    if f not in (1, -1):
+        raise ValueError("f must be +1 or -1")
+    u = _delta(ctx) * xi_power(ctx, Fraction(3 * f, 4))
+    g = f_surgery_normalization(f, ctx) * u
+    bar = g.conjugate()
+    if g * bar != 2 * ctx.r:
+        raise ArithmeticError(f"F(U^{f}) fails g conj(g) = 2r at r={ctx.r}")
+    return (u * bar * Fraction(1, 2 * ctx.r)).canonical()
 
 
 def wrt_brute_surgery(d: SeifertData, ctx: RootContext) -> WrtValue:
@@ -511,10 +562,9 @@ def wrt_brute_surgery(d: SeifertData, ctx: RootContext) -> WrtValue:
                      for p, q in d.fibers]
     total = CycloNumber.zero(D)
     for n0 in range(1, r):
-        q0 = quantum_integer(n0, ctx)
-        inv_q0 = q0.invert()
         # J * prod [n_i] has one surviving 1/[n0]
-        part = root_power(D, s * d.b * (n0 * n0 - 1)) * inv_q0
+        part = root_power(D, s * d.b * (n0 * n0 - 1)) \
+            * _one_over_quantum_integer(n0, ctx)
         for weights in fiber_weights:
             inner = CycloNumber.zero(D)
             for nj, weight in enumerate(weights, start=1):
@@ -576,5 +626,5 @@ def wrt_lens_brute(p: int, ctx: RootContext) -> WrtValue:
     if p == 0:
         raise ValueError("p = 0 is not a rational homology sphere")
     tau = f_surgery_normalization(p, ctx) \
-        * f_surgery_normalization(1 if p > 0 else -1, ctx).invert()
+        * f_surgery_inverse(1 if p > 0 else -1, ctx)
     return WrtValue(tau)

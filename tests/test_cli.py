@@ -267,6 +267,19 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error:")
 
 
+def test_failed_norm_check_is_an_internal_error(capsys, monkeypatch):
+    # a wrong F(U) breaks g conj(g) = 2r, which must not read as bad input
+    right = wrt.f_surgery_normalization
+    monkeypatch.setattr(wrt, "f_surgery_normalization",
+                        lambda f, ctx: 2 * right(f, ctx))
+    for args in (["wrt", "--manifold", "ex:2-3-3", "--r", "7", "--exact"],
+                 ["verify", "decomposition", "--manifold", "lens:7",
+                  "--r", "11"]):
+        code, _out, err = invoke(capsys, args)
+        assert code == 3, args
+        assert err.startswith("internal error:") and "2r" in err
+
+
 def test_integrality_with_even_fiber_order_not_first(capsys):
     code, out, _err = invoke(capsys, ["verify", "integrality", "--manifold",
                                       "brieskorn:3,4,5", "--r", "7", "--s", "5"])

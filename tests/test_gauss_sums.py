@@ -15,6 +15,7 @@ from qmwrt.gauss_sums import (
 )
 from qmwrt.intmatrix import det_int
 from qmwrt.number_theory import RootContext
+from qmwrt.wrt import f_surgery_inverse
 
 
 def test_brute_examples():
@@ -142,7 +143,7 @@ def test_f_unknot_normalizes_s3():
     # tau(S^3) as +1 surgery on the unknot: F(U+)/F(U+) = 1
     ctx = RootContext(7, 1)
     f = f_unknot(1, ctx).exact
-    assert f * f.invert() == 1
+    assert f * f_surgery_inverse(1, ctx) == 1
 
 
 def test_reciprocity_examples():

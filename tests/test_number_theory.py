@@ -7,7 +7,6 @@ import pytest
 from qmwrt.number_theory import (
     RationalMod1,
     RootContext,
-    _unit_generators,
     bernoulli_poly,
     dedekind_sum,
     dedekind_sum_direct,
@@ -147,17 +146,6 @@ def test_moebius_sum_over_divisors():
 
 def test_euler_phi():
     assert [euler_phi(n) for n in (1, 2, 12, 60)] == [1, 1, 4, 16]
-
-
-def test_unit_generators_split_the_unit_group():
-    for n in range(1, 501):
-        gens = _unit_generators(n)
-        assert math.prod(order for _, order in gens) == euler_phi(n), n
-        assert all(math.gcd(a, n) == 1 for a, _ in gens), n
-        group = {1 % n}
-        for a, order in gens:
-            group = {x * pow(a, j, n) % n for x in group for j in range(order)}
-        assert len(group) == euler_phi(n), n
 
 
 def test_rational_mod1():

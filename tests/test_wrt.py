@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmwrt import cyclotomic
+from qmwrt import cyclotomic, wrt
 from qmwrt.cli import main
 from qmwrt.cyclotomic import CycloNumber, xi_power
 from qmwrt.false_theta import phi_basis, eichler_limit
@@ -20,6 +20,7 @@ from qmwrt.seifert import (
 )
 from qmwrt.wrt import (
     colored_jones_seifert_link,
+    f_surgery_inverse,
     f_surgery_normalization,
     lens_sectors,
     max_color_tuples,
@@ -52,7 +53,7 @@ def test_quantum_integer():
     # [n] = (q^(n/2) - q^(-n/2)) / (q^(1/2) - q^(-1/2))
     q_half = xi_power(ctx, Fraction(1, 2))
     for n in range(2, 7):
-        lhs = quantum_integer(n, ctx) * (q_half - q_half.invert())
+        lhs = quantum_integer(n, ctx) * (q_half - q_half.conjugate())
         rhs = xi_power(ctx, Fraction(n, 2)) - xi_power(ctx, Fraction(-n, 2))
         assert lhs == rhs
     assert quantum_integer(-3, ctx) == -1 * quantum_integer(3, ctx)
@@ -62,7 +63,7 @@ def test_s3_normalization():
     # +1 surgery on the unknot is S^3 and tau = 1
     ctx = RootContext(9, 13)
     f = f_surgery_normalization(1, ctx)
-    assert f * f.invert() == 1
+    assert f * f_surgery_inverse(1, ctx) == 1
     # p = 1 lens data: W = -xi (xi^-1 - 1) = xi - 1
     w, sectors = wrt_lens(1, ctx)
     assert w.exact == xi_power(ctx, 1) - 1
@@ -527,3 +528,79 @@ def test_unread_w_is_not_formed(monkeypatch, capsys):
         * tau.exact
     assert (exact.D, exact.c, exact.den) == (expect.D, expect.c, expect.den)
     assert abs(numeric - exact.eval_complex()) < 1e-9 * abs(numeric)
+
+
+# -- reciprocals by conjugation ----------------------------------------------
+
+# every fiber framing of the ex: families (family:p has p, -(2p+1), -(2p+1))
+# and of the 4-fiber sphere, and +-1 .. +-11
+FRAMINGS = sorted({p * q for sel in ("ex:2-3-3", "ex:neg-2-3-9", "ex:family:2",
+                                     "ex:family:3", "ex:family:5", FOUR_FIBERS)
+                   for p, q in parse_manifold(sel).fibers}
+                  | {f for f in range(-11, 12) if f})
+
+
+def _assert_canonical_reciprocal(x, inv, D):
+    assert x * inv == 1
+    canon = inv.canonical()
+    assert (inv.D, inv.c, inv.den) == (D, canon.c, canon.den)
+
+
+@pytest.mark.parametrize("r", range(3, 62, 2))
+def test_reciprocals_by_conjugation(r):
+    for s in (1, 5, 13, 17):
+        if math.gcd(r, s) != 1:
+            continue
+        ctx = RootContext(r, s)
+        for f in (1, -1):
+            _assert_canonical_reciprocal(f_surgery_normalization(f, ctx),
+                                         f_surgery_inverse(f, ctx), 4 * r)
+        for n0 in range(1, r):
+            _assert_canonical_reciprocal(quantum_integer(n0, ctx),
+                                         wrt._one_over_quantum_integer(n0, ctx),
+                                         4 * r)
+        delta = wrt._delta(ctx)
+        _assert_canonical_reciprocal(delta * delta,
+                                     wrt._one_over_delta_squared(ctx), 2 * r)
+        for f in FRAMINGS:
+            _w0, b0 = wrt._fiber_probe(f, ctx)
+            _assert_canonical_reciprocal(b0, wrt._inverse_by_conjugate(b0),
+                                         abs(f))
+
+
+def test_conjugation_needs_a_rational_norm():
+    with pytest.raises(ArithmeticError, match="not rational"):
+        wrt._inverse_by_conjugate(CycloNumber(5, {0: 1, 1: 2}))
+
+
+@pytest.mark.parametrize("value, pin", [
+    (lambda: wrt_brute_surgery(parse_manifold("ex:2-3-3"), RootContext(11, 1)),
+     (44, 22, 44, "f5e549b56dedca2c")),
+    (lambda: wrt_brute_surgery(parse_manifold(FOUR_FIBERS), RootContext(9, 1)),
+     (36, 6, 36, "7f368bb896e11f02")),
+    (lambda: wrt_lens_brute(7, RootContext(31, 5)),
+     (124, 62, 93, "7d367a1402323306")),
+])
+def test_surgery_oracle_keeps_its_exact_representation(value, pin):
+    # (D, den, terms, digest of the sorted numerators): the representation
+    # the Galois-norm inverse gave, which the reciprocals by conjugation keep
+    x = value().exact
+    digest = hashlib.sha256(repr(sorted(x.c.items())).encode()).hexdigest()
+    assert (x.D, x.den, len(x.c), digest[:16]) == pin
+
+
+def test_qhs_at_large_root_needs_no_field_norm(monkeypatch, capsys):
+    # 1.40 million term pairs with every reciprocal by conjugation; the
+    # Galois-norm reciprocals of F(U) and B took 3.34 million
+    pairs = []
+    product = cyclotomic._product
+
+    def recorded(ca, cb, D):
+        pairs.append(len(ca) * len(cb))
+        return product(ca, cb, D)
+
+    monkeypatch.setattr(cyclotomic, "_product", recorded)
+    assert main(["wrt", "--manifold", "ex:2-3-3", "--r", "101", "--s", "1",
+                 "--exact", "--json"]) == 0
+    capsys.readouterr()
+    assert sum(pairs) < 2 * 10 ** 6
