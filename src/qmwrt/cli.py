@@ -28,7 +28,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,72 +89,74 @@ def _r_values(job: JobSpec) -> range:
     return range(start, stop + 1, step)
 
 
+_COMMANDS = {"wrt": "tau and W at a root of unity",
+             "falsetheta": "Eichler limits of the bases",
+             "flatconn": "flat connection components",
+             "gauss": "quadratic Gauss sum closed form vs brute",
+             "verify": "run verification checks",
+             "sweep": "residual sweep over r, CSV output"}
+
+
+def _add_arguments(command: str, sp: argparse.ArgumentParser) -> None:
+    """Give the subcommand parser `sp` the arguments of `command`."""
+    def add_ctx(s_help="numerator class; normalized to 1 mod 4 automatically"):
+        sp.add_argument("--r", type=int, required=True, help="odd order of the root")
+        sp.add_argument("--s", type=int, default=1, help=s_help)
+
+    if command == "wrt":
+        sp.add_argument("--manifold", required=True)
+        add_ctx()
+        sp.add_argument("--exact", action="store_true")
+    elif command == "falsetheta":
+        sp.add_argument("--basis", choices=["phi", "psi"], default="phi")
+        sp.add_argument("--p", required=True,
+                        help="fiber triple p1,p2,p3 (phi) or the period half P (psi)")
+        sp.add_argument("--a", required=True,
+                        help="rotation triple a1,a2,a3 (phi) or label a (psi)")
+        add_ctx(s_help="nonzero numerator coprime to r, used as given")
+        sp.add_argument("--tilde", action="store_true",
+                        help="evaluate at -r/s instead of s/r")
+        sp.add_argument("--exact", action="store_true")
+    elif command == "flatconn":
+        sp.add_argument("--manifold", required=True)
+    elif command == "gauss":
+        sp.add_argument("--s", type=int, required=True)
+        sp.add_argument("--r", type=int, required=True)
+    elif command == "verify":
+        sp.add_argument("suite", choices=["identity", "integrality", "geometric",
+                                          "decomposition", "lemmas", "modularity",
+                                          "all"])
+        sp.add_argument("--manifold", required=True)
+        sp.add_argument("--r", type=int)
+        sp.add_argument("--r-range")
+        sp.add_argument("--s", type=int, default=1,
+                        help="numerator class; geometric and modularity take "
+                             "only s = 1 mod 4 below 4r")
+        sp.add_argument("--order", type=int, default=2)
+        sp.add_argument("--slope-tol", type=float, default=0.5)
+    else:   # sweep
+        sp.add_argument("--manifold", required=True)
+        sp.add_argument("--r-range", required=True)
+        sp.add_argument("--s", type=int, default=1,
+                        help="numerator class, 1 mod 4 and below 4r")
+        sp.add_argument("--order", type=int, default=2)
+        sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--out")
+
+
 def parse_args(argv: list[str]) -> JobSpec:
     parser = argparse.ArgumentParser(
         prog="qmwrt",
         description="exact WRT invariants, false theta functions and "
                     "quantum modularity checks for Seifert fibered spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_ctx(sp, s_help="numerator class; normalized to 1 mod 4 automatically"):
-        sp.add_argument("--r", type=int, required=True, help="odd order of the root")
-        sp.add_argument("--s", type=int, default=1, help=s_help)
-
-    p_wrt = sub.add_parser("wrt", help="tau and W at a root of unity")
-    p_wrt.add_argument("--manifold", required=True)
-    add_ctx(p_wrt)
-    p_wrt.add_argument("--exact", action="store_true")
-    p_wrt.add_argument("--json", action="store_true")
-    p_wrt.add_argument("--out")
-
-    p_ft = sub.add_parser("falsetheta", help="Eichler limits of the bases")
-    p_ft.add_argument("--basis", choices=["phi", "psi"], default="phi")
-    p_ft.add_argument("--p", required=True,
-                      help="fiber triple p1,p2,p3 (phi) or the period half P (psi)")
-    p_ft.add_argument("--a", required=True,
-                      help="rotation triple a1,a2,a3 (phi) or label a (psi)")
-    add_ctx(p_ft, s_help="nonzero numerator coprime to r, used as given")
-    p_ft.add_argument("--tilde", action="store_true",
-                      help="evaluate at -r/s instead of s/r")
-    p_ft.add_argument("--exact", action="store_true")
-    p_ft.add_argument("--json", action="store_true")
-    p_ft.add_argument("--out")
-
-    p_fc = sub.add_parser("flatconn", help="flat connection components")
-    p_fc.add_argument("--manifold", required=True)
-    p_fc.add_argument("--json", action="store_true")
-    p_fc.add_argument("--out")
-
-    p_g = sub.add_parser("gauss", help="quadratic Gauss sum closed form vs brute")
-    p_g.add_argument("--s", type=int, required=True)
-    p_g.add_argument("--r", type=int, required=True)
-    p_g.add_argument("--json", action="store_true")
-    p_g.add_argument("--out")
-
-    p_v = sub.add_parser("verify", help="run verification checks")
-    p_v.add_argument("suite", choices=["identity", "integrality", "geometric",
-                                       "decomposition", "lemmas", "modularity",
-                                       "all"])
-    p_v.add_argument("--manifold", required=True)
-    p_v.add_argument("--r", type=int)
-    p_v.add_argument("--r-range")
-    p_v.add_argument("--s", type=int, default=1,
-                     help="numerator class; geometric and modularity take "
-                          "only s = 1 mod 4 below 4r")
-    p_v.add_argument("--order", type=int, default=2)
-    p_v.add_argument("--slope-tol", type=float, default=0.5)
-    p_v.add_argument("--json", action="store_true")
-    p_v.add_argument("--out")
-
-    p_sw = sub.add_parser("sweep", help="residual sweep over r, CSV output")
-    p_sw.add_argument("--manifold", required=True)
-    p_sw.add_argument("--r-range", required=True)
-    p_sw.add_argument("--s", type=int, default=1,
-                      help="numerator class, 1 mod 4 and below 4r")
-    p_sw.add_argument("--order", type=int, default=2)
-    p_sw.add_argument("--jobs", type=int, default=1)
-    p_sw.add_argument("--json", action="store_true")
-    p_sw.add_argument("--out")
+    # every command is listed in --help, but only the one argv names (its
+    # first word that is a command, as argparse reads it) gets its arguments
+    parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
+    command = next((word for word in argv if word in parsers), None)
+    if command:
+        _add_arguments(command, parsers[command])
 
     try:
         ns = parser.parse_args(argv)
@@ -510,6 +511,7 @@ def _run_sweep(job: JobSpec) -> int:
         return rows[0]
 
     if job.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=job.jobs) as pool:
             rows = list(pool.map(one, r_list))
     else:

@@ -400,13 +400,13 @@ class CycloNumber:
     # -- numerics --------------------------------------------------------
 
     def eval_complex(self) -> complex:
+        """The value; math.fsum makes it independent of the order of c."""
         tau = 2 * math.pi / self.D
         den = self.den
-        total = 0j
-        for k, v in self.c.items():
-            # int / int rounds correctly, as float(Fraction(v, den)) does
-            total += v / den * cmath.exp(1j * tau * k)
-        return total
+        # int / int rounds correctly, as float(Fraction(v, den)) does
+        terms = [v / den * cmath.exp(1j * tau * k) for k, v in self.c.items()]
+        return complex(math.fsum([z.real for z in terms]),
+                       math.fsum([z.imag for z in terms]))
 
     def __repr__(self):
         if not self.c:

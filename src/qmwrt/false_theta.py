@@ -21,12 +21,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclotomic import CycloNumber
 from .number_theory import RootContext, bernoulli_poly
 from .seifert import rotation_triples
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PeriodicFunction",
@@ -135,6 +137,7 @@ def _eichler_terms(f: PeriodicFunction, P: int, alpha: Fraction):
     if c >= 2 ** 31:
         raise ValueError(f"Eichler limit at denominator {c} is past the int64 "
                          f"bound c < 2^31")
+    import numpy as np
     D = 4 * P * c
     support = f.support()
     k0 = np.array([a * j * j % D for j in support], dtype=np.int64)
@@ -167,6 +170,7 @@ def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction) -> compl
     """Float value of eichler_limit, from the same terms: sum over the
     support residues j of e(a j^2/4Pc) sum_m w e(n/c), over 2Pc."""
     D, c, k0, w, n = _eichler_terms(f, P, alpha)
+    import numpy as np
     table = np.exp(2j * np.pi / c * np.arange(c))
     inner = np.sum(w * table[n], axis=1)
     return complex(np.sum(inner * np.exp(2j * np.pi / D * k0))) / (2 * P * c)
@@ -189,6 +193,7 @@ def s_matrix_phi(p: tuple[int, int, int]) -> np.ndarray:
         S^a_b = -(8/sqrt(2P)) (-1)^E prod_j sin(pi P a_j b_j / p_j^2),
         E = P(1 + sum (a_j+b_j)/p_j) + P sum_{j != k} a_j b_k/(p_j p_k).
     """
+    import numpy as np
     from .seifert import rotation_order
 
     p = rotation_order(tuple(p))
@@ -218,6 +223,7 @@ def s_matrix_psi(P: int) -> np.ndarray:
     basis, (P-1) x (P-1); an involution by discrete sine orthogonality."""
     if P < 2:
         raise ValueError("P must be >= 2")
+    import numpy as np
     a = np.arange(1, P)
     return np.sqrt(2 / P) * np.sin(np.outer(a, a) * np.pi / P)
 

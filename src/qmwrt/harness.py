@@ -17,8 +17,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .cyclotomic import CycloNumber, root_power, xi_power, xi_tilde_power
 from .false_theta import (
     PeriodicFunction,
@@ -623,6 +621,7 @@ def residual_scan(selector: str | Manifold, s: int, r_list: list[int], K: int):
         rows.append((r, abs(w_num - total)))
     if len(rows) < 2:
         return rows, float("nan")
+    import numpy as np
     xs = np.log([row[0] for row in rows])
     ys = np.log([max(row[1], 1e-300) for row in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])

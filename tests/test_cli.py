@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,44 @@ def invoke(capsys, args):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Runs qmwrt.cli.main on each JSON-encoded argv in a fresh interpreter and
+# reports the exit codes, the stdout and which lazily imported modules loaded.
+FRESH_RUN = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import qmwrt, qmwrt.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [qmwrt.cli.main(json.loads(a)) for a in sys.argv[2:]]
+print(json.dumps({"codes": codes, "out": out.getvalue(), "loaded":
+                  [m for m in ("numpy", "concurrent.futures") if m in sys.modules]}))
+"""
+
+
+def run_fresh(*argvs):
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-I", "-c", FRESH_RUN, str(src),
+                           *map(json.dumps, argvs)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(proc.stdout)
+
+
+def test_exact_wrt_loads_neither_numpy_nor_a_thread_pool(capsys):
+    argvs = [["wrt", "--manifold", m, "--r", "31", "--s", "1", "--exact", "--json"]
+             for m in ("brieskorn:2,3,7", "ex:2-3-3")]
+    fresh = run_fresh(*argvs)
+    in_process = [invoke(capsys, argv) for argv in argvs]
+    assert fresh == {"codes": [0, 0], "out": "".join(out for _, out, _ in in_process),
+                     "loaded": []}
+
+
+def test_sweep_loads_numpy_and_prints_as_in_process(capsys):
+    argv = ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:301:100",
+            "--jobs", "1"]
+    code, out, _err = invoke(capsys, argv)
+    assert run_fresh(argv) == {"codes": [code], "out": out, "loaded": ["numpy"]}
 
 
 def test_parse_wrt_job():

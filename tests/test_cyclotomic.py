@@ -173,6 +173,15 @@ def test_eval_complex_examples():
         assert abs(direct - x.eval_complex()) < 1e-10
 
 
+def test_eval_complex_is_independent_of_insertion_order():
+    rng = random.Random(5)
+    items = [(k, rng.randint(-10 ** 6, 10 ** 6)) for k in rng.sample(range(360), 200)]
+    x = CycloNumber.from_int_dict(360, dict(items), 7)
+    y = CycloNumber.from_int_dict(360, dict(reversed(items)), 7)
+    assert (x.D, x.c, x.den) == (y.D, y.c, y.den) and list(x.c) != list(y.c)
+    assert x.eval_complex() == y.eval_complex()
+
+
 def test_conjugate_and_reduce_conductor():
     x = root_power(12, 5)
     assert x.conjugate() == root_power(12, 7)
