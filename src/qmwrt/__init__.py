@@ -5,6 +5,7 @@ mechanical verification of their quantum modularity properties.
 The package is organized bottom-up:
 
 - number_theory : Jacobi symbols, Dedekind sums, Bernoulli polynomials
+- intmatrix     : integer matrices: determinants, signatures, cokernels
 - cyclotomic    : exact arithmetic in Q(zeta_D)
 - gauss_sums    : quadratic Gauss sums, closed forms, reciprocity
 - seifert       : Seifert data, invariants, flat connections

@@ -63,7 +63,6 @@ class JobSpec:
     p: tuple[int, ...] | None = None
     a: tuple[int, ...] | None = None
     at_tilde: bool = False
-    gauss_s: int | None = None
     out_path: str | None = None
 
 
@@ -182,7 +181,6 @@ def parse_args(argv: list[str]) -> JobSpec:
     r = getattr(ns, "r", None)
     if ns.command == "gauss":
         # gauss sums are defined for any positive modulus
-        job.gauss_s = ns.s
         job.r = r
         if job.r < 1:
             raise UsageError("r must be positive")
@@ -423,15 +421,15 @@ def _run_flatconn(job: JobSpec) -> int:
 
 
 def _run_gauss(job: JobSpec) -> int:
-    brute = gauss_sums.gauss_brute(job.gauss_s, job.r)
-    closed = gauss_sums.gauss_closed(job.gauss_s, job.r)
+    brute = gauss_sums.gauss_brute(job.s, job.r)
+    closed = gauss_sums.gauss_closed(job.s, job.r)
     bn = brute.eval_complex()
     # the float error of the brute sum grows with its weight sum |c_k|/den
     # (= r), measured at most 1.3e-16 per unit at r = 2,000,005 to 3,000,007;
     # distinct closed forms differ by a multiple of sqrt(r), far above 1e-12 r
     weight = sum(map(abs, brute.c.values())) / brute.den
     match = abs(bn - closed.numeric) <= 1e-12 * weight
-    payload = {"s": job.gauss_s, "r": job.r,
+    payload = {"s": job.s, "r": job.r,
                "closed": {"multiplier": closed.multiplier,
                           "jacobi": closed.jacobi, "phase": closed.phase,
                           "sqrt_radicand": closed.sqrt_radicand,
@@ -441,7 +439,7 @@ def _run_gauss(job: JobSpec) -> int:
                "match": match}
     if job.output == "json":
         return _emit(job, payload, 0 if match else 1)
-    return _emit(job, f"G({job.gauss_s}, {job.r}) = {bn:.12g}; closed form "
+    return _emit(job, f"G({job.s}, {job.r}) = {bn:.12g}; closed form "
                       f"{closed.numeric:.12g}; match: {match}", 0 if match else 1)
 
 

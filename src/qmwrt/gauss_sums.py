@@ -10,7 +10,9 @@ point; a numeric value is always attached for cross checks.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,9 +163,9 @@ class QuadraticFormZ:
             raise ValueError("psi must have length N")
 
 
-def _inner_B(B, x, y) -> Fraction:
-    n = len(x)
-    return sum(Fraction(x[i]) * B[i][j] * y[j] for i in range(n) for j in range(n))
+def _inner_B(B, x, y):
+    """<x, B y>, an integer when B, x and y are."""
+    return sum(xi * bij * yj for xi, row in zip(x, B) for bij, yj in zip(row, y))
 
 
 def reciprocity(form: QuadraticFormZ, r: int) -> tuple[complex, complex]:
@@ -195,27 +197,14 @@ def reciprocity(form: QuadraticFormZ, r: int) -> tuple[complex, complex]:
         t -= math.floor(t)
         return cmath.exp(2j * math.pi * float(t))
 
-    lhs = 0j
-    idx = [0] * n
-    while True:
-        q = _inner_B(B, idx, idx)
-        lhs += cis_turns(Fraction(q, 2 * r)
-                         + sum(Fraction(idx[i]) * form.psi[i] for i in range(n)))
-        for k in range(n):
-            idx[k] += 1
-            if idx[k] < r:
-                break
-            idx[k] = 0
-        else:
-            break
-
+    lhs = sum(cis_turns(Fraction(_inner_B(B, x, x), 2 * r)
+                        + sum(xi * p for xi, p in zip(x, form.psi)))
+              for x in itertools.product(range(r), repeat=n))
     binv = inverse_rational(B)
     rhs_sum = 0j
     for y in cokernel_representatives(B):
-        w = [Fraction(y[i]) + form.psi[i] for i in range(n)]
-        bw = [sum(binv[i][j] * w[j] for j in range(n)) for i in range(n)]
-        q = sum(w[i] * bw[i] for i in range(n))
-        rhs_sum += cis_turns(Fraction(-r) * q / 2)
+        w = [yi + p for yi, p in zip(y, form.psi)]
+        rhs_sum += cis_turns(-r * _inner_B(binv, w, w) / 2)
     sigma = signature(B)
     rhs = cmath.exp(1j * math.pi * sigma / 4) * r ** (n / 2) / math.sqrt(abs(d)) * rhs_sum
     return lhs, rhs
@@ -237,34 +226,15 @@ def gauss_high_rank(B: list[list[int]], r: int) -> HighRankGaussSum:
     for odd r coprime to det B."""
     if r < 1 or r % 2 == 0:
         raise ValueError("r must be odd and positive")
-    n = len(B)
-    if any(len(row) != n for row in B) or any(B[i][j] != B[j][i]
-                                              for i in range(n) for j in range(n)):
-        raise ValueError("B must be square symmetric")
+    form = QuadraticFormZ(tuple(map(tuple, B)), (Fraction(0),) * len(B))
+    n, B = form.N, form.B
     d = det_int(B)
     if d == 0:
         raise ValueError("det B must be nonzero")
     if math.gcd(d, r) != 1:
         raise ValueError("det B must be coprime to r")
-
-    acc: dict[int, int] = {}
-    idx = [0] * n
-    while True:
-        q = 0
-        for i in range(n):
-            if idx[i]:
-                q += B[i][i] * idx[i] * idx[i]
-                for j in range(i + 1, n):
-                    q += 2 * B[i][j] * idx[i] * idx[j]
-        k = q % r
-        acc[k] = acc.get(k, 0) + 1
-        for k2 in range(n):
-            idx[k2] += 1
-            if idx[k2] < r:
-                break
-            idx[k2] = 0
-        else:
-            break
+    acc = Counter(_inner_B(B, x, x) % r
+                  for x in itertools.product(range(r), repeat=n))
     brute = CycloNumber.from_int_dict(r, acc)
 
     jac = jacobi(d, r)

@@ -217,10 +217,6 @@ def integrality_check(p: tuple[int, int, int], a: tuple[int, int, int],
 # -- abelian decompositions ---------------------------------------------------
 
 
-def _psi_limit(P: int, terms: dict[int, int], alpha: Fraction) -> CycloNumber:
-    return eichler_limit(psi_combo(P, terms), P, alpha)
-
-
 def _family_psi(p: int, cu: int, cv: int, cw: int) -> PeriodicFunction:
     """cu psi^(u) + cv psi^(v) + cw psi^(w) of family p, at P = p(2p+1)
     with u, v, w = P-4p-1, P-2p-1, P-1."""
@@ -228,36 +224,30 @@ def _family_psi(p: int, cu: int, cv: int, cw: int) -> PeriodicFunction:
     return psi_combo(P, {P - 4 * p - 1: cu, P - 2 * p - 1: cv, P - 1: cw})
 
 
-def _sectors_233(m: Manifold, ctx: RootContext, tilde: bool):
-    """Sector values W^(a) of S^2(1;2,3,3); tilde evaluates at -r/s."""
+def _sectors(m: Manifold, ctx: RootContext, tilde: bool) -> list[CycloNumber]:
+    """Sector values W^(a), a = 0..H//2, of a psi-basis family at xi, or at
+    xi~ with tilde: sector 0, then from the family's sector rows
+
+        W^(a) = 2 x^(-delta) (sum coef chi F_f(alpha) + [x^(-CS_*) if spherical])
+
+    with chi = 2 cos(2 pi c a / H), c = s at xi and c = -r at xi~, on a
+    twisted row and chi = 1 on the others.  Each F_f is formed once."""
     row = _model(m)
     alpha, pw = _side(ctx, tilde)
-    w1 = pw(-row.delta) * (-1 * _psi_limit(6, {1: 1, 3: -1, 5: 1}, alpha)
-                           + 2 * pw(-row.cs))
-    return [_sector0(row, alpha, pw), w1]
-
-
-def _sectors_neg239(m: Manifold, ctx: RootContext, tilde: bool):
-    row = _model(m)
-    alpha, pw = _side(ctx, tilde)
-    w1 = pw(-row.delta) * (Fraction(1, 2)
-                           * _psi_limit(18, {1: 2, 5: 1, 13: 1, 17: 2}, alpha))
-    return [_sector0(row, alpha, pw), w1]
-
-
-def _sectors_family(m: Manifold, ctx: RootContext, tilde: bool):
-    p = m.params[0]
-    row = _model(m)
-    alpha, pw = _side(ctx, tilde)
+    fixed = [2 * pw(-row.cs)] if row.spherical else []
+    twisted = []
+    for coef, f, character in FAMILIES[m.kind].sector_rows(m):
+        limit, k = eichler_limit(f, row.P, alpha), 2 * coef
+        # a unit scalar keeps or negates the limit, with no product
+        term = limit if k == 1 else -limit if k == -1 else k * limit
+        (twisted if character else fixed).append(term)
+    fixed = sum(fixed[1:], fixed[0])
     head = pw(-row.delta)
-    f_uw = eichler_limit(_family_psi(p, 1, 0, 1), row.P, alpha)
-    f_v = eichler_limit(_family_psi(p, 0, 1, 0), row.P, alpha)
-    # cos(2 pi c a / H) with c = s on the direct side, c = -r on the tilde side
-    c = (-ctx.r) if tilde else ctx.s
+    c = -ctx.r if tilde else ctx.s
     out = [_sector0(row, alpha, pw)]
-    for a in range(1, p + 1):
-        cos2 = root_power(row.H, c * a) + root_power(row.H, -c * a)
-        out.append(head * (f_uw - cos2 * f_v))
+    for a in range(1, row.H // 2 + 1):
+        chi = root_power(row.H, c * a) + root_power(row.H, -c * a)
+        out.append(head * sum((chi * t for t in twisted), fixed))
     return out
 
 
@@ -454,14 +444,11 @@ def _lens_geometric(m: Manifold, ctx: RootContext,
                    f"constant magnitude p = {p})" if ok else _witness(diff))
     # record how the two readings of the sum identity compare: the
     # sectors evaluated at xi~ against constants built on xi~ vs on xi
-    same_root = abs((tilde - p * xi_tilde_power(ctx, const)).eval_complex())
-    mixed = abs((tilde - p * xi_power(ctx, const)).eval_complex())
-    verdict = ("both readings coincide here (the constant's exponent "
-               "reduces to an integer)" if mixed < 1e-9
-               else "only the same-root reading holds")
+    coincide = (tilde - p * xi_power(ctx, const)).is_zero()
     report.add("lens_sum_reading", True,
-               f"residuals at xi~: same-root {same_root:.2e}, "
-               f"mixed xi/xi~ {mixed:.2e}; {verdict}",
+               "both readings coincide here (the constant's exponent "
+               "reduces to an integer)" if coincide
+               else "only the same-root reading holds",
                tolerance="informational")
     # geometric relation: P^(0)_* = xi~^((p-5)/4) sum_a W^(a)(xi~) - p = 0
     residue = xi_tilde_power(ctx, -const) * tilde - p
@@ -482,8 +469,9 @@ class Family:
     adds the geometric-relation checks to report; sectors(m, ctx, tilde)
     gives the abelian sector values W^(a) at xi (or xi~), in the label
     order of connections(m), the flat connections; row(m) gives the
-    sector-0 row (c, f0) of a Seifert family (see Sector0); suites are the
-    verify suites that apply.
+    sector-0 row (c, f0) of a Seifert family (see Sector0); sector_rows(m)
+    gives the a >= 1 rows (coef, f, twisted) of a psi-basis family (see
+    _sectors); suites are the verify suites that apply.
     """
 
     saddles: Callable
@@ -492,6 +480,7 @@ class Family:
     row: Callable | None = None
     suites: tuple[str, ...] = ("decomposition", "geometric")
     connections: Callable = abelian_connections
+    sector_rows: Callable | None = None
 
 
 FAMILIES = {
@@ -503,13 +492,22 @@ FAMILIES = {
         + [replace(geometric_connection(m.data), kind="geometric")]),
     "lens": Family(_lens_saddles, _lens_geometric,
                    lambda m, ctx, tilde: lens_sectors(m.params[0], ctx, tilde)),
-    "2-3-3": Family(_sector0_saddles, _geometric, _sectors_233,
-                    lambda m: (Fraction(-1, 2), psi_combo(6, {1: 1, 3: 2, 5: 1}))),
-    "neg-2-3-9": Family(_sector0_saddles, _geometric, _sectors_neg239,
-                        lambda m: (Fraction(1, 2),
-                                   psi_combo(18, {1: 1, 5: -1, 13: -1, 17: 1}))),
-    "family": Family(_sector0_saddles, _geometric, _sectors_family,
-                     lambda m: (Fraction(1, 2), _family_psi(m.params[0], 1, -2, 1))),
+    "2-3-3": Family(
+        _sector0_saddles, _geometric, _sectors,
+        lambda m: (Fraction(-1, 2), psi_combo(6, {1: 1, 3: 2, 5: 1})),
+        sector_rows=lambda m: [(Fraction(-1, 2),
+                                psi_combo(6, {1: 1, 3: -1, 5: 1}), False)]),
+    "neg-2-3-9": Family(
+        _sector0_saddles, _geometric, _sectors,
+        lambda m: (Fraction(1, 2), psi_combo(18, {1: 1, 5: -1, 13: -1, 17: 1})),
+        sector_rows=lambda m: [(Fraction(1, 4),
+                                psi_combo(18, {1: 2, 5: 1, 13: 1, 17: 2}), False)]),
+    "family": Family(
+        _sector0_saddles, _geometric, _sectors,
+        lambda m: (Fraction(1, 2), _family_psi(m.params[0], 1, -2, 1)),
+        sector_rows=lambda m: [
+            (Fraction(1, 2), _family_psi(m.params[0], 1, 0, 1), False),
+            (Fraction(-1, 2), _family_psi(m.params[0], 0, 1, 0), True)]),
 }
 
 

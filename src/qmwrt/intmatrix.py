@@ -1,5 +1,7 @@
-"""Small exact integer-matrix utilities: determinants, characteristic
-polynomials, eigenvalue sign counts and Smith normal form.
+"""Small exact integer-matrix utilities: characteristic polynomials (and
+from them determinants and eigenvalue sign counts), rational inverses, and
+the coset representatives of Z^n / M Z^n by a closure walk over unit
+vectors.
 
 Sizes here are tiny (surgery links have a handful of components), so clarity
 wins over asymptotics.  No floating point anywhere: eigenvalue signs come
@@ -15,24 +17,8 @@ Matrix = list[list[int]]
 
 
 def det_int(m: Matrix) -> int:
-    """Determinant of an integer matrix (fraction-free via Fraction elimination)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    assert det.denominator == 1
-    return int(det)
+    """Determinant of an integer matrix: det(x I - M) at x = 0 is det(-M)."""
+    return (-1) ** len(m) * charpoly_int(m)[0]
 
 
 def charpoly_int(m: Matrix) -> list[int]:
@@ -97,84 +83,21 @@ def inverse_rational(m: Matrix) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """(U, S, V) with S = U m V diagonal and U, V unimodular."""
-    n_rows = len(m)
-    n_cols = len(m[0])
-    s = [row[:] for row in m]
-    u = [[int(i == j) for j in range(n_rows)] for i in range(n_rows)]
-    v = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, mult):
-        s[dst] = [x + mult * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, mult):
-        for row in s:
-            row[dst] += mult * row[src]
-        for row in v:
-            row[dst] += mult * row[src]
-
-    t = 0
-    while t < min(n_rows, n_cols):
-        # find a nonzero pivot in the remaining block
-        pivot = next(((i, j) for i in range(t, n_rows) for j in range(t, n_cols)
-                      if s[i][j] != 0), None)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            done = True
-            for i in range(t + 1, n_rows):
-                if s[i][t] % s[t][t]:
-                    add_row(t, i, -(s[i][t] // s[t][t]))
-                    swap_rows(t, i)
-                    done = False
-                elif s[i][t]:
-                    add_row(t, i, -(s[i][t] // s[t][t]))
-            for j in range(t + 1, n_cols):
-                if s[t][j] % s[t][t]:
-                    add_col(t, j, -(s[t][j] // s[t][t]))
-                    swap_cols(t, j)
-                    done = False
-                elif s[t][j]:
-                    add_col(t, j, -(s[t][j] // s[t][t]))
-            if done:
-                break
-        t += 1
-    return u, s, v
-
-
 def cokernel_representatives(m: Matrix) -> list[tuple[int, ...]]:
-    """Coset representatives of Z^n / M Z^n for a nonsingular integer matrix."""
-    n = len(m)
-    u, s, _ = smith_normal_form(m)
-    dims = [abs(s[i][i]) for i in range(n)]
-    if any(d == 0 for d in dims):
-        raise ValueError("matrix is singular; cokernel is infinite")
-    uinv = inverse_rational(u)
-    reps = []
-    idx = [0] * n
-    while True:
-        vec = tuple(int(sum(uinv[i][j] * idx[j] for j in range(n)))
-                    for i in range(n))
-        reps.append(vec)
-        for k in range(n):
-            idx[k] += 1
-            if idx[k] < dims[k]:
-                break
-            idx[k] = 0
-        else:
-            break
-    return reps
+    """Coset representatives of Z^n / M Z^n for a nonsingular integer matrix.
+
+    x and y lie in one coset exactly when M^-1 (x - y) is integral, so the
+    key M^-1 x mod 1 names the coset of x.  The unit vectors generate the
+    finite group Z^n / M Z^n, so the closure walk from 0 that adds unit
+    vectors and keeps x only when its key is new lists each coset once, in
+    |det M| steps."""
+    steps = list(zip(*inverse_rational(m)))    # the keys M^-1 e_i
+    zero = (0,) * len(m)
+    walk, seen = [(zero, zero)], {zero}
+    for x, key in walk:     # walk grows while it is read
+        for i, step in enumerate(steps):
+            k = tuple((a + b) % 1 for a, b in zip(key, step))
+            if k not in seen:
+                seen.add(k)
+                walk.append((x[:i] + (x[i] + 1,) + x[i + 1:], k))
+    return [x for x, _ in walk]

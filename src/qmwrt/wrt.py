@@ -350,8 +350,12 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
         C = delta prod_j xi^(-f_j/4) delta^-2 E_j K_j
 
     (its delta is the numerator of 1/[n0]) is formed once, before the sum
-    over n0, and multiplies the sum once.  Requires gcd(s, p_j) = 1.
+    over n0, and multiplies the sum once.  Requires gcd(s, p_j) = 1 and at
+    least one exceptional fiber.
     """
+    if not d.fibers:
+        raise ValueError("the reciprocity form needs at least one exceptional "
+                         "fiber; a bare framed unknot is a lens space, use lens:p")
     r, s = ctx.r, ctx.s
     for p, q in d.fibers:
         if q not in (1, -1):

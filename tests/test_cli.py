@@ -281,6 +281,8 @@ def test_output_file(tmp_path, capsys):
      "--s", "3", "--order", "3"],
     ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:305:4",
      "--s", "5", "--jobs", "2"],
+    ["wrt", "--manifold", "seifert:3;", "--r", "7", "--s", "1"],
+    ["wrt", "--manifold", "seifert:-3;", "--r", "7", "--s", "1", "--exact"],
 ])
 def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
     def no_products(*_args):

@@ -1,9 +1,17 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qmwrt.intmatrix import charpoly_int, eigenvalue_sign_counts
+from qmwrt.intmatrix import (
+    charpoly_int,
+    cokernel_representatives,
+    det_int,
+    eigenvalue_sign_counts,
+    inverse_rational,
+)
 from qmwrt.seifert import parse_manifold
 from qmwrt.wrt import surgery_linking_matrix
 
@@ -56,3 +64,46 @@ def test_charpoly_matches_fraction_reference():
 ])
 def test_eigenvalue_sign_counts(m, counts):
     assert eigenvalue_sign_counts(m) == counts
+
+
+def _random_matrix(rng, n, bound):
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+
+
+def _det_leibniz(m):
+    """Sum over permutations of sign(sigma) prod_i m[i][sigma(i)]."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(m))
+                         for j in range(i + 1, len(m)))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]]
+                                                for i in range(len(m)))
+    return total
+
+
+def test_det_matches_leibniz_on_nonsymmetric_matrices():
+    rng = random.Random(5)
+    matrices = [_random_matrix(rng, n, 9) for n in range(1, 6) for _ in range(8)]
+    matrices += [[[1, 2, 3], [2, 4, 6], [3, 6, 9]], [[0, 1], [1, 0]], [[0]]]
+    for m in matrices:
+        d = det_int(m)
+        assert type(d) is int
+        assert d == _det_leibniz(m), m
+
+
+def test_cokernel_representatives_list_each_coset_once():
+    rng = random.Random(11)
+    matrices = [[[1, 2], [3, 1]], [[-4]], [[2, 1], [0, 3]]]   # det -5, -4, 6
+    while len(matrices) < 30:
+        m = _random_matrix(rng, rng.choice([1, 2, 3]), 4)
+        if det_int(m) != 0:
+            matrices.append(m)
+    for m in matrices:
+        reps = cokernel_representatives(m)
+        assert len(reps) == abs(det_int(m)), m
+        inv = inverse_rational(m)
+        for x, y in itertools.combinations(reps, 2):
+            # x - y in M Z^n exactly when M^-1 (x - y) is integral
+            diff = [a - b for a, b in zip(x, y)]
+            assert any(sum(c * t for c, t in zip(row, diff)).denominator != 1
+                       for row in inv), (m, x, y)

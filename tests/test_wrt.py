@@ -268,6 +268,14 @@ def test_lens_sector_reconstruction():
     assert len(tilde) == 3
 
 
+@pytest.mark.parametrize("b", [3, -3, 2])
+def test_reciprocity_form_rejects_a_bare_unknot(b):
+    # S2(b;) is b-framed surgery on the unknot, a lens space: the
+    # reciprocity form has no fiber to apply reciprocity to
+    with pytest.raises(ValueError, match="lens:p"):
+        tau_seifert_closed(SeifertData(b, ()), RootContext(7, 1))
+
+
 def test_lens_rejects_bad_input():
     with pytest.raises(ValueError):
         wrt_lens(4, RootContext(5, 1))
