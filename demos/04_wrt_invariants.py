@@ -31,10 +31,10 @@ d = brieskorn((2, 3, 7))
 inv = invariants(d)
 ctx = RootContext(29, 5)
 v = wrt_seifert_closed(d, ctx)
-print(f"Sigma(2,3,7) at r=29, s=5: exponent Delta = {v.prefactor_exponent}, "
-      f"value {v.numeric:.10f}")
-print(f"exact representative lives in conductor {v.exact.D} "
-      f"with {len(v.exact.c)} stored terms")
+print(f"Sigma(2,3,7) at r=29, s=5: exponent Delta = "
+      f"{inv.phi / 4 - Fraction(1, 2)}, value {v.numeric:.10f}")
+print(f"its canonical form lives in conductor {v.exact.D} "
+      f"with {len(v.exact.c)} terms")
 
 print()
 print("== a rational homology sphere at a general root ==")

@@ -18,8 +18,6 @@ is optional).
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (rejected
 before any computation where the manifold or suite is at fault), 3 an
 internal arithmetic error.
-The environment variable QMWRT_MAX_COLORS caps the brute-force oracle's
-nominal color space (default 10^6 tuples).
 """
 
 from __future__ import annotations

@@ -28,10 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-import os
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .cyclotomic import CycloNumber, quadratic_sum, root_power, xi_power, xi_tilde_power
 from .intmatrix import eigenvalue_sign_counts
@@ -56,49 +54,23 @@ __all__ = [
     "wrt_lens",
     "wrt_lens_brute",
     "surgery_linking_matrix",
-    "max_color_tuples",
 ]
-
-MAX_COLORS_ENV = "QMWRT_MAX_COLORS"
-DEFAULT_MAX_COLORS = 10 ** 6
-
-
-def max_color_tuples() -> int:
-    """Cap on the brute-force color space, configurable via QMWRT_MAX_COLORS."""
-    raw = os.environ.get(MAX_COLORS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_COLORS
 
 
 class WrtValue:
-    """An exact WRT-type invariant value, kept as the product of its exact
-    factors (CycloNumbers, integers or other WrtValues).
+    """An exact WRT-type invariant value in one form: canonical at the
+    smallest conductor that holds it, so equal values have equal (D, c, den)
+    however they were formed.  numeric is its evaluation.
 
-    exact multiplies the factors out on first read and caches the product;
-    numeric is the product of the factors' evaluations (evaluation is a
-    ring homomorphism), so a value that is only evaluated is never formed.
+    Reducing the conductor of a canonical form can leave a form that is not
+    canonical at the smaller conductor, hence the second canonical()."""
 
-    normalization is "tau" for the bare invariant (1 on S^3), "W" for
-    sqrt(H) (H/s) (xi - 1) tau, or "prefactored-W" for xi^Delta (xi-1) tau
-    with the recorded rational exponent Delta.
-    """
-
-    def __init__(self, *factors, normalization: str = "tau",
-                 prefactor_exponent: Fraction | None = None):
-        self.factors = factors
-        self.normalization = normalization
-        self.prefactor_exponent = prefactor_exponent
-
-    @cached_property
-    def exact(self) -> CycloNumber:
-        return reduce(operator.mul, [
-            f.exact if isinstance(f, WrtValue) else f for f in self.factors])
+    def __init__(self, x: CycloNumber):
+        self.exact = x.canonical().reduce_conductor().canonical()
 
     @cached_property
     def numeric(self) -> complex:
-        return reduce(operator.mul, [
-            f.numeric if isinstance(f, WrtValue)
-            else f.eval_complex() if isinstance(f, CycloNumber) else f
-            for f in self.factors])
+        return self.exact.eval_complex()
 
 
 def _one_over_root_minus_one(D: int, k: int, h: int) -> CycloNumber:
@@ -287,11 +259,6 @@ def seifert_hat_over_2g(d: SeifertData, ctx: RootContext) -> CycloNumber:
     return total * Fraction(1, 2 * norm * den)
 
 
-def _closed_prefactored_positive(d: SeifertData, ctx: RootContext) -> WrtValue:
-    return WrtValue(seifert_hat_over_2g(d, ctx), normalization="prefactored-W",
-                    prefactor_exponent=invariants(d).phi / 4 - Fraction(1, 2))
-
-
 def _closed_form_invariants(d: SeifertData, ctx: RootContext):
     inv = invariants(d)
     if inv.e == 0:
@@ -350,7 +317,8 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
         C = delta prod_j xi^(-f_j/4) delta^-2 E_j K_j
 
     (its delta is the numerator of 1/[n0]) is formed once, before the sum
-    over n0, and multiplies the sum once.  Requires gcd(s, p_j) = 1 and at
+    over n0, and multiplies the sum once, both in canonical form, which has
+    far fewer terms than either as summed.  Requires gcd(s, p_j) = 1 and at
     least one exceptional fiber.
     """
     if not d.fibers:
@@ -389,13 +357,13 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
             minus = xi_power(ctx, Fraction(-(n0 - 1) ** 2, 4 * f)) * btab[(n0 - 1) % F]
             part = part * (plus - minus)
         total = total + part
-    return total * const * _surgery_normalization(d, ctx)
+    return total.canonical() * (const * _surgery_normalization(d, ctx)).canonical()
 
 
 def tau_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
     """tau from the closed form, normalized to tau(S^3) = 1.
 
-    Integer homology spheres use the merged structured sum; other rational
+    Integer homology spheres read hat/(2G) of the structured sum; other rational
     homology spheres use the per-fiber reciprocity form (which requires an
     integer-framed presentation).  Data with e < 0 is handled by orientation
     reversal plus conjugation (reversing orientation conjugates the
@@ -406,26 +374,18 @@ def tau_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
         return WrtValue(rev.exact.conjugate())
     if inv.H != 1:
         return WrtValue(_tau_qhs_reciprocity(d, ctx))
-    # tau = xi^(-Delta) / (xi - 1) * prefactored value
-    v = _closed_prefactored_positive(d, ctx)
+    # tau = xi^(1/2 - phi/4) / (xi - 1) * hat / (2G)
     one_over = _one_over_root_minus_one(4 * ctx.r, 4 * ctx.s % (4 * ctx.r), ctx.r)
-    return WrtValue(v.exact * xi_power(ctx, -v.prefactor_exponent) * one_over)
+    return WrtValue(seifert_hat_over_2g(d, ctx)
+                    * xi_power(ctx, Fraction(1, 2) - inv.phi / 4) * one_over)
 
 
 def wrt_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
-    """The prefactored invariant xi^(phi/4 - 1/2) (xi - 1) tau, exactly.
-
-    For integer homology spheres this is hat_sum / (2 G), with the division
-    by 2G exact because G conj(G) = 2 P r gcd(s, P); other rational homology
-    spheres and e < 0 orientations are assembled from tau_seifert_closed.
-    """
-    inv = _closed_form_invariants(d, ctx)
-    if inv.e > 0 and inv.H == 1:
-        return _closed_prefactored_positive(d, ctx)
-    delta = inv.phi / 4 - Fraction(1, 2)
+    """The prefactored invariant xi^Delta (xi - 1) tau, Delta = phi/4 - 1/2,
+    exactly; for integer homology spheres it equals hat_sum / (2 G)."""
     tau = tau_seifert_closed(d, ctx).exact
-    return WrtValue(xi_power(ctx, delta) * (xi_power(ctx, 1) - 1) * tau,
-                    normalization="prefactored-W", prefactor_exponent=delta)
+    delta = invariants(d).phi / 4 - Fraction(1, 2)
+    return WrtValue(xi_power(ctx, delta) * (xi_power(ctx, 1) - 1) * tau)
 
 
 def sqrt_homology_order(H: int) -> CycloNumber:
@@ -443,8 +403,8 @@ def w_normalized(tau: WrtValue, H: int, ctx: RootContext) -> WrtValue:
     """W = sqrt(H) (H/s) (xi - 1) tau."""
     if math.gcd(ctx.s, H) != 1:
         raise ValueError(f"s={ctx.s} must be coprime to H={H}")
-    return WrtValue(jacobi(H, ctx.s), sqrt_homology_order(H),
-                    xi_power(ctx, 1) - 1, tau, normalization="W")
+    return WrtValue(tau.exact * (xi_power(ctx, 1) - 1) * jacobi(H, ctx.s)
+                    * sqrt_homology_order(H))
 
 
 def w_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
@@ -548,17 +508,12 @@ def wrt_brute_surgery(d: SeifertData, ctx: RootContext) -> WrtValue:
 
     The inner sums factor over the fiber components for each central color,
     so the cost is O(m r^2) dictionary convolutions rather than r^(m+1)
-    terms; the documented color-space cap still applies to the nominal
-    (r-1)^(m+1) color space.
+    terms.
     """
     if d.m == 0:
         raise ValueError("the Seifert link shape needs at least one fiber; "
                          "use the framed-unknot route for lens spaces")
     r, s = ctx.r, ctx.s
-    nominal = (r - 1) ** (d.m + 1)
-    if nominal > max_color_tuples():
-        raise ValueError(f"color space {nominal} exceeds cap {max_color_tuples()}; "
-                         f"raise {MAX_COLORS_ENV} to override")
     D = 4 * r
     # the n0-free factor xi^(f (nj^2-1)/4) [nj] of each fiber colour
     fiber_weights = [[root_power(D, s * p * q * (nj * nj - 1))
@@ -622,7 +577,7 @@ def wrt_lens(p: int, ctx: RootContext) -> tuple[WrtValue, list[CycloNumber]]:
     for a in range((p - 1) // 2 + 1):
         phase = CycloNumber.from_turns(Fraction(-r * s * a * a, p))
         total = total + phase * sectors[a]
-    return WrtValue(total, normalization="W"), sectors
+    return WrtValue(total), sectors
 
 
 def wrt_lens_brute(p: int, ctx: RootContext) -> WrtValue:
