@@ -121,33 +121,16 @@ def psi_combo(P: int, terms: dict[int, int]) -> PeriodicFunction:
     return out
 
 
-def _eichler_terms(f: PeriodicFunction, P: int, alpha: Fraction):
-    """The terms of the Eichler limit of f at alpha = a/c (lowest terms).
-
-    The terms l and 2Pc - l of the defining sum are equal (f is odd and
-    (2Pc - l)^2 = l^2 mod 4Pc), so only 0 < l < Pc is kept, with weight
-    2 f(l) (Pc - l), and only l = j + 2Pm over the support residues j of f.
-    Modulo 4Pc, a l^2 = a j^2 + 4P n with n = a (jm + Pm^2) mod c.
-
-    Returns D = 4Pc, c, k0[j] = a j^2 mod D, and the int64 weights w and
-    indices n on a (j, m) grid whose Fortran order runs l upwards (w is 0
-    where l >= Pc).  Every product stays below c^2 < 2^62."""
+def _lowest_terms(alpha: Fraction) -> tuple[int, int]:
+    """(a, c) of alpha = a/c in lowest terms; ValueError for c >= 2^31,
+    past which the int64 table index of eichler_limit_complex (a sum of
+    two products below c^2) could overflow."""
     alpha = Fraction(alpha)
     a, c = alpha.numerator, alpha.denominator
     if c >= 2 ** 31:
         raise ValueError(f"Eichler limit at denominator {c} is past the int64 "
                          f"bound c < 2^31")
-    import numpy as np
-    D = 4 * P * c
-    support = f.support()
-    k0 = np.array([a * j * j % D for j in support], dtype=np.int64)
-    j = np.array(support, dtype=np.int64)[:, None]
-    m = np.arange((c + 1) // 2, dtype=np.int64)
-    l = j + 2 * P * m
-    w = 2 * np.array([f(x) for x in support], dtype=np.int64)[:, None] \
-        * np.maximum(P * c - l, 0)
-    n = m * ((j + P * m) % c) % c * (a % c) % c
-    return D, c, k0, w, n
+    return a, c
 
 
 def eichler_limit(f: PeriodicFunction, P: int, alpha: Fraction) -> CycloNumber:
@@ -156,24 +139,56 @@ def eichler_limit(f: PeriodicFunction, P: int, alpha: Fraction) -> CycloNumber:
 
         (1/2) sum_{l=0}^{2Pc} f(l) e^(2 pi i alpha l^2 / 4P) (1 - l/(Pc)),
 
-    as a cyclotomic number of conductor 4Pc."""
-    D, c, k0, w, n = _eichler_terms(f, P, alpha)
-    keys = (k0[:, None] + 4 * P * n) % D
+    as a cyclotomic number of conductor 4Pc.  The terms l and 2Pc - l are
+    equal (f is odd and (2Pc - l)^2 = l^2 mod 4Pc), so the walk keeps
+    0 < l < Pc, l = j mod 2P over the support residues j of f, with
+    weight 2 f(j) (Pc - l)."""
+    a, c = _lowest_terms(alpha)
+    D, Pc = 4 * P * c, P * c
     acc: dict[int, int] = {}
-    for k, v in zip(keys.ravel("F").tolist(), w.ravel("F").tolist()):
-        if v:
-            acc[k] = acc.get(k, 0) + v
-    return CycloNumber.from_int_dict(D, acc, 2 * P * c)
+    for j in f.support():
+        w = 2 * f(j)
+        for l in range(j, Pc, 2 * P):
+            k = a * l * l % D
+            acc[k] = acc.get(k, 0) + w * (Pc - l)
+    return CycloNumber.from_int_dict(D, acc, 2 * Pc)
 
 
 def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction) -> complex:
-    """Float value of eichler_limit, from the same terms: sum over the
-    support residues j of e(a j^2/4Pc) sum_m w e(n/c), over 2Pc."""
-    D, c, k0, w, n = _eichler_terms(f, P, alpha)
+    """Float value of eichler_limit, by completing the square.
+
+    The rows l = j + 2Pm, m < c, of j and 2P - j are equal, so the limit is
+    (1/Pc) sum_{0<j<P} f(j) sum_m (Pc - l) e(a l^2/4Pc).  With g = gcd(2P, c),
+    rho = j mod g and t = ((j - rho)/g) (2P/g)^-1 mod c/g, j - 2Pt = rho
+    mod c, so with u = m + t the phase is e(a (j - 2Pt)^2/4Pc) H_rho(u),
+    H_rho(u) = e(a (P u^2 + rho u)/c): each row reads the table of its
+    class rho against the weight Pc - j - 2P ((u - t) mod c), a slice of
+    the doubled ramp Pc - 2Pm."""
+    a, c = _lowest_terms(alpha)
     import numpy as np
-    table = np.exp(2j * np.pi / c * np.arange(c))
-    inner = np.sum(w * table[n], axis=1)
-    return complex(np.sum(inner * np.exp(2j * np.pi / D * k0))) / (2 * P * c)
+    g, D, n = math.gcd(2 * P, c), 4 * P * c, math.isqrt(c // 2) + 1
+    # e(k/c) for k <= c/2 as e(n q/c) e(i/c), 2n exps in place of c/2; the
+    # upper half is the conjugate of the lower
+    half = (np.exp(2j * np.pi / c * n * np.arange(n))[:, None]
+            * np.exp(2j * np.pi / c * np.arange(n))).ravel()[:c // 2 + 1]
+    unit = np.concatenate((half, half[(c + 1) // 2 - 1:0:-1].conj()))
+    u = np.arange(c, dtype=np.int64)
+    u2, ramp = u * u % c, np.tile(P * c - 2.0 * P * u, 2)
+    inv = pow(2 * P // g, -1, c // g)
+    tables: dict[int, tuple] = {}
+    total = 0j
+    for j in range(1, P):
+        if f(j):
+            rho = j % g
+            if rho not in tables:
+                h = unit[(a * P % c * u2 + a * rho % c * u) % c]
+                tables[rho] = h, h.sum()
+            h, h0 = tables[rho]
+            t = (j - rho) // g * inv % (c // g)
+            k = a * (j - 2 * P * t) ** 2 % D   # read in (-1/2, 1/2]: half the angle error
+            total += f(j) * cmath.exp(2j * math.pi * ((k - D if 2 * k > D else k) / D)) \
+                * (np.sum(h * ramp[c - t:2 * c - t]) - j * h0)
+    return complex(total) / (P * c)
 
 
 def t_phase(p: tuple[int, int, int], a: tuple[int, int, int]) -> Fraction:

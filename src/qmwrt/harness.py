@@ -290,22 +290,26 @@ def _trivial_term(row: Sector0, ctx: RootContext, K: int) -> SaddleTerm:
     return SaddleTerm("trivial", Fraction(0), CycloNumber.one(), value, 0)
 
 
+@lru_cache(maxsize=None)
+def _saddle_rows(p: tuple[int, int, int]) -> tuple[Sector0, tuple]:
+    """The r-free data of the Brieskorn saddle terms: the sector-0 row and,
+    per rotation number a, (a, CS lift, phi_a, S^(1,1,1)_a)."""
+    pc = rotation_order(p)   # rotation numbers index this order
+    row = _model(_brieskorn(p))
+    labels = rotation_triples(pc)
+    srow = s_matrix_phi(pc)[labels.index((1, 1, 1))]
+    # (1, 1, 1) is the rotation number of the geometric connection
+    return row, tuple((a, row.cs if a == (1, 1, 1) else cs_nonabelian(pc, a),
+                       phi_basis(pc, a), float(sa)) for a, sa in zip(labels, srow))
+
+
 def _brieskorn_saddles(p: tuple[int, int, int], ctx: RootContext,
                        K: int) -> list[SaddleTerm]:
-    pc = rotation_order(tuple(p))   # rotation numbers index this order
-    row = _model(_brieskorn(p))
-    pre = _numeric_power(ctx)(-row.delta)
-    terms = [_trivial_term(row, ctx, K)]
-    smat = s_matrix_phi(pc)
-    labels = rotation_triples(pc)
-    idx0 = labels.index((1, 1, 1))
-    for j, a in enumerate(labels):
-        # (1, 1, 1) is the rotation number of the geometric connection
-        lift = row.cs if a == (1, 1, 1) else cs_nonabelian(pc, a)
-        p_val = _p_star(ctx, row.c, lift, row.P, phi_basis(pc, a))
-        i_val = -_sqrt_r_over_is(ctx) * smat[idx0, j] * pre
-        terms.append(SaddleTerm(f"nonabelian{a}", lift, p_val, i_val, -1))
-    return terms
+    row, rows = _saddle_rows(tuple(p))
+    pre, root = _numeric_power(ctx)(-row.delta), -_sqrt_r_over_is(ctx)
+    return [_trivial_term(row, ctx, K)] + [
+        SaddleTerm(f"nonabelian{a}", lift, _p_star(ctx, row.c, lift, row.P, f),
+                   root * sa * pre, -1) for a, lift, f, sa in rows]
 
 
 def _psi_classes(row: Sector0) -> list[tuple[Fraction, PeriodicFunction,

@@ -50,6 +50,16 @@ def test_exact_wrt_loads_neither_numpy_nor_a_thread_pool(capsys):
                      "loaded": []}
 
 
+def test_exact_verify_and_falsetheta_load_no_numpy(capsys):
+    argvs = [["verify", "all", "--manifold", "brieskorn:2,3,7", "--r", "31", "--s", "1"],
+             ["falsetheta", "--p", "2,3,7", "--a", "1,1,1", "--r", "31",
+              "--exact", "--json"]]
+    fresh = run_fresh(*argvs)
+    in_process = [invoke(capsys, argv) for argv in argvs]
+    assert fresh == {"codes": [0, 0], "out": "".join(out for _, out, _ in in_process),
+                     "loaded": []}
+
+
 def test_sweep_loads_numpy_and_prints_as_in_process(capsys):
     argv = ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:301:100",
             "--jobs", "1"]

@@ -219,6 +219,44 @@ def test_eichler_limit_rejects_denominators_past_int64(monkeypatch):
             limit(f, 30, Fraction(1, 2 ** 31 + 1))
 
 
+def test_completed_square_matches_the_exact_limit():
+    # c = 1, c = 2, even c and odd c sharing a factor with 2P, at both signs
+    rng = random.Random(23)
+    shared = 0
+    for _ in range(40):
+        big_p = rng.randint(2, 40)
+        terms = {rng.randint(1, big_p - 1): rng.randint(-3, 3)
+                 for _ in range(rng.randint(1, 4))}
+        f = psi_combo(big_p, terms)
+        odd_part = big_p >> ((big_p & -big_p).bit_length() - 1)
+        cs = [1, 2, 2 * rng.randint(2, 300), 2 * rng.randint(250, 300) + 1]
+        if odd_part > 1:
+            cs.append(odd_part * (2 * rng.randint(1, 30) + 1))
+            shared += 1
+        for c in cs:
+            a = rng.randint(1, 3 * c)
+            while math.gcd(a, c) != 1:
+                a += 1
+            for alpha in (Fraction(a, c), Fraction(-a, c)):
+                exact = eichler_limit(f, big_p, alpha).eval_complex()
+                fast = eichler_limit_complex(f, big_p, alpha)
+                assert abs(fast - exact) <= 1e-11 * (1 + abs(exact)), \
+                    (big_p, terms, alpha)
+    assert shared > 10
+
+
+def test_completed_square_accuracy_at_a_large_denominator():
+    mpmath = pytest.importorskip("mpmath")
+    p, alpha = (2, 3, 7), Fraction(1, 10395)   # gcd(2P, c) = 21
+    with mpmath.workprec(120):
+        for a in rotation_triples(p):
+            f = phi_basis(p, a)
+            x = eichler_limit(f, 42, alpha)
+            ref = mpmath.fsum(v * mpmath.expjpi(mpmath.mpf(2 * k) / x.D)
+                              for k, v in x.c.items()) / x.den
+            assert abs(ref - eichler_limit_complex(f, 42, alpha)) < 3e-13, a
+
+
 def test_l_value_examples():
     assert l_value(psi_basis(2, 1), 2, 0) == Fraction(1, 2)
     zero = PeriodicFunction(4, (0, 0, 0, 0))
