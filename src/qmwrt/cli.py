@@ -200,6 +200,9 @@ def parse_args(argv: list[str]) -> JobSpec:
             job.r_range = _parse_range(rr)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    if ns.command in ("sweep", "verify"):
+        for c in _denominators(job):
+            _check_denominator(c)
     if ns.command == "verify":
         if job.suite == "modularity" and job.r_range is None:
             raise UsageError("verify modularity needs --r-range")
@@ -222,10 +225,29 @@ def parse_args(argv: list[str]) -> JobSpec:
                              f"in --p and in --a")
         if job.s == 0 or math.gcd(job.s, job.r) != 1:
             raise UsageError(f"s={job.s} must be nonzero and coprime to r={job.r}")
+        _check_denominator(abs(job.s) if job.at_tilde else job.r)
     if job.manifold is not None:
         job.model = _parse_model(job)
         _check_roots(job)
     return job
+
+
+def _denominators(job: JobSpec) -> list[int]:
+    """The largest r and s' of a sweep or verify job: its Eichler limits run
+    at s/r and -r/s', s' = s (mod r) below 4r.  A scan over --r-range takes
+    only an s that is its own s' for every r."""
+    if job.r_range is not None:
+        return [*_r_values(job)[-1:], abs(job.s)]
+    if job.r is None or math.gcd(job.s, job.r) != 1:
+        return [job.r] if job.r else []
+    return [job.r, normalize_s(job.s, job.r)]
+
+
+def _check_denominator(c: int) -> None:
+    """Reject an Eichler-limit denominator that the limits cannot take."""
+    if c >= false_theta.DENOMINATOR_BOUND:
+        raise UsageError(f"denominator {c} is past the Eichler-limit bound "
+                         f"c < 2^31")
 
 
 def _parse_model(job: JobSpec) -> seifert.Manifold:
@@ -502,16 +524,18 @@ def _run_verify(job: JobSpec) -> int:
 def _run_sweep(job: JobSpec) -> int:
     r_list = list(_r_values(job))
 
-    def one(r: int):
-        rows, _ = harness.residual_scan(job.model, job.s, [r], job.order)
-        return rows[0]
+    def scan(r_part: list[int]):
+        return harness.residual_scan(job.model, job.s, r_part, job.order)[0]
 
-    if job.jobs > 1:
+    # one scan per worker, over every jobs-th r, so each scan reuses its
+    # buffers over many r and the workers get a like share of large r
+    parts = [r_list[i::job.jobs] for i in range(min(job.jobs, len(r_list)))]
+    if len(parts) > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=job.jobs) as pool:
-            rows = list(pool.map(one, r_list))
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            rows = [row for part in pool.map(scan, parts) for row in part]
     else:
-        rows = [one(r) for r in r_list]
+        rows = scan(r_list)
     rows.sort(key=lambda row: row[0])
     if job.output == "json":
         payload = {"manifold": job.manifold, "s": job.s, "order": job.order,

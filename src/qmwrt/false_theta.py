@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "DENOMINATOR_BOUND",
     "PeriodicFunction",
     "phi_basis",
     "psi_basis",
@@ -50,7 +52,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeriodicFunction:
-    """Odd, mean-zero, integer-valued periodic function given by its table.
+    """Odd (hence mean-zero) integer-valued periodic function given by its
+    table.
 
     period is the full period (2P for the bases used here).
     """
@@ -59,14 +62,12 @@ class PeriodicFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.period:
+        v, n = self.values, self.period
+        if len(v) != n:
             raise ValueError("table length must equal the period")
-        n = self.period
-        for l in range(n):
-            if self.values[l] != -self.values[(-l) % n]:
-                raise ValueError(f"table is not odd at l={l}")
-        if sum(self.values) != 0:
-            raise ValueError("table must have mean zero")
+        if any(v[:1]) or v[1:] != tuple(map(operator.neg, v[:0:-1])):
+            l = next(l for l in range(n) if v[l] != -v[(-l) % n])
+            raise ValueError(f"table is not odd at l={l}")
 
     def __call__(self, l: int) -> int:
         return self.values[l % self.period]
@@ -121,13 +122,17 @@ def psi_combo(P: int, terms: dict[int, int]) -> PeriodicFunction:
     return out
 
 
+# Eichler limits take denominators c < 2^31, below which the int64 table
+# index of eichler_limit_complex (products below c^2) cannot overflow.
+DENOMINATOR_BOUND = 2 ** 31
+
+
 def _lowest_terms(alpha: Fraction) -> tuple[int, int]:
-    """(a, c) of alpha = a/c in lowest terms; ValueError for c >= 2^31,
-    past which the int64 table index of eichler_limit_complex (a sum of
-    two products below c^2) could overflow."""
+    """(a, c) of alpha = a/c in lowest terms; ValueError for c at or past
+    DENOMINATOR_BOUND."""
     alpha = Fraction(alpha)
     a, c = alpha.numerator, alpha.denominator
-    if c >= 2 ** 31:
+    if c >= DENOMINATOR_BOUND:
         raise ValueError(f"Eichler limit at denominator {c} is past the int64 "
                          f"bound c < 2^31")
     return a, c
@@ -154,7 +159,17 @@ def eichler_limit(f: PeriodicFunction, P: int, alpha: Fraction) -> CycloNumber:
     return CycloNumber.from_int_dict(D, acc, 2 * Pc)
 
 
-def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction) -> complex:
+def _buffer(buffers: dict, make, name: str, size: int, dtype) -> np.ndarray:
+    """buffers[name] sliced to size, remade by make(size, dtype=dtype) when
+    it is missing or shorter."""
+    buf = buffers.get(name)
+    if buf is None or buf.size < size:
+        buf = buffers[name] = make(size, dtype=dtype)
+    return buf[:size]
+
+
+def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction,
+                          buffers: dict | None = None) -> complex:
     """Float value of eichler_limit, by completing the square.
 
     The rows l = j + 2Pm, m < c, of j and 2P - j are equal, so the limit is
@@ -163,17 +178,29 @@ def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction) -> compl
     mod c, so with u = m + t the phase is e(a (j - 2Pt)^2/4Pc) H_rho(u),
     H_rho(u) = e(a (P u^2 + rho u)/c): each row reads the table of its
     class rho against the weight Pc - j - 2P ((u - t) mod c), a slice of
-    the doubled ramp Pc - 2Pm."""
+    the doubled ramp Pc - 2Pm.
+
+    Every length-c array is kept in buffers, if given, for later calls
+    with the same dict and no larger c to reuse: a scan passes one dict to
+    all its calls, largest c first, and so does not fault in fresh pages
+    on each.  One dict serves one thread at a time."""
     a, c = _lowest_terms(alpha)
+    buffers = {} if buffers is None else buffers
     import numpy as np
     g, D, n = math.gcd(2 * P, c), 4 * P * c, math.isqrt(c // 2) + 1
     # e(k/c) for k <= c/2 as e(n q/c) e(i/c), 2n exps in place of c/2; the
     # upper half is the conjugate of the lower
-    half = (np.exp(2j * np.pi / c * n * np.arange(n))[:, None]
-            * np.exp(2j * np.pi / c * np.arange(n))).ravel()[:c // 2 + 1]
-    unit = np.concatenate((half, half[(c + 1) // 2 - 1:0:-1].conj()))
-    u = np.arange(c, dtype=np.int64)
-    u2, ramp = u * u % c, np.tile(P * c - 2.0 * P * u, 2)
+    unit = _buffer(buffers, np.empty, "unit", max(c, n * n), np.complex128)
+    np.multiply(np.exp(2j * np.pi / c * n * np.arange(n))[:, None],
+                np.exp(2j * np.pi / c * np.arange(n)), out=unit[:n * n].reshape(n, n))
+    unit = unit[:c]
+    np.conjugate(unit[(c + 1) // 2 - 1:0:-1], out=unit[c // 2 + 1:])
+    u = _buffer(buffers, np.arange, "u", c, np.int64)
+    idx = _buffer(buffers, np.empty, "idx", c, np.int64)
+    ramp = _buffer(buffers, np.empty, "ramp", 2 * c, np.float64)
+    prod = _buffer(buffers, np.empty, "prod", c, np.complex128)
+    np.subtract(P * c, np.multiply(2.0 * P, u, out=ramp[:c]), out=ramp[:c])
+    ramp[c:] = ramp[:c]
     inv = pow(2 * P // g, -1, c // g)
     tables: dict[int, tuple] = {}
     total = 0j
@@ -181,13 +208,18 @@ def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction) -> compl
         if f(j):
             rho = j % g
             if rho not in tables:
-                h = unit[(a * P % c * u2 + a * rho % c * u) % c]
+                # a P u^2 + a rho u mod c as ((aP u + a rho) mod c) u mod c
+                np.multiply(u, a * P % c, out=idx)
+                np.add(idx, a * rho % c, out=idx)
+                np.multiply(np.remainder(idx, c, out=idx), u, out=idx)
+                h = _buffer(buffers, np.empty, f"h{len(tables)}", c, np.complex128)
+                unit.take(np.remainder(idx, c, out=idx), out=h, mode="clip")
                 tables[rho] = h, h.sum()
             h, h0 = tables[rho]
             t = (j - rho) // g * inv % (c // g)
             k = a * (j - 2 * P * t) ** 2 % D   # read in (-1/2, 1/2]: half the angle error
             total += f(j) * cmath.exp(2j * math.pi * ((k - D if 2 * k > D else k) / D)) \
-                * (np.sum(h * ramp[c - t:2 * c - t]) - j * h0)
+                * (np.sum(np.multiply(h, ramp[c - t:2 * c - t], out=prod)) - j * h0)
     return complex(total) / (P * c)
 
 

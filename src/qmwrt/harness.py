@@ -15,7 +15,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .cyclotomic import CycloNumber, root_power, xi_power, xi_tilde_power
 from .false_theta import (
@@ -614,13 +614,15 @@ def residual_scan(selector: str | Manifold, s: int, r_list: list[int], K: int):
         raise ValueError("residual scan is implemented for Brieskorn spheres")
     check_companion_s(s, r_list)
     row = _model(m)
-    rows = []
-    for r in r_list:
+    # one set of buffers for every r, sized by the largest r, which runs first
+    limit = partial(eichler_limit_complex, buffers={})
+    residual = {}
+    for r in sorted(set(r_list), reverse=True):
         ctx = RootContext(r, s)
-        w_num = _sector0(row, Fraction(ctx.s, ctx.r), _numeric_power(ctx),
-                         eichler_limit_complex)
+        w_num = _sector0(row, Fraction(ctx.s, ctx.r), _numeric_power(ctx), limit)
         total = sum(t.numeric(ctx) for t in _brieskorn_saddles(m.params, ctx, K))
-        rows.append((r, abs(w_num - total)))
+        residual[r] = abs(w_num - total)
+    rows = [(r, residual[r]) for r in r_list]
     if len(rows) < 2:
         return rows, float("nan")
     import numpy as np

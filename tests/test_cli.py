@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qmwrt import cli, wrt
+from qmwrt import cli, false_theta, harness, wrt
 from qmwrt.cli import UsageError, main, parse_args
 from qmwrt.cyclotomic import CycloNumber
 from qmwrt.number_theory import RootContext
@@ -302,6 +303,51 @@ def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
     code, _out, err = invoke(capsys, args)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "38001:2147521649:2147483648", "--s", "1"],
+    ["verify", "modularity", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "38001:2147521649:2147483648", "--s", "1"],
+    ["verify", "identity", "--manifold", "brieskorn:2,3,7", "--r", "2147483649"],
+    # r < 2^31, but s' = 4r - 3 of the limits at -r/s' is not
+    ["sweep", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "536870917:536870917:2", "--s", "2147483665"],
+    ["verify", "geometric", "--manifold", "brieskorn:2,3,7",
+     "--r", "536870917", "--s", "-3"],
+    ["falsetheta", "--p", "2,3,7", "--a", "1,1,1", "--r", "2147483649"],
+    ["falsetheta", "--p", "2,3,7", "--a", "1,1,1", "--r", "7",
+     "--s", "-2147483649", "--tilde"],
+])
+def test_denominators_past_the_bound_rejected_before_computing(capsys, monkeypatch,
+                                                               args):
+    def no_limits(*_args):
+        raise AssertionError("computation ran on rejected input")
+    for module, name in ((harness, "residual_scan"), (false_theta, "eichler_limit"),
+                         (false_theta, "eichler_limit_complex")):
+        monkeypatch.setattr(module, name, no_limits)
+    code, out, err = invoke(capsys, args)
+    assert (code, out) == (2, "")
+    assert "2^31" in err
+
+
+def test_sweep_on_two_threads_prints_the_same_bytes(capsys):
+    # c = 3001, 4001 are prime to 2P = 84; 1001, 2001, 5001, 8001 share 3 or 7
+    # with it, so the rows read one or several residue-class tables
+    argv = ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "1001:9001:1000",
+            "--s", "1", "--order", "2", "--json", "--jobs"]
+    assert invoke(capsys, argv + ["2"]) == invoke(capsys, argv + ["1"])
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["gauss", "--s", "1", "--r", "5", "--json"]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "qmwrt", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    code, out, _err = invoke(capsys, argv)
+    assert code == 0 and (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_four_fiber_homology_sphere_is_valid(capsys):

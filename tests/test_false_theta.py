@@ -245,6 +245,21 @@ def test_completed_square_matches_the_exact_limit():
     assert shared > 10
 
 
+def test_reused_buffers_give_the_values_of_fresh_ones():
+    # one dict through growing c, then smaller c that read the leftovers of
+    # a c = 38,803 call; no dict means fresh arrays.
+    # 2P = 84: c = 1, 2, 6, even c, and odd c sharing 3 or 7 with 84; the psi
+    # rows j = 1, 5, 12, 20 fall in 4 classes mod 6 and mod 21
+    fs = [phi_basis((2, 3, 7), (1, 1, 1)), psi_combo(42, {1: 1, 5: -2, 12: 3, 20: 1})]
+    buffers: dict = {}
+    for c in (1, 2, 6, 10, 21, 30, 1001, 38803, 1, 2, 6, 10, 21, 1001, 4, 3):
+        for alpha in (Fraction(1, c), Fraction(-5, c) if c % 5 else Fraction(-1, c)):
+            for f in fs:
+                assert eichler_limit_complex(f, 42, alpha, buffers) \
+                    == eichler_limit_complex(f, 42, alpha), (c, alpha)
+    assert buffers["ramp"].size == 2 * 38803
+
+
 def test_completed_square_accuracy_at_a_large_denominator():
     mpmath = pytest.importorskip("mpmath")
     p, alpha = (2, 3, 7), Fraction(1, 10395)   # gcd(2P, c) = 21

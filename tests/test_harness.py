@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qmwrt.cyclotomic import CycloNumber, xi_power
-from qmwrt.false_theta import s_transform_residual
+from qmwrt.false_theta import eichler_limit_complex, phi_basis, s_transform_residual
 from qmwrt.harness import (
     appendix_b_checks,
     brieskorn_identity,
@@ -223,6 +224,21 @@ def test_residual_scan_slopes():
                               list(range(101, 502, 100)), 3)
     # increasing the order by one steepens the fit by about one
     assert abs((slope3 - slope2) + 1) < 0.6
+
+
+def test_no_buffer_outlives_its_scan():
+    # a scan's float-limit buffers are freed when it returns, and a limit
+    # called alone keeps none: what stays allocated after a scan at
+    # r = 38,801 and a limit at c = 38,803 is far below one length-c array
+    residual_scan("brieskorn:2,3,7", 1, [101, 201], 2)    # fill the caches
+    tracemalloc.start()
+    try:
+        residual_scan("brieskorn:2,3,7", 1, [20001, 38801], 2)
+        eichler_limit_complex(phi_basis((2, 3, 7), (1, 1, 1)), 42, Fraction(1, 38803))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 38801
 
 
 def test_appendix_b_lemmas():
