@@ -25,8 +25,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .cyclotomic import CycloNumber
-from .number_theory import RootContext, bernoulli_poly
-from .seifert import rotation_triples
+from .number_theory import RootContext, bernoulli_number
+from .seifert import rotation_order, rotation_triples
 
 if TYPE_CHECKING:
     import numpy as np
@@ -144,11 +144,15 @@ def eichler_limit(f: PeriodicFunction, P: int, alpha: Fraction) -> CycloNumber:
 
         (1/2) sum_{l=0}^{2Pc} f(l) e^(2 pi i alpha l^2 / 4P) (1 - l/(Pc)),
 
-    as a cyclotomic number of conductor 4Pc.  The terms l and 2Pc - l are
-    equal (f is odd and (2Pc - l)^2 = l^2 mod 4Pc), so the walk keeps
-    0 < l < Pc, l = j mod 2P over the support residues j of f, with
-    weight 2 f(j) (Pc - l)."""
+    as a cyclotomic number of conductor 4Pc: _walk(f, P, a, c) over 2Pc."""
     a, c = _lowest_terms(alpha)
+    return CycloNumber.from_int_dict(4 * P * c, _walk(f, P, a, c), 2 * P * c)
+
+
+def _walk(f: PeriodicFunction, P: int, a: int, c: int) -> dict[int, int]:
+    """{k: w} with 2Pc F_f(a/c) = sum_k w e(k/4Pc).  The terms l and 2Pc - l
+    are equal (f odd, (2Pc - l)^2 = l^2 mod 4Pc), so the walk keeps 0 < l < Pc,
+    l = j mod 2P for j in f's support: k = a l^2 mod 4Pc, w = 2 f(j) (Pc - l)."""
     D, Pc = 4 * P * c, P * c
     acc: dict[int, int] = {}
     for j in f.support():
@@ -156,7 +160,7 @@ def eichler_limit(f: PeriodicFunction, P: int, alpha: Fraction) -> CycloNumber:
         for l in range(j, Pc, 2 * P):
             k = a * l * l % D
             acc[k] = acc.get(k, 0) + w * (Pc - l)
-    return CycloNumber.from_int_dict(D, acc, 2 * Pc)
+    return acc
 
 
 def _buffer(buffers: dict, make, name: str, size: int, dtype) -> np.ndarray:
@@ -166,6 +170,16 @@ def _buffer(buffers: dict, make, name: str, size: int, dtype) -> np.ndarray:
     if buf is None or buf.size < size:
         buf = buffers[name] = make(size, dtype=dtype)
     return buf[:size]
+
+
+def _class_index(u, aP: int, arho: int, c: int, x, q) -> np.ndarray:
+    """(aP u^2 + arho u) mod c into x as ((aP u + arho) mod c) u mod c, every
+    int64 below c^2; each mod is x - (x // c) c, with the quotient in q."""
+    import numpy as np
+    np.add(np.multiply(u, aP % c, out=x), arho % c, out=x)
+    np.subtract(x, np.multiply(np.floor_divide(x, c, out=q), c, out=q), out=x)
+    np.multiply(x, u, out=x)
+    return np.subtract(x, np.multiply(np.floor_divide(x, c, out=q), c, out=q), out=x)
 
 
 def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction,
@@ -208,12 +222,10 @@ def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction,
         if f(j):
             rho = j % g
             if rho not in tables:
-                # a P u^2 + a rho u mod c as ((aP u + a rho) mod c) u mod c
-                np.multiply(u, a * P % c, out=idx)
-                np.add(idx, a * rho % c, out=idx)
-                np.multiply(np.remainder(idx, c, out=idx), u, out=idx)
+                # prod is free until a row is summed: it holds the quotients
+                _class_index(u, a * P, a * rho, c, idx, prod.view(np.int64)[:c])
                 h = _buffer(buffers, np.empty, f"h{len(tables)}", c, np.complex128)
-                unit.take(np.remainder(idx, c, out=idx), out=h, mode="clip")
+                unit.take(idx, out=h, mode="clip")
                 tables[rho] = h, h.sum()
             h, h0 = tables[rho]
             t = (j - rho) // g * inv % (c // g)
@@ -238,29 +250,22 @@ def s_matrix_phi(p: tuple[int, int, int]) -> np.ndarray:
     relabeled fiber order the rotation numbers use), read-only:
 
         S^a_b = -(8/sqrt(2P)) (-1)^E prod_j sin(pi P a_j b_j / p_j^2),
-        E = P(1 + sum (a_j+b_j)/p_j) + P sum_{j != k} a_j b_k/(p_j p_k).
-    """
+        E = P(1 + sum (a_j+b_j)/p_j) + P sum_{j != k} a_j b_k/(p_j p_k),
+
+    summed on integers, as p_j and p_j p_k divide P."""
     import numpy as np
-    from .seifert import rotation_order
 
     p = rotation_order(tuple(p))
-    labels = rotation_triples(p)
-    P = math.prod(p)
-    dim = len(labels)
-    out = np.zeros((dim, dim))
+    labels, P = rotation_triples(p), math.prod(p)
+    out = np.zeros((len(labels), len(labels)))
     for i, a in enumerate(labels):
         for j, b in enumerate(labels):
-            e = Fraction(P) * (1 + sum(Fraction(x + y, q) for x, y, q in zip(a, b, p)))
-            for j1 in range(3):
-                for j2 in range(3):
-                    if j1 != j2:
-                        e += Fraction(P * a[j1] * b[j2], p[j1] * p[j2])
-            assert e.denominator == 1, "sign exponent must be an integer"
-            sign = -1 if int(e) % 2 else 1
-            prod = 1.0
-            for x, y, q in zip(a, b, p):
-                prod *= math.sin(math.pi * P * x * y / q / q)
-            out[i, j] = -8 / math.sqrt(2 * P) * sign * prod
+            e = P + sum((x + y) * P // q for x, y, q in zip(a, b, p)) + sum(
+                a[m] * b[n] * P // (p[m] * p[n])
+                for m in range(3) for n in range(3) if m != n)
+            sign = -1 if e % 2 else 1
+            sines = (math.sin(math.pi * P * x * y / q / q) for x, y, q in zip(a, b, p))
+            out[i, j] = -8 / math.sqrt(2 * P) * sign * math.prod(sines)
     out.setflags(write=False)
     return out
 
@@ -278,16 +283,18 @@ def s_matrix_psi(P: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def l_value(f: PeriodicFunction, P: int, k: int) -> Fraction:
     """L(-2k, f) = -(2P)^(2k)/(2k+1) sum_{l=1}^{2P} f(l) B_{2k+1}(l/2P),
-    the analytically continued L-value, as an exact rational."""
+    the analytically continued L-value, as an exact rational: with
+    n = 2k+1, d (2P)^n times the sum is the integer sum_j d C(n, j) B_j
+    (2P)^j sum_l f(l) l^(n-j), d the common denominator of the C(n, j) B_j."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    twoP = 2 * P
-    acc = Fraction(0)
-    for l in range(1, twoP + 1):
-        v = f(l)
-        if v:
-            acc += v * bernoulli_poly(2 * k + 1, Fraction(l, twoP))
-    return -Fraction(twoP ** (2 * k), 2 * k + 1) * acc
+    n, N = 2 * k + 1, 2 * P
+    coef = [math.comb(n, j) * bernoulli_number(j) for j in range(n + 1)]
+    d = math.lcm(*(x.denominator for x in coef))
+    num = sum(x.numerator * d // x.denominator * N ** j
+              * sum(f(l) * l ** (n - j) for l in f.support())
+              for j, x in enumerate(coef))
+    return Fraction(-num, d * n * N)
 
 
 @dataclass(frozen=True)
@@ -326,25 +333,40 @@ def trivial_series(f: PeriodicFunction, P: int, K: int, ctx: RootContext) -> com
     return series.evaluate(ctx, K)
 
 
+@lru_cache(maxsize=None)
+def _s_transform_data(p: tuple, a: tuple, c: int, K: int) -> tuple:
+    """(f_a, P, its series through K, k, W) at p in rotation order and c = |s|:
+    sum_b S^a_b F_b(x/c) = sum_k W_k e(x k/4Pc)/2Pc for x prime to c, with
+    W_k = sum_b S^a_b w_b(k) (a float), w_b the exact terms of _walk(f_b, P, 1, c)."""
+    import numpy as np
+    P, labels, f = math.prod(p), rotation_triples(p), phi_basis(p, a)
+    terms: dict[int, list[float]] = {}
+    for b, sb in zip(labels, s_matrix_phi(p)[labels.index(a)]):
+        for k, w in _walk(phi_basis(p, b), P, 1, c).items():
+            terms.setdefault(k, []).append(float(sb) * w)
+    series = AsymptoticSeries(0, 2 * P, tuple(l_value(f, P, k) for k in range(K + 1)))
+    return f, P, series, tuple(terms), np.array([math.fsum(v) for v in terms.values()])
+
+
 def s_transform_residual(p: tuple[int, int, int], a: tuple[int, int, int],
-                         ctx: RootContext, K: int) -> complex:
+                         ctx: RootContext, K: int, buffers=None) -> complex:
     """Defect of the quantum modular S-transformation at order K:
 
         F_a(s/r) + sqrt(r/(i s)) sum_b S^a_b F_b(-r/s) - [series through K],
 
-    where F are the Eichler limits of the triple basis.  Expected to decay
-    like (s/r)^(K+1) as r grows."""
-    labels = rotation_triples(tuple(p))
-    idx = labels.index(tuple(a))
-    P = math.prod(p)
-    f = phi_basis(p, tuple(a))
-    direct = eichler_limit_complex(f, P, Fraction(ctx.s, ctx.r))
-    smat = s_matrix_phi(p)
-    back = sum(smat[idx, j] * eichler_limit_complex(phi_basis(p, b), P,
-                                                    Fraction(-ctx.r, ctx.s))
-               for j, b in enumerate(labels))
-    prefac = cmath.sqrt(ctx.r / (1j * ctx.s))
-    return direct + prefac * back - trivial_series(f, P, K, ctx)
+    where F are the Eichler limits of the triple basis, labels, tables and
+    S-row read in rotation_order(p).  Expected to decay like (s/r)^(K+1).
+    Past the r-free _s_transform_data, an r costs one eichler_limit_complex
+    (with buffers, as there) and a dot with e(-r k/4P|s|), -r k mod 4P|s|
+    read in [-1/2, 1/2) turns on integers."""
+    import numpy as np
+    x, c = _lowest_terms(Fraction(-ctx.r, ctx.s))
+    f, P, series, keys, w = _s_transform_data(rotation_order(tuple(p)), tuple(a), c, K)
+    h = 2 * P * c
+    xk = np.array([(x * k + h) % (2 * h) - h for k in keys])
+    back = complex(np.dot(w, np.exp(1j * np.pi / h * xk))) / h
+    direct = eichler_limit_complex(f, P, Fraction(ctx.s, ctx.r), buffers)
+    return direct + cmath.sqrt(ctx.r / (1j * ctx.s)) * back - series.evaluate(ctx)
 
 
 def theta_truncated(f: PeriodicFunction, P: int, tau: complex, cutoff: int,

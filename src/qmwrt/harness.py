@@ -15,16 +15,16 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .cyclotomic import CycloNumber, root_power, xi_power, xi_tilde_power
 from .false_theta import (
     PeriodicFunction,
     eichler_limit,
-    eichler_limit_complex,
     phi_basis,
     psi_combo,
     s_matrix_phi,
+    s_transform_residual,
     trivial_series,
 )
 from .number_theory import RootContext, normalize_s
@@ -153,8 +153,7 @@ def _numeric_power(ctx: RootContext):
 def _sector0(row: Sector0, alpha: Fraction, pw: Callable,
              limit: Callable | None = None):
     """Sector 0 of row at alpha, with pw(y) = x^y.  limit(f, P, alpha) is
-    the exact Eichler limit unless given (its numeric twin, or the trivial
-    asymptotic series)."""
+    the exact Eichler limit unless given (the trivial asymptotic series)."""
     head = pw(-row.delta)
     value = head * (row.c * (limit or eichler_limit)(row.f, row.P, alpha))
     return value + head * pw(-row.cs) if row.spherical else value
@@ -271,10 +270,6 @@ class SaddleTerm:
         return phase.eval_complex() * self.p_value.eval_complex() * self.i_value
 
 
-def _sqrt_r_over_is(ctx: RootContext) -> complex:
-    return cmath.sqrt(ctx.r / (1j * ctx.s))
-
-
 def _p_star(ctx: RootContext, c: Fraction, lift: Fraction, P: int,
             f: PeriodicFunction) -> CycloNumber:
     """A saddle coefficient c xi~^lift F_f(-r/s) at the companion root."""
@@ -306,7 +301,7 @@ def _saddle_rows(p: tuple[int, int, int]) -> tuple[Sector0, tuple]:
 def _brieskorn_saddles(p: tuple[int, int, int], ctx: RootContext,
                        K: int) -> list[SaddleTerm]:
     row, rows = _saddle_rows(tuple(p))
-    pre, root = _numeric_power(ctx)(-row.delta), -_sqrt_r_over_is(ctx)
+    pre, root = _numeric_power(ctx)(-row.delta), -cmath.sqrt(ctx.r / (1j * ctx.s))
     return [_trivial_term(row, ctx, K)] + [
         SaddleTerm(f"nonabelian{a}", lift, _p_star(ctx, row.c, lift, row.P, f),
                    root * sa * pre, -1) for a, lift, f, sa in rows]
@@ -360,7 +355,7 @@ def _sector0_saddles(m: Manifold, ctx: RootContext, K: int) -> list[SaddleTerm]:
     for lift, f, g in _psi_classes(row):
         p_val = _p_star(ctx, row.c, lift, row.P, f)
         big_m = g.eval_complex().imag / math.sqrt(2 * row.P)
-        i_val = -(1 / row.H) * _sqrt_r_over_is(ctx) * pre * big_m
+        i_val = -(1 / row.H) * cmath.sqrt(ctx.r / (1j * ctx.s)) * pre * big_m
         name = "geometric" if lift == row.cs else f"cs={lift}"
         terms.append(SaddleTerm(name, lift, p_val, i_val, -1))
     return terms
@@ -607,21 +602,17 @@ def geometric_relation(selector: str | Manifold,
 
 
 def residual_scan(selector: str | Manifold, s: int, r_list: list[int], K: int):
-    """|W(xi) - saddle terms(K)| over r in r_list, with the fitted log-log
-    slope.  Expected slope: -(K+1)."""
+    """|W(xi) - saddle terms(K)| = |c| |s_transform_residual(p, (1, 1, 1),
+    ctx, K)| over r in r_list, largest r first on one dict of buffers, with
+    the fitted log-log slope.  Expected slope: -(K+1)."""
     m = parse(selector)
     if "modularity" not in family(m).suites:
         raise ValueError("residual scan is implemented for Brieskorn spheres")
     check_companion_s(s, r_list)
-    row = _model(m)
-    # one set of buffers for every r, sized by the largest r, which runs first
-    limit = partial(eichler_limit_complex, buffers={})
-    residual = {}
-    for r in sorted(set(r_list), reverse=True):
-        ctx = RootContext(r, s)
-        w_num = _sector0(row, Fraction(ctx.s, ctx.r), _numeric_power(ctx), limit)
-        total = sum(t.numeric(ctx) for t in _brieskorn_saddles(m.params, ctx, K))
-        residual[r] = abs(w_num - total)
+    c, buffers = float(abs(_model(m).c)), {}
+    residual = {r: c * abs(s_transform_residual(m.params, (1, 1, 1),
+                                                RootContext(r, s), K, buffers))
+                for r in sorted(set(r_list), reverse=True)}
     rows = [(r, residual[r]) for r in r_list]
     if len(rows) < 2:
         return rows, float("nan")

@@ -332,6 +332,31 @@ def test_denominators_past_the_bound_rejected_before_computing(capsys, monkeypat
     assert "2^31" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["falsetheta", "--p", "2,3,7", "--a", "1,1,1", "--r", "7",
+     "--s", "-2147483647", "--tilde"],
+    ["falsetheta", "--p", "2,3,7", "--a", "1,1,1", "--r", "1000001"],
+    ["falsetheta", "--basis", "psi", "--p", "6", "--a", "1", "--r", "4000001"],
+])
+def test_exact_walk_past_the_bound_rejected_before_computing(capsys, monkeypatch,
+                                                             args):
+    def no_limits(*_args):
+        raise AssertionError("computation ran on rejected input")
+    for name in ("eichler_limit", "eichler_limit_complex"):
+        monkeypatch.setattr(false_theta, name, no_limits)
+    code, out, err = invoke(capsys, args)
+    assert (code, out) == (2, "")
+    assert f"past the bound {cli.EXACT_WALK_BOUND}" in err
+
+
+def test_exact_walk_at_the_bound_accepted():
+    # phi walks about 4c terms, psi about c
+    for argv in (["--p", "2,3,7", "--a", "1,1,1", "--r", "7", "--s", "-1000000",
+                  "--tilde"],
+                 ["--basis", "psi", "--p", "6", "--a", "1", "--r", "3999999"]):
+        assert parse_args(["falsetheta", *argv]).command == "falsetheta"
+
+
 def test_sweep_on_two_threads_prints_the_same_bytes(capsys):
     # c = 3001, 4001 are prime to 2P = 84; 1001, 2001, 5001, 8001 share 3 or 7
     # with it, so the rows read one or several residue-class tables

@@ -23,7 +23,7 @@ from qmwrt.false_theta import (
     trivial_series,
     PeriodicFunction,
 )
-from qmwrt.number_theory import RootContext
+from qmwrt.number_theory import RootContext, bernoulli_poly
 from qmwrt.seifert import rotation_triples
 
 
@@ -280,6 +280,42 @@ def test_l_value_examples():
     f = phi_basis((2, 3, 7), (1, 1, 1))
     vals = [l_value(f, 42, k) for k in range(4)]
     assert all(isinstance(v, Fraction) for v in vals)
+
+
+def test_l_value_on_integers_equals_the_bernoulli_sum():
+    # the defining sum, one Fraction per term l
+    def by_terms(f, P, k):
+        acc = sum((f(l) * bernoulli_poly(2 * k + 1, Fraction(l, 2 * P))
+                   for l in range(1, 2 * P + 1)), Fraction(0))
+        return -Fraction((2 * P) ** (2 * k), 2 * k + 1) * acc
+
+    rng = random.Random(17)
+    tables = [(phi_basis(p, a), math.prod(p)) for p, a in (
+        ((2, 3, 5), (1, 1, 1)), ((2, 3, 7), (1, 1, 3)), ((2, 5, 7), (1, 2, 3)),
+        ((3, 4, 5), (1, 1, 2)))]
+    for _ in range(6):
+        P = rng.randint(2, 40)
+        labels = rng.sample(range(1, P), min(3, P - 1))
+        tables.append((psi_combo(P, {b: rng.randint(-3, 3) for b in labels}), P))
+    for f, P in tables:
+        for k in range(7):
+            assert l_value(f, P, k) == by_terms(f, P, k), (P, k)
+
+
+def test_class_index_at_the_int64_edge():
+    # the floor-divide index against Python's %, at the largest c and |a| the
+    # limits take, on four u only (no length-c array is made); rho runs past
+    # every class that occurs, up to c - 1
+    from qmwrt.false_theta import _class_index
+
+    c = 2 ** 31 - 1
+    u = np.array([0, 1, c // 2, c - 1], dtype=np.int64)
+    for a in (2 ** 31 - 2, -(2 ** 31 - 2)):
+        for P, rho in ((42, 0), (42, 83), (30030, 60059), (30030, c - 1)):
+            x, q = np.empty_like(u), np.empty_like(u)
+            _class_index(u, a * P, a * rho, c, x, q)
+            assert x.tolist() == [(a * P * v * v + a * rho * v) % c
+                                  for v in u.tolist()], (a, P, rho)
 
 
 def test_t_phase_examples():

@@ -195,6 +195,59 @@ def test_residual_scan_matches_s_transform_residual():
         assert abs(rows[0][1] - direct) < 1e-9
 
 
+@pytest.mark.parametrize("p", [(3, 4, 5), (3, 2, 7)])
+def test_s_transform_residual_takes_any_fiber_order(p):
+    # labels, tables and S-row are all read in rotation order, so every label
+    # of rotation_triples(p) is accepted, and p gives the values of its
+    # rotation order
+    from qmwrt.seifert import rotation_order, rotation_triples
+
+    sel = "brieskorn:" + ",".join(map(str, p))
+    for r in (101, 1001):
+        ctx = RootContext(r, 1)
+        defect = s_transform_residual(p, (1, 1, 1), ctx, 2)
+        assert residual_scan(sel, 1, [r], 2)[0] == [(r, 0.5 * abs(defect))]
+        for a in rotation_triples(p):
+            assert s_transform_residual(p, a, ctx, 2) \
+                == s_transform_residual(rotation_order(p), a, ctx, 2), a
+
+
+@pytest.mark.parametrize("p", [(2, 3, 5), (2, 3, 7), (2, 5, 7), (3, 4, 5)])
+def test_float_defect_matches_the_exact_saddle_terms(p):
+    # the scan against W(xi) - sum of the saddle_expansion terms, whose P_a
+    # are exact; W(xi) is sector 0 with the exact Eichler limit, which the
+    # false-theta identity ties to the closed form
+    from qmwrt.harness import _model, _sector0
+    from qmwrt.seifert import parse
+
+    sel = "brieskorn:" + ",".join(map(str, p))
+    row = _model(parse(sel))
+    for s in (1, 5):
+        for r in (101, 1001, 5001):
+            ctx = RootContext(r, s)
+            w = _sector0(row, Fraction(s, r), lambda x: xi_power(ctx, x)).eval_complex()
+            terms = sum(t.numeric(ctx) for t in saddle_expansion(sel, ctx, 2))
+            [(_, res)], _ = residual_scan(sel, s, [r], 2)
+            assert abs(res - abs(w - terms)) <= 1e-12, (s, r)
+
+
+def test_scan_forms_no_exact_value(monkeypatch):
+    # past its r-free caches, a scan makes one float limit and a dot per r:
+    # no exact Eichler limit, product or evaluation
+    from qmwrt import false_theta, harness
+
+    residual_scan("brieskorn:2,3,7", 1, [101], 2)   # fill the r-free caches
+    expected = residual_scan("brieskorn:2,3,7", 1, [1001], 2)[0]
+
+    def exact(*_args):
+        raise AssertionError("the scan formed an exact value")
+    for obj, name in ((false_theta, "eichler_limit"), (harness, "eichler_limit"),
+                      (CycloNumber, "__mul__"), (CycloNumber, "__rmul__"),
+                      (CycloNumber, "eval_complex")):
+        monkeypatch.setattr(obj, name, exact)
+    assert residual_scan("brieskorn:2,3,7", 1, [1001], 2)[0] == expected
+
+
 def test_saddle_expansion_relabeled_fiber_order():
     # the even fiber order sits in the middle here; rotation numbers and
     # S-matrix rows must agree on the relabeled order
