@@ -16,8 +16,8 @@ seifert:b;p1/q1,...; ex:2-3-3; ex:neg-2-3-9; ex:family:p (the ex: prefix
 is optional).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (rejected
-before any computation where the manifold or suite is at fault), 3 an
-internal arithmetic error.
+before any computation where the manifold, suite, r or --out is at fault)
+or an --out that cannot be written, 3 an internal arithmetic error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,8 +77,9 @@ def _parse_range(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise ValueError("range must be start:stop:step")
     start, stop, step = (int(x) for x in parts)
-    if start % 2 == 0 or step % 2:
-        raise ValueError("r-range must start odd with even step (r stays odd)")
+    if start < 3 or start % 2 == 0 or step % 2:
+        raise ValueError("r-range must start odd and at 3 or more (r = 1 has no "
+                         "invariant), with even step (r stays odd)")
     if step <= 0:
         raise ValueError("r-range step must be positive")
     return start, stop, step
@@ -169,6 +171,9 @@ def parse_args(argv: list[str]) -> JobSpec:
     job.output = "json" if getattr(ns, "json", False) else (
         "csv" if ns.command == "sweep" and not getattr(ns, "json", False) else "text")
     job.out_path = getattr(ns, "out", None)
+    if job.out_path and (os.path.isdir(job.out_path)
+                         or not os.path.isdir(os.path.dirname(job.out_path) or ".")):
+        raise UsageError(f"--out {job.out_path} is a directory or its parent is not")
     job.exact = getattr(ns, "exact", False)
     job.s = getattr(ns, "s", 1)
     job.manifold = getattr(ns, "manifold", None)
@@ -187,8 +192,9 @@ def parse_args(argv: list[str]) -> JobSpec:
             raise UsageError("r must be positive")
         return job
     if r is not None:
-        if r < 1 or r % 2 == 0:
-            raise UsageError("r must be odd and positive")
+        low = 1 if ns.command == "falsetheta" else 3   # r = 1, xi = 1: no invariant
+        if r < low or r % 2 == 0:
+            raise UsageError(f"r must be odd and at least {low}")
         job.r = r
     if job.order < 0:
         raise UsageError(f"--order must be >= 0, got {job.order}")
@@ -570,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:   # OSError: the output was not written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ArithmeticError as exc:

@@ -43,7 +43,6 @@ __all__ = [
     "s_matrix_phi",
     "s_matrix_psi",
     "l_value",
-    "AsymptoticSeries",
     "trivial_series",
     "s_transform_residual",
     "theta_truncated",
@@ -297,45 +296,25 @@ def l_value(f: PeriodicFunction, P: int, k: int) -> Fraction:
     return Fraction(-num, d * n * N)
 
 
-@dataclass(frozen=True)
-class AsymptoticSeries:
-    """Truncated asymptotic series sum_k c_k / k! (pi i s / (2 P r))^k with
-    exact rational coefficients c_k = L(-2k, f), plus the growth exponent
-    delta recorded as I(s/r) in (s/r)^(delta/2) C[[s/r]]."""
-
-    delta: int
-    two_p: int
-    coefficients: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def evaluate(self, ctx: RootContext, K: int | None = None) -> complex:
-        if K is None:
-            K = self.order
-        if K > self.order:
-            raise ValueError(f"series stored to order {self.order}, asked {K}")
-        x = 1j * math.pi * ctx.s / (self.two_p * ctx.r)
-        total = 0j
-        term = 1 + 0j
-        for k in range(K + 1):
-            if k:
-                term *= x / k
-            total += complex(self.coefficients[k]) * term
-        return total
+def _series(coefficients: tuple[Fraction, ...], P: int, ctx: RootContext) -> complex:
+    """sum_k c_k/k! (pi i s/(2Pr))^k over the given c_k = L(-2k, f)."""
+    x = 1j * math.pi * ctx.s / (2 * P * ctx.r)
+    total, term = 0j, 1 + 0j
+    for k, c in enumerate(coefficients):
+        if k:
+            term *= x / k
+        total += complex(c) * term
+    return total
 
 
 def trivial_series(f: PeriodicFunction, P: int, K: int, ctx: RootContext) -> complex:
     """Value of the truncated series sum_{k<=K} L(-2k, f)/k! (pi i s/(2Pr))^k."""
-    series = AsymptoticSeries(0, 2 * P,
-                              tuple(l_value(f, P, k) for k in range(K + 1)))
-    return series.evaluate(ctx, K)
+    return _series(tuple(l_value(f, P, k) for k in range(K + 1)), P, ctx)
 
 
 @lru_cache(maxsize=None)
 def _s_transform_data(p: tuple, a: tuple, c: int, K: int) -> tuple:
-    """(f_a, P, its series through K, k, W) at p in rotation order and c = |s|:
+    """(f_a, P, L(-2k, f_a) for k <= K, k, W) at p in rotation order, c = |s|:
     sum_b S^a_b F_b(x/c) = sum_k W_k e(x k/4Pc)/2Pc for x prime to c, with
     W_k = sum_b S^a_b w_b(k) (a float), w_b the exact terms of _walk(f_b, P, 1, c)."""
     import numpy as np
@@ -344,7 +323,7 @@ def _s_transform_data(p: tuple, a: tuple, c: int, K: int) -> tuple:
     for b, sb in zip(labels, s_matrix_phi(p)[labels.index(a)]):
         for k, w in _walk(phi_basis(p, b), P, 1, c).items():
             terms.setdefault(k, []).append(float(sb) * w)
-    series = AsymptoticSeries(0, 2 * P, tuple(l_value(f, P, k) for k in range(K + 1)))
+    series = tuple(l_value(f, P, k) for k in range(K + 1))
     return f, P, series, tuple(terms), np.array([math.fsum(v) for v in terms.values()])
 
 
@@ -366,7 +345,7 @@ def s_transform_residual(p: tuple[int, int, int], a: tuple[int, int, int],
     xk = np.array([(x * k + h) % (2 * h) - h for k in keys])
     back = complex(np.dot(w, np.exp(1j * np.pi / h * xk))) / h
     direct = eichler_limit_complex(f, P, Fraction(ctx.s, ctx.r), buffers)
-    return direct + cmath.sqrt(ctx.r / (1j * ctx.s)) * back - series.evaluate(ctx)
+    return direct + cmath.sqrt(ctx.r / (1j * ctx.s)) * back - _series(series, P, ctx)
 
 
 def theta_truncated(f: PeriodicFunction, P: int, tau: complex, cutoff: int,

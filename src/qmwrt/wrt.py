@@ -39,7 +39,6 @@ from .seifert import SeifertData, invariants
 __all__ = [
     "WrtValue",
     "seifert_gauss_sum",
-    "seifert_hat_sum",
     "seifert_hat_over_2g",
     "wrt_seifert_closed",
     "tau_seifert_closed",
@@ -47,7 +46,6 @@ __all__ = [
     "sqrt_homology_order",
     "w_normalized",
     "quantum_integer",
-    "colored_jones_seifert_link",
     "f_surgery_normalization",
     "f_surgery_inverse",
     "wrt_brute_surgery",
@@ -123,23 +121,17 @@ def seifert_gauss_norm(P: int, ctx: RootContext) -> int:
     return 2 * P * ctx.r * math.gcd(ctx.s, P)
 
 
-def _positive_b0(d: SeifertData):
-    nd = d.normalized_b0()
-    inv = invariants(nd)
-    if inv.e <= 0:
-        raise ValueError("hat sum requires e > 0 data; reverse orientation first")
-    return nd, inv
-
-
 def _hat_groups(d: SeifertData, ctx: RootContext):
-    """The hat sum as (P, den, groups), hat = (1/den) sum R T over the groups
-    (R, (A, rho, N)): R a sparse integer sum of roots zeta = zeta_D, D = 4Pr,
-    and T = sum_{j<N} zeta^(A j^2 + rho j).
+    """The hat sum over n mod 2Pr, r not dividing n, of xi^(-Hn^2/4P)
+    prod_j (xi^(n/2p_j) - xi^(-n/2p_j)) / (xi^(n/2) - xi^(-n/2))^(m-2), for
+    b = 0, e > 0 data with m fibers, as (P, den, groups): hat = (1/den)
+    sum R T over the groups (R, (A, rho, N)), R a sparse integer sum of
+    roots zeta = zeta_D, D = 4Pr, and T = sum_{j<N} zeta^(A j^2 + rho j).
 
     Term n is zeta^(-sHn^2) times the 2^m signed shifts of
     prod_j (zeta^(c_j n) - zeta^(-c_j n)), c_j = 2Ps/p_j, times the (m-2)-th
-    power of 1/(zeta^a - zeta^-a), a = 2Psn, written as in the generic path
-    as (1/r) sum_{t=1}^{h-1} t g zeta^(a(1+2t)) with g = gcd(n, r), h = r/g.
+    power of 1/(zeta^a - zeta^-a), a = 2Psn, by the 1/(chi - 1) identity
+    (1/r) sum_{t=1}^{h-1} t g zeta^(a(1+2t)) with g = gcd(n, r), h = r/g.
     Since zeta^(2ah) = 1, that power is one integer series
     sum_e w_e zeta^(ae), e mod 2h, over r^(m-2) per class g; for m < 2 it is
     the binomial expansion of (zeta^a - zeta^-a)^(2-m).  A Moebius sum over
@@ -149,9 +141,11 @@ def _hat_groups(d: SeifertData, ctx: RootContext):
     b = k(delta + 2Pse).  Substituting j -> j + t multiplies it by
     zeta^(At^2 + bt) and moves b to b + 2At, which t makes the residue
     rho = b mod gcd(2A, D).  Both steps hold in Z[x]/(x^D - 1), so the
-    groups sum to the generic path's coefficients.
+    groups sum to the coefficients of the sum over n, term by term.
     """
-    nd, inv = _positive_b0(d)
+    inv = invariants(nd := d.normalized_b0())
+    if inv.e <= 0:
+        raise ValueError("hat sum requires e > 0 data; reverse orientation first")
     P, H, r, s, m = inv.P, inv.H, ctx.r, ctx.s, nd.m
     D = 4 * P * r
     cs = [2 * P * s // p for p, _ in nd.fibers]
@@ -186,56 +180,6 @@ def _hat_groups(d: SeifertData, ctx: RootContext):
                 acc[key] = acc.get(key, 0) + mu * w
     out = [(CycloNumber.from_int_dict(D, acc), q) for q, acc in groups.items()]
     return P, r ** max(m - 2, 0), [(R, q) for R, q in out if R.c]
-
-
-def seifert_hat_sum(d: SeifertData, ctx: RootContext,
-                    fast: bool = True) -> CycloNumber:
-    """The structured sum of the Seifert closed form, exact of conductor 4Pr:
-
-        sum_{n mod 2Pr, r does not divide n} xi^(-H n^2 / 4P)
-            prod_j (xi^(n/2p_j) - xi^(-n/2p_j)) / (xi^(n/2) - xi^(-n/2))^(m-2)
-
-    for data normalized to b = 0 with e > 0 and any number m of exceptional
-    fibers, summed over n in closed form: one product R T per group of
-    `_hat_groups`.  fast=False forces the generic term-by-term route in
-    cyclotomic arithmetic, the reference the tests compare against.
-    """
-    if fast:
-        P, den, groups = _hat_groups(d, ctx)
-        D = 4 * P * ctx.r
-        total = CycloNumber.zero(D)
-        for R, (A, rho, N) in groups:
-            total = total + R * quadratic_sum(D, A, rho, count=N)
-        return total * Fraction(1, den)
-
-    nd, inv = _positive_b0(d)
-    P, H, r, s, m = inv.P, inv.H, ctx.r, ctx.s, nd.m
-    D = 4 * P * r
-    # generic fiber count: cyclotomic arithmetic per term, with the
-    # denominator 1/(zeta^a - zeta^-a) = zeta^a (1/h) sum_t t zeta^(2at)
-    # cleared through the order h = r/gcd(n, r) of zeta^(2a)
-    total = CycloNumber.zero(D)
-    for n in range(2 * P * r):
-        if n % r == 0:
-            continue
-        term = root_power(D, (-s * H * n * n) % D)
-        for p, _ in nd.fibers:
-            c = 2 * P * s // p
-            term = term * (root_power(D, c * n) - root_power(D, -c * n))
-        if m != 2:
-            a = (2 * P * s * n) % D
-            if m > 2:
-                h = r // math.gcd(n, r)
-                inv_denom = root_power(D, a) \
-                    * _one_over_root_minus_one(D, 2 * a % D, h)
-                for _ in range(m - 2):
-                    term = term * inv_denom
-            else:
-                denom = root_power(D, a) - root_power(D, -a)
-                for _ in range(2 - m):
-                    term = term * denom
-        total = total + term
-    return total
 
 
 def seifert_hat_over_2g(d: SeifertData, ctx: RootContext) -> CycloNumber:
@@ -442,37 +386,6 @@ def surgery_linking_matrix(d: SeifertData) -> list[list[int]]:
         out[0][j] = out[j][0] = 1
         out[j][j] = p * q
     return out
-
-
-def colored_jones_seifert_link(d: SeifertData, colors: tuple[int, ...],
-                               ctx: RootContext) -> CycloNumber:
-    """Colored Jones value of the Seifert surgery link at q = xi:
-
-        q^(b(n0^2-1)/4) / [n0]^2 * prod_j q^(f_j (n_j^2-1)/4) [n0 n_j],
-
-    with framings f_j = p_j q_j (so q_j = +-1 is required) and colors
-    (n0, n1, ..., nm)."""
-    if d.m == 0:
-        raise ValueError("the Seifert link shape needs at least one fiber; "
-                         "a bare framed unknot is a lens space")
-    if len(colors) != d.m + 1:
-        raise ValueError("need one color per link component")
-    for p, q in d.fibers:
-        if q not in (1, -1):
-            raise ValueError("integer surgery needs q_j = +-1")
-    n0 = colors[0]
-    if n0 % ctx.r == 0:
-        raise ValueError("[n0] vanishes at this root; Jones value undefined")
-    D = 4 * ctx.r
-    s = ctx.s
-    val = root_power(D, s * d.b * (n0 * n0 - 1))
-    inv_q0 = _one_over_quantum_integer(n0, ctx)
-    val = val * inv_q0 * inv_q0
-    for (p, q), nj in zip(d.fibers, colors[1:]):
-        f = p * q
-        val = val * root_power(D, s * f * (nj * nj - 1)) \
-                  * quantum_integer(n0 * nj, ctx)
-    return val
 
 
 def f_surgery_normalization(f: int, ctx: RootContext) -> CycloNumber:

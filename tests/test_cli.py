@@ -294,6 +294,14 @@ def test_output_file(tmp_path, capsys):
      "--s", "5", "--jobs", "2"],
     ["wrt", "--manifold", "seifert:3;", "--r", "7", "--s", "1"],
     ["wrt", "--manifold", "seifert:-3;", "--r", "7", "--s", "1", "--exact"],
+    # r = 1 is xi = 1, where there is no invariant
+    ["wrt", "--manifold", "lens:7", "--r", "1"],
+    ["verify", "all", "--manifold", "lens:7", "--r", "1"],
+    ["verify", "decomposition", "--manifold", "lens:7", "--r", "1"],
+    ["verify", "all", "--manifold", "brieskorn:2,3,5", "--r", "1"],
+    ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "1:201:100"],
+    ["verify", "modularity", "--manifold", "brieskorn:2,3,7",
+     "--r-range", "1:201:100"],
 ])
 def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
     def no_products(*_args):
@@ -303,6 +311,27 @@ def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
     code, _out, err = invoke(capsys, args)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["gauss", "--s", "1", "--r", "5", "--json"],
+    ["wrt", "--manifold", "brieskorn:2,3,7", "--r", "31"],
+])
+def test_unwritable_out_rejected_before_computing(tmp_path, capsys, monkeypatch, args):
+    def no_products(*_args):
+        raise AssertionError("field arithmetic ran on rejected input")
+    monkeypatch.setattr(CycloNumber, "__mul__", no_products)
+    monkeypatch.setattr(CycloNumber, "__rmul__", no_products)
+    for out in (tmp_path, tmp_path / "missing" / "x.json"):
+        code, stdout, err = invoke(capsys, [*args, "--out", str(out)])
+        assert (code, stdout) == (2, "") and err.startswith("usage error: --out"), out
+
+
+def test_failed_write_is_bad_input_not_a_failed_check(tmp_path, capsys):
+    # a file name past the usual 255-byte limit fails only when it is written
+    code, stdout, err = invoke(capsys, ["gauss", "--s", "1", "--r", "5",
+                                        "--out", str(tmp_path / ("x" * 300))])
+    assert (code, stdout) == (2, "") and err.startswith("error:")
 
 
 @pytest.mark.parametrize("args", [
@@ -442,6 +471,8 @@ JSON_COMMANDS = [
      "--r-range", "101:301:100", "--order", "2", "--slope-tol", "1e-9"],
     ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:301:100",
      "--order", "2"],
+    # a limit at the integer point 1/1 is defined, unlike an invariant at xi = 1
+    ["falsetheta", "--p", "2,3,7", "--a", "1,1,1", "--r", "1"],
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from qmwrt import cli, cyclotomic, wrt
 from qmwrt.cli import main
-from qmwrt.cyclotomic import CycloNumber, xi_power
+from qmwrt.cyclotomic import CycloNumber, quadratic_sum, root_power, xi_power
 from qmwrt.false_theta import phi_basis, eichler_limit
 from qmwrt.harness import brieskorn_identity
 from qmwrt.number_theory import RootContext, jacobi, normalize_s
@@ -19,7 +19,6 @@ from qmwrt.seifert import (
     parse_manifold,
 )
 from qmwrt.wrt import (
-    colored_jones_seifert_link,
     f_surgery_inverse,
     f_surgery_normalization,
     lens_sectors,
@@ -27,7 +26,6 @@ from qmwrt.wrt import (
     seifert_gauss_norm,
     seifert_gauss_sum,
     seifert_hat_over_2g,
-    seifert_hat_sum,
     sqrt_homology_order,
     surgery_linking_matrix,
     tau_seifert_closed,
@@ -67,27 +65,6 @@ def test_s3_normalization():
     w, sectors = wrt_lens(1, ctx)
     assert w.exact == xi_power(ctx, 1) - 1
     assert len(sectors) == 1
-
-
-def test_colored_jones_unknot_factors():
-    ctx = RootContext(5, 1)
-    d = parse_manifold("seifert:1;2/1,3/1,5/1")
-    # all colors 1: only framing phases survive ([1 * n_j] = [n_j] = [1] = 1)
-    v = colored_jones_seifert_link(d, (1, 1, 1, 1), ctx)
-    assert v == 1  # b(n0^2-1) = 0 and all p_j(n_j^2-1) = 0
-    # conjugation symmetry: value at conjugate root is the conjugate value
-    ctx2 = RootContext(5, 13)
-    v1 = colored_jones_seifert_link(d, (2, 1, 3, 2), ctx)
-    v13 = colored_jones_seifert_link(d, (2, 1, 3, 2), ctx2)
-    # s = 13 = -1 mod 7... for r = 5: 13 = 3 mod 5; conjugate root is s = -1
-    # instead check the defining symmetry directly: conjugating the
-    # cyclotomic value equals evaluating at the inverse root
-    assert abs(v1.conjugate().eval_complex()
-               - v1.eval_complex().conjugate()) < 1e-12
-    with pytest.raises(ValueError):
-        colored_jones_seifert_link(d, (5, 1, 1, 1), ctx)  # [n0] vanishes
-    with pytest.raises(ValueError):
-        colored_jones_seifert_link(SeifertData(0, ((5, 2),)), (1, 1), ctx)
 
 
 def test_surgery_linking_matrix_and_cap():
@@ -143,13 +120,45 @@ def test_gauss_prefactor_identity():
         assert (gg * gg.conjugate()) == seifert_gauss_norm(P, ctx)
 
 
+def _hat_sum(d, ctx):
+    """The hat sum (1/den) sum R T over the groups of wrt._hat_groups."""
+    P, den, groups = wrt._hat_groups(d, ctx)
+    D = 4 * P * ctx.r
+    total = CycloNumber.zero(D)
+    for R, (A, rho, N) in groups:
+        total = total + R * quadratic_sum(D, A, rho, count=N)
+    return total * Fraction(1, den)
+
+
+def _hat_sum_reference(d, ctx):
+    """The hat sum term by term over n mod 2Pr in field arithmetic."""
+    inv = invariants(nd := d.normalized_b0())
+    P, H, r, s, m = inv.P, inv.H, ctx.r, ctx.s, nd.m
+    D = 4 * P * r
+    total = CycloNumber.zero(D)
+    for n in (n for n in range(2 * P * r) if n % r):
+        term = root_power(D, (-s * H * n * n) % D)
+        for p, _ in nd.fibers:
+            c = 2 * P * s // p
+            term = term * (root_power(D, c * n) - root_power(D, -c * n))
+        a = (2 * P * s * n) % D
+        if m > 2:   # 1/(zeta^a - zeta^-a) = zeta^a/(zeta^2a - 1), zeta^2a of order h
+            h = r // math.gcd(n, r)
+            inv_denom = root_power(D, a) * wrt._one_over_root_minus_one(D, 2 * a % D, h)
+            term = term * inv_denom ** (m - 2)
+        elif m < 2:
+            term = term * (root_power(D, a) - root_power(D, -a)) ** (2 - m)
+        total = total + term
+    return total
+
+
 def test_hat_sum_matches_false_theta():
     # hat = G * F_(1,1,1)(s/r) for a non-spherical Brieskorn sphere
     p = (2, 3, 7)
     d = brieskorn(p)
     inv = invariants(d)
     ctx = RootContext(5, 13)
-    hat = seifert_hat_sum(d, ctx)
+    hat = _hat_sum(d, ctx)
     g = seifert_gauss_sum(inv.P, ctx)
     ft = eichler_limit(phi_basis(p, (1, 1, 1)), inv.P, Fraction(ctx.s, ctx.r))
     assert (hat - g * ft).is_zero()
@@ -276,8 +285,8 @@ def test_hat_sum_generic_branch_matches_fast_path():
     d = brieskorn((2, 3, 7))
     for (r, s) in ((5, 1), (7, 5)):
         ctx = RootContext(r, s)
-        fast = seifert_hat_sum(d, ctx)
-        slow = seifert_hat_sum(d, ctx, fast=False)
+        fast = _hat_sum(d, ctx)
+        slow = _hat_sum_reference(d, ctx)
         assert (fast - slow).is_zero()
 
 
@@ -400,7 +409,7 @@ def test_four_fiber_hat_sum_against_float_transcription():
     inv = invariants(d)
     assert inv.H == 1 and d.m == 4
     for (r, s) in ((5, 1), (7, 5)):
-        exact = seifert_hat_sum(d, RootContext(r, s)).eval_complex()
+        exact = _hat_sum(d, RootContext(r, s)).eval_complex()
         total = _four_fiber_hat_sum_in_floats(d, inv, r, s)
         assert abs(exact - total) < 1e-7 * max(1, abs(total)), (r, s)
 
@@ -418,8 +427,8 @@ def test_hat_sum_equals_generic_path_for_one_to_four_fibers():
     for d, roots in cases:
         for r, s in roots:
             ctx = RootContext(r, s)
-            fast = seifert_hat_sum(d, ctx)
-            slow = seifert_hat_sum(d, ctx, fast=False)
+            fast = _hat_sum(d, ctx)
+            slow = _hat_sum_reference(d, ctx)
             assert (fast.D, fast.den, fast.c) == (slow.D, slow.den, slow.c), \
                 (d, r, s)
 
@@ -429,7 +438,7 @@ def test_four_fiber_hat_sum_at_a_large_root():
     # weights of the terms passes 2^53, beyond exact float64 accumulation
     d = brieskorn((2, 3, 5, 7))
     inv = invariants(d)
-    exact = seifert_hat_sum(d, RootContext(353, 1)).eval_complex()
+    exact = _hat_sum(d, RootContext(353, 1)).eval_complex()
     total = _four_fiber_hat_sum_in_floats(d, inv, 353, 1)
     assert abs(exact - total) < 1e-7 * max(1, abs(total))
 
@@ -451,7 +460,7 @@ def test_hat_over_2g_equals_the_hat_sum_times_conj_g(d, rs):
             if math.gcd(r, s) != 1:
                 continue
             ctx = RootContext(r, s)
-            expect = seifert_hat_sum(d, ctx) \
+            expect = _hat_sum(d, ctx) \
                 * seifert_gauss_sum(P, ctx).conjugate() \
                 * Fraction(1, 2 * seifert_gauss_norm(P, ctx))
             assert seifert_hat_over_2g(d, ctx) == expect, (d, r, s)
