@@ -7,8 +7,8 @@ Subcommands:
   falsetheta  Eichler limits of the periodic bases at s/r or -r/s
   flatconn    flat connection components with Chern-Simons data
   gauss       quadratic Gauss sum, closed form vs brute force
-  verify      run verification checks (identity, integrality, geometric,
-              decomposition, lemmas, modularity sweep, or all)
+  verify      run one verification suite of the harness (harness.SUITES),
+              or all of a manifold's but the modularity scan
   sweep       residual table over a range of r, as CSV
 
 Manifold selectors (case-insensitive): brieskorn:p1,p2,...; lens:p;
@@ -27,45 +27,27 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import false_theta, gauss_sums, harness, seifert, wrt
 from .cyclotomic import CycloNumber
 from .number_theory import RootContext, normalize_s
 
-__all__ = ["JobSpec", "UsageError", "parse_args", "run", "main"]
+__all__ = ["UsageError", "parse_args", "run", "main"]
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 # Longest exact walk of `falsetheta`, |support| c/2 terms at denominator c:
 # phi at c = 10^6 took 3 s, 110 MB (5 s, 240 MB with --exact --json).
 EXACT_WALK_BOUND = 4_000_000
+# the value of each option that argv leaves out
+DEFAULTS = {"manifold": None, "suite": None, "r": None, "r_range": None, "s": 1,
+            "order": 2, "slope_tol": 0.5, "jobs": 1, "basis": "phi", "p": None,
+            "a": None, "tilde": False, "exact": False, "json": False, "out": None}
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class JobSpec:
-    command: str
-    manifold: str | None = None             # the selector as given
-    model: seifert.Manifold | None = None   # the parsed selector
-    suite: str | None = None
-    r: int | None = None
-    r_range: tuple[int, int, int] | None = None
-    s: int = 1
-    order: int = 2
-    output: str = "text"          # text | json | csv
-    exact: bool = False
-    jobs: int = 1
-    slope_tol: float = 0.5
-    basis: str = "phi"
-    p: tuple[int, ...] | None = None
-    a: tuple[int, ...] | None = None
-    at_tilde: bool = False
-    out_path: str | None = None
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -85,12 +67,6 @@ def _parse_range(text: str) -> tuple[int, int, int]:
     return start, stop, step
 
 
-def _r_values(job: JobSpec) -> range:
-    """The values of r in --r-range start:stop:step, stop included."""
-    start, stop, step = job.r_range
-    return range(start, stop + 1, step)
-
-
 _COMMANDS = {"wrt": "tau and W at a root of unity",
              "falsetheta": "Eichler limits of the bases",
              "flatconn": "flat connection components",
@@ -103,14 +79,14 @@ def _add_arguments(command: str, sp: argparse.ArgumentParser) -> None:
     """Give the subcommand parser `sp` the arguments of `command`."""
     def add_ctx(s_help="numerator class; normalized to 1 mod 4 automatically"):
         sp.add_argument("--r", type=int, required=True, help="odd order of the root")
-        sp.add_argument("--s", type=int, default=1, help=s_help)
+        sp.add_argument("--s", type=int, help=s_help)
 
     if command == "wrt":
         sp.add_argument("--manifold", required=True)
         add_ctx()
         sp.add_argument("--exact", action="store_true")
     elif command == "falsetheta":
-        sp.add_argument("--basis", choices=["phi", "psi"], default="phi")
+        sp.add_argument("--basis", choices=["phi", "psi"])
         sp.add_argument("--p", required=True,
                         help="fiber triple p1,p2,p3 (phi) or the period half P (psi)")
         sp.add_argument("--a", required=True,
@@ -125,29 +101,30 @@ def _add_arguments(command: str, sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--s", type=int, required=True)
         sp.add_argument("--r", type=int, required=True)
     elif command == "verify":
-        sp.add_argument("suite", choices=["identity", "integrality", "geometric",
-                                          "decomposition", "lemmas", "modularity",
-                                          "all"])
+        sp.add_argument("suite", choices=[*harness.SUITES, "all"])
         sp.add_argument("--manifold", required=True)
         sp.add_argument("--r", type=int)
         sp.add_argument("--r-range")
-        sp.add_argument("--s", type=int, default=1,
+        sp.add_argument("--s", type=int,
                         help="numerator class; geometric and modularity take "
                              "only s = 1 mod 4 below 4r")
-        sp.add_argument("--order", type=int, default=2)
-        sp.add_argument("--slope-tol", type=float, default=0.5)
+        sp.add_argument("--order", type=int)
+        sp.add_argument("--slope-tol", type=float)
     else:   # sweep
         sp.add_argument("--manifold", required=True)
         sp.add_argument("--r-range", required=True)
-        sp.add_argument("--s", type=int, default=1,
-                        help="numerator class, 1 mod 4 and below 4r")
-        sp.add_argument("--order", type=int, default=2)
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--s", type=int, help="numerator class, 1 mod 4 and below 4r")
+        sp.add_argument("--order", type=int)
+        sp.add_argument("--jobs", type=int)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out")
 
 
-def parse_args(argv: list[str]) -> JobSpec:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The job argv names: every option of DEFAULTS, parsed and checked, plus
+    command, output (text, json or csv), and as the command takes them
+    r_values (--r-range as a range, stop included), model (the parsed
+    --manifold), suites (those verify or sweep runs) and ctx (r and s')."""
     parser = argparse.ArgumentParser(
         prog="qmwrt",
         description="exact WRT invariants, false theta functions and "
@@ -155,47 +132,32 @@ def parse_args(argv: list[str]) -> JobSpec:
     sub = parser.add_subparsers(dest="command", required=True)
     # every command is listed in --help, but only the one argv names (its
     # first word that is a command, as argparse reads it) gets its arguments
-    parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
+    parsers = {name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+               for name, text in _COMMANDS.items()}
     command = next((word for word in argv if word in parsers), None)
     if command:
         _add_arguments(command, parsers[command])
 
     try:
-        ns = parser.parse_args(argv)
+        job = argparse.Namespace(**{**DEFAULTS, **vars(parser.parse_args(argv))})
     except SystemExit as exc:
         if exc.code in (0, None):   # --help
             raise
         raise UsageError("invalid arguments") from exc
 
-    job = JobSpec(command=ns.command)
-    job.output = "json" if getattr(ns, "json", False) else (
-        "csv" if ns.command == "sweep" and not getattr(ns, "json", False) else "text")
-    job.out_path = getattr(ns, "out", None)
-    if job.out_path and (os.path.isdir(job.out_path)
-                         or not os.path.isdir(os.path.dirname(job.out_path) or ".")):
-        raise UsageError(f"--out {job.out_path} is a directory or its parent is not")
-    job.exact = getattr(ns, "exact", False)
-    job.s = getattr(ns, "s", 1)
-    job.manifold = getattr(ns, "manifold", None)
-    job.suite = getattr(ns, "suite", None)
-    job.order = getattr(ns, "order", 2)
-    job.jobs = getattr(ns, "jobs", 1)
-    job.slope_tol = getattr(ns, "slope_tol", 0.5)
-    job.at_tilde = getattr(ns, "tilde", False)
-    job.basis = getattr(ns, "basis", "phi")
-
-    r = getattr(ns, "r", None)
-    if ns.command == "gauss":
+    job.output = "json" if job.json else "csv" if job.command == "sweep" else "text"
+    if job.out and (os.path.isdir(job.out)
+                    or not os.path.isdir(os.path.dirname(job.out) or ".")):
+        raise UsageError(f"--out {job.out} is a directory or its parent is not")
+    if job.command == "gauss":
         # gauss sums are defined for any positive modulus
-        job.r = r
         if job.r < 1:
             raise UsageError("r must be positive")
         return job
-    if r is not None:
-        low = 1 if ns.command == "falsetheta" else 3   # r = 1, xi = 1: no invariant
-        if r < low or r % 2 == 0:
+    if job.r is not None:
+        low = 1 if job.command == "falsetheta" else 3   # r = 1, xi = 1: no invariant
+        if job.r < low or job.r % 2 == 0:
             raise UsageError(f"r must be odd and at least {low}")
-        job.r = r
     if job.order < 0:
         raise UsageError(f"--order must be >= 0, got {job.order}")
     if not (math.isfinite(job.slope_tol) and job.slope_tol >= 0):
@@ -203,113 +165,60 @@ def parse_args(argv: list[str]) -> JobSpec:
                          f"got {job.slope_tol}")
     if job.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {job.jobs}")
-    rr = getattr(ns, "r_range", None)
-    if rr:
+    text, job.r_values = job.r_range, None
+    if text:
         try:
-            job.r_range = _parse_range(rr)
+            start, stop, step = job.r_range = _parse_range(text)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    if ns.command in ("sweep", "verify"):
-        for c in _denominators(job):
-            _check_denominator(c)
-    if ns.command == "verify":
+        job.r_values = range(start, stop + 1, step)
+    if job.command == "verify":
         if job.suite == "modularity" and job.r_range is None:
             raise UsageError("verify modularity needs --r-range")
         if job.suite != "modularity" and job.r is None:
             raise UsageError(f"verify {job.suite} needs --r")
-    if job.suite == "modularity" or ns.command == "sweep":
+    if job.suite == "modularity" or job.command == "sweep":
         # a slope fit needs two values of r, a sweep one
-        need, what = (2, "verify modularity") if ns.command == "verify" \
+        need, what = (2, "verify modularity") if job.command == "verify" \
             else (1, "sweep")
-        count = len(_r_values(job))
-        if count < need:
-            raise UsageError(f"--r-range {rr} holds {count} value(s) of r; "
-                             f"{what} needs {need} or more")
-    if ns.command == "falsetheta":
-        job.p = _parse_int_tuple(ns.p)
-        job.a = _parse_int_tuple(ns.a)
-        size = 3 if job.basis == "phi" else 1
-        if len(job.p) != size or len(job.a) != size:
-            raise UsageError(f"the {job.basis} basis takes {size} value(s) "
-                             f"in --p and in --a")
-        if job.s == 0 or math.gcd(job.s, job.r) != 1:
-            raise UsageError(f"s={job.s} must be nonzero and coprime to r={job.r}")
-        c = abs(job.s) if job.at_tilde else job.r
-        _check_denominator(c)
-        if (walk := (8 if job.basis == "phi" else 2) * c // 2) > EXACT_WALK_BOUND:
-            raise UsageError(f"denominator {c} needs an exact walk of about {walk} "
-                             f"terms, past the bound {EXACT_WALK_BOUND}")
-    if job.manifold is not None:
-        job.model = _parse_model(job)
-        _check_roots(job)
+        if len(job.r_values) < need:
+            raise UsageError(f"--r-range {text} holds {len(job.r_values)} "
+                             f"value(s) of r; {what} needs {need} or more")
+    try:
+        if job.command == "falsetheta":
+            _parse_falsetheta(job)
+        elif job.command == "wrt":
+            job.model = seifert.parse(job.manifold)
+        else:
+            suite = "modularity" if job.command == "sweep" else job.suite
+            job.model, job.suites = harness.check_suites(
+                job.manifold, suite, job.s, job.r, job.r_values)
+        if job.command in ("wrt", "verify") and job.r is not None:
+            job.ctx = RootContext(job.r, normalize_s(job.s, job.r))
+        if job.command == "wrt" and job.model.data is not None:
+            wrt.check_closed_form(job.model.data, job.ctx)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return job
 
 
-def _denominators(job: JobSpec) -> list[int]:
-    """The largest r and s' of a sweep or verify job: its Eichler limits run
-    at s/r and -r/s', s' = s (mod r) below 4r.  A scan over --r-range takes
-    only an s that is its own s' for every r."""
-    if job.r_range is not None:
-        return [*_r_values(job)[-1:], abs(job.s)]
-    if job.r is None or math.gcd(job.s, job.r) != 1:
-        return [job.r] if job.r else []
-    return [job.r, normalize_s(job.s, job.r)]
-
-
-def _check_denominator(c: int) -> None:
-    """Reject an Eichler-limit denominator that the limits cannot take."""
+def _parse_falsetheta(job: argparse.Namespace) -> None:
+    """Parse --p and --a; ValueError unless they, s and the Eichler
+    denominator suit the basis and its exact walk."""
+    job.p = _parse_int_tuple(job.p)
+    job.a = _parse_int_tuple(job.a)
+    size = 3 if job.basis == "phi" else 1
+    if len(job.p) != size or len(job.a) != size:
+        raise ValueError(f"the {job.basis} basis takes {size} value(s) "
+                         f"in --p and in --a")
+    if job.s == 0 or math.gcd(job.s, job.r) != 1:
+        raise ValueError(f"s={job.s} must be nonzero and coprime to r={job.r}")
+    c = abs(job.s) if job.tilde else job.r
     if c >= false_theta.DENOMINATOR_BOUND:
-        raise UsageError(f"denominator {c} is past the Eichler-limit bound "
-                         f"c < 2^31")
-
-
-def _parse_model(job: JobSpec) -> seifert.Manifold:
-    """Parse --manifold and check that the command applies to it."""
-    try:
-        model = seifert.parse(job.manifold)
-        suites = harness.family(model).suites if job.command != "wrt" else ()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    suite = "modularity" if job.command == "sweep" else job.suite
-    if suite not in (None, "all") and suite not in suites:
-        raise UsageError(f"{job.command} {suite} does not apply to "
-                         f"{job.manifold!r}; it takes {', '.join(suites)}")
-    return model
-
-
-def _suites(job: JobSpec) -> list[str]:
-    """The suites a verify or sweep job runs (`all` leaves out modularity)."""
-    if job.command == "sweep":
-        return ["modularity"]
-    if job.suite == "all":
-        return [s for s in harness.family(job.model).suites if s != "modularity"]
-    return [job.suite]
-
-
-def _check_roots(job: JobSpec) -> None:
-    """Reject the r and s that the job's suites cannot use: the geometric
-    and modularity suites take only an s that is its own normal form."""
-    suites = _suites(job)
-    if "modularity" in suites:
-        rs = _r_values(job)
-    elif "geometric" in suites:
-        rs = (job.r,)
-    else:
-        return
-    try:
-        if "geometric" in suites:
-            harness.check_geometric_root(job.model, job.r)
-        harness.check_companion_s(job.s, rs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _ctx(job: JobSpec, r: int | None = None) -> RootContext:
-    r = r if r is not None else job.r
-    try:
-        return RootContext(r, normalize_s(job.s, r))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"denominator {c} is past the Eichler-limit bound c < 2^31")
+    if (walk := (8 if job.basis == "phi" else 2) * c // 2) > EXACT_WALK_BOUND:
+        raise ValueError(f"denominator {c} needs an exact walk of about {walk} "
+                         f"terms, past the bound {EXACT_WALK_BOUND}")
 
 
 class _Rows(list):
@@ -360,21 +269,21 @@ def _fmt(z: complex) -> dict:
     return {"re": float(f"{z.real:.17g}"), "im": float(f"{z.imag:.17g}")}
 
 
-def _emit(job: JobSpec, payload, exit_code: int) -> int:
+def _emit(job: argparse.Namespace, payload, exit_code: int) -> int:
     if isinstance(payload, str):
         text = payload
     else:
         text = _dumps(payload)
-    if job.out_path:
-        with open(job.out_path, "w") as fh:
+    if job.out:
+        with open(job.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
     return exit_code
 
 
-def _run_wrt(job: JobSpec) -> int:
-    ctx = _ctx(job)
+def _run_wrt(job: argparse.Namespace) -> int:
+    ctx = job.ctx
     d = job.model.data
     if d is None:
         return _run_wrt_lens(job, ctx, job.model.params[0])
@@ -401,7 +310,7 @@ def _run_wrt(job: JobSpec) -> int:
     return _emit(job, "\n".join(lines), 0)
 
 
-def _run_wrt_lens(job: JobSpec, ctx: RootContext, p: int) -> int:
+def _run_wrt_lens(job: argparse.Namespace, ctx: RootContext, p: int) -> int:
     w, sectors = wrt.wrt_lens(p, ctx)
     results = [{"name": "W", **_fmt(w.numeric)}]
     if job.exact:
@@ -418,9 +327,9 @@ def _run_wrt_lens(job: JobSpec, ctx: RootContext, p: int) -> int:
     return _emit(job, "\n".join(lines), 0)
 
 
-def _run_falsetheta(job: JobSpec) -> int:
+def _run_falsetheta(job: argparse.Namespace) -> int:
     # the Eichler limit needs no quarter-root convention: s is used as given
-    alpha = Fraction(-job.r, job.s) if job.at_tilde else Fraction(job.s, job.r)
+    alpha = Fraction(-job.r, job.s) if job.tilde else Fraction(job.s, job.r)
     if job.basis == "phi":
         f = false_theta.phi_basis(job.p, job.a)
         big_p = job.p[0] * job.p[1] * job.p[2]
@@ -438,7 +347,7 @@ def _run_falsetheta(job: JobSpec) -> int:
     return _emit(job, f"limit at {alpha}: {num:.12g}", 0)
 
 
-def _run_flatconn(job: JobSpec) -> int:
+def _run_flatconn(job: argparse.Namespace) -> int:
     rows = [{"kind": c.kind,
              **({"label": c.label} if c.rotation is None
                 else {"rotation": list(c.rotation)}),
@@ -453,7 +362,7 @@ def _run_flatconn(job: JobSpec) -> int:
     return _emit(job, "\n".join(lines), 0)
 
 
-def _run_gauss(job: JobSpec) -> int:
+def _run_gauss(job: argparse.Namespace) -> int:
     brute = gauss_sums.gauss_brute(job.s, job.r)
     closed = gauss_sums.gauss_closed(job.s, job.r)
     bn = brute.eval_complex()
@@ -476,51 +385,16 @@ def _run_gauss(job: JobSpec) -> int:
                       f"{closed.numeric:.12g}; match: {match}", 0 if match else 1)
 
 
-def _verify_reports(job: JobSpec) -> list[harness.VerificationReport]:
-    model, p = job.model, job.model.params
-    reports = []
-    ctx = _ctx(job) if job.r else None
-    for suite in _suites(job):
-        if suite == "identity":
-            reports.append(harness.brieskorn_identity(p, ctx))
-        elif suite == "integrality":
-            rep = harness.VerificationReport(job.manifold,
-                                             {"r": ctx.r, "s": ctx.s})
-            pc = seifert.rotation_order(p)   # rotation numbers index this order
-            for a in seifert.rotation_triples(pc):
-                ok, _ = harness.integrality_check(pc, a, ctx)
-                rep.add(f"integrality{a}", ok)
-            reports.append(rep)
-        elif suite == "geometric":
-            reports.append(harness.geometric_relation(model, ctx))
-        elif suite == "decomposition":
-            reports.append(harness.decomposition_report(model, ctx))
-        elif suite == "lemmas":
-            reports.append(harness.appendix_b_checks(p, (1, 1, 1), ctx.r))
-        elif suite == "modularity":
-            rows, slope = harness.residual_scan(model, job.s, list(_r_values(job)),
-                                                job.order)
-            expected = -(job.order + 1)
-            ok = abs(slope - expected) <= job.slope_tol
-            rep = harness.VerificationReport(job.manifold,
-                                             {"s": job.s, "r_range": list(job.r_range)})
-            rep.add("modularity_slope", ok,
-                    f"fitted slope {slope:.3f}, expected {expected} "
-                    f"+- {job.slope_tol}", f"+-{job.slope_tol}")
-            reports.append(rep)
-        else:
-            raise UsageError(f"unknown suite {suite!r}")
-    return reports
-
-
-def _run_verify(job: JobSpec) -> int:
-    reports = _verify_reports(job)
+def _run_verify(job: argparse.Namespace) -> int:
+    if job.suite == "modularity":
+        reports = [harness.modularity_report(job.model, job.s, job.r_values,
+                                             job.order, job.slope_tol)]
+    else:
+        reports = [harness.RUNNERS[suite](job.model, job.ctx) for suite in job.suites]
     all_pass = all(rep.passed for rep in reports)
     merged = {"manifold": job.manifold,
-              "ctx": reports[0].ctx if reports else {},
+              "ctx": reports[0].ctx,
               "results": [c.to_json() for rep in reports for c in rep.checks]}
-    for item in merged["results"]:
-        item.setdefault("detail", "")
     if job.output == "json":
         return _emit(job, merged, 0 if all_pass else 1)
     lines = []
@@ -534,8 +408,8 @@ def _run_verify(job: JobSpec) -> int:
     return _emit(job, "\n".join(lines), 0 if all_pass else 1)
 
 
-def _run_sweep(job: JobSpec) -> int:
-    r_list = list(_r_values(job))
+def _run_sweep(job: argparse.Namespace) -> int:
+    r_list = list(job.r_values)
 
     def scan(r_part: list[int]):
         return harness.residual_scan(job.model, job.s, r_part, job.order)[0]
@@ -561,7 +435,7 @@ def _run_sweep(job: JobSpec) -> int:
     return _emit(job, "\n".join(lines), 0)
 
 
-def run(job: JobSpec) -> int:
+def run(job: argparse.Namespace) -> int:
     handlers = {"wrt": _run_wrt, "falsetheta": _run_falsetheta,
                 "flatconn": _run_flatconn, "gauss": _run_gauss,
                 "verify": _run_verify, "sweep": _run_sweep}

@@ -5,20 +5,23 @@ saddle-term assembly, the geometric-connection relation, and asymptotic
 residual scans.
 
 Reports are plain data (name, pass/fail, witness detail) so the command line
-can emit them as JSON; every exact check is zero tolerance.
+can emit them as JSON; every exact check is zero tolerance.  RUNNERS and
+modularity_report run the verify suites, and check_suites decides, before
+any of them computes, which apply and take the given r and s.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CycloNumber, root_power, xi_power, xi_tilde_power
 from .false_theta import (
+    DENOMINATOR_BOUND,
     PeriodicFunction,
     eichler_limit,
     phi_basis,
@@ -42,7 +45,8 @@ from .seifert import (
     rotation_order,
     rotation_triples,
 )
-from .wrt import lens_sectors, w_normalized, w_seifert_closed, wrt_lens_brute
+from .wrt import (check_closed_form, lens_sectors, w_normalized, w_seifert_closed,
+                  wrt_lens_brute)
 # bench/test_bench.py checks that tracing rebinds this name, imported by value
 from .wrt import tau_seifert_closed  # noqa: F401
 
@@ -56,13 +60,15 @@ __all__ = [
     "decomposition_report",
     "saddle_expansion",
     "geometric_relation",
-    "check_companion_s",
-    "check_geometric_root",
+    "check_suites",
     "residual_scan",
+    "modularity_report",
     "appendix_b_checks",
     "Family",
     "FAMILIES",
     "family",
+    "RUNNERS",
+    "SUITES",
 ]
 
 
@@ -378,7 +384,6 @@ def _lens_saddles(m: Manifold, ctx: RootContext, K: int) -> list[SaddleTerm]:
 
 def _geometric(m: Manifold, ctx: RootContext, report: VerificationReport) -> None:
     """P_*(xi~) = xi~^(delta + CS_*) W(xi~) - [H if spherical], exactly."""
-    check_geometric_root(m, ctx.r)
     row = _model(m)
     alpha, pw = _side(ctx, True)
     if m.kind == "brieskorn":
@@ -402,29 +407,6 @@ def _geometric(m: Manifold, ctx: RootContext, report: VerificationReport) -> Non
         text = f"delta = {shift % ctx.s}"
     ok = diff.is_zero()
     report.add("geometric_relation", ok, text if ok else _witness(diff))
-
-
-def check_geometric_root(m: Manifold, r: int) -> None:
-    """ValueError unless the geometric relation of m is stated at r: the
-    ex:family relation holds along r coprime with H."""
-    H = _model(m).H if m.kind == "family" else 1
-    if math.gcd(r, H) != 1:
-        raise ValueError(f"the geometric relation holds along r coprime "
-                         f"with H = {H}; got r = {r}")
-
-
-def check_companion_s(s: int, rs) -> None:
-    """ValueError unless s is its own normal form at every r in rs.
-
-    The geometric relation evaluates at xi~ = e(-r/s) and the residual scan
-    in the series variable s/r; both would silently use normalize_s(s, r)
-    in place of any other s."""
-    for r in rs:
-        used = normalize_s(s, r)
-        if used != s:
-            raise ValueError(f"s = {s} would be replaced by s' = {used} at "
-                             f"r = {r}; the geometric and modularity suites "
-                             f"take only s = 1 mod 4 below 4r")
 
 
 def _lens_geometric(m: Manifold, ctx: RootContext,
@@ -521,6 +503,64 @@ def family(selector: str | Manifold) -> Family:
     return FAMILIES[m.kind]
 
 
+def check_suites(selector: str | Manifold, suite: str | None, s: int = 1,
+                 r: int | None = None, r_values: Sequence[int] | None = None
+                 ) -> tuple[Manifold, tuple[str, ...]]:
+    """The manifold of selector and the suites that suite names (`all`: its
+    family's suites but modularity; None: none).  ValueError, before
+    anything is computed, unless each applies and takes r, or every r of
+    r_values, and s.  The rules, in order:
+
+    - the Eichler denominators below 2^31: the last of r_values and |s|,
+      or r and s';
+    - the harness has data for the manifold, and its family lists the suite;
+    - geometric: r coprime with H on ex:family and on L(p, 1) (H = p), and
+      there p >= 3, for the sector-sum identity;
+    - geometric and modularity: s is its own s' at every r, since they
+      evaluate at xi~ = e(-r/s) and in s/r and would silently use s';
+    - decomposition on a Seifert family: `wrt.check_closed_form` at (r, s').
+    """
+    if r_values is not None:
+        denominators = [*r_values[-1:], abs(s)]
+    elif r is None or math.gcd(s, r) != 1:
+        denominators = [r] if r else []
+    else:
+        denominators = [r, normalize_s(s, r)]
+    for c in denominators:
+        if c >= DENOMINATOR_BOUND:
+            raise ValueError(f"denominator {c} is past the Eichler-limit bound "
+                             f"c < 2^31")
+    m = parse(selector)
+    fam = family(m)
+    if suite is None:
+        return m, ()
+    if suite != "all" and suite not in fam.suites:
+        raise ValueError(f"suite {suite} does not apply to {m.selector!r}; it "
+                         f"takes {', '.join(fam.suites)}")
+    suites = tuple(x for x in fam.suites if x != "modularity") \
+        if suite == "all" else (suite,)
+    if "geometric" in suites:
+        H = m.params[0] if m.kind == "lens" \
+            else invariants(m.data).H if m.kind == "family" else 1
+        if math.gcd(r, H) != 1:
+            raise ValueError(f"the geometric relation holds along r coprime "
+                             f"with H = {H}; got r = {r}")
+        if m.kind == "lens" and H < 3:
+            raise ValueError("the lens sector-sum identity "
+                             "sum_a W^(a) = p x^((5-p)/4) needs p >= 3")
+    rs = r_values if "modularity" in suites else (r,) if "geometric" in suites \
+        else ()
+    for x in rs:
+        used = normalize_s(s, x)
+        if used != s:
+            raise ValueError(f"s = {s} would be replaced by s' = {used} at "
+                             f"r = {x}; the geometric and modularity suites "
+                             f"take only s = 1 mod 4 below 4r")
+    if "decomposition" in suites and m.data is not None:
+        check_closed_form(m.data, RootContext(r, normalize_s(s, r)))
+    return m, suites
+
+
 def qhs_decomposition(selector: str | Manifold, ctx: RootContext):
     """Sector data [(label, cs_lift, W^(a))] of the abelian decomposition
     W = sum_a e^(2 pi i (r/s) cs_lift_a) W^(a) for the example families.
@@ -590,9 +630,11 @@ def geometric_relation(selector: str | Manifold,
     mod s, an integer.  Lens spaces keep their own form:
 
       lens p : sum_a W^(a)(x) = p x^((5-p)/4), sector-0 P_* = 0
+
+    ValueError, before anything is computed, on a ctx that check_suites
+    rejects for the geometric suite.
     """
-    m = parse(selector)
-    check_companion_s(ctx.s, (ctx.r,))
+    m, _ = check_suites(selector, "geometric", ctx.s, ctx.r)
     report = VerificationReport(m.selector, {"r": ctx.r, "s": ctx.s})
     family(m).geometric(m, ctx, report)
     return report
@@ -605,10 +647,7 @@ def residual_scan(selector: str | Manifold, s: int, r_list: list[int], K: int):
     """|W(xi) - saddle terms(K)| = |c| |s_transform_residual(p, (1, 1, 1),
     ctx, K)| over r in r_list, largest r first on one dict of buffers, with
     the fitted log-log slope.  Expected slope: -(K+1)."""
-    m = parse(selector)
-    if "modularity" not in family(m).suites:
-        raise ValueError("residual scan is implemented for Brieskorn spheres")
-    check_companion_s(s, r_list)
+    m, _ = check_suites(selector, "modularity", s, r_values=r_list)
     c, buffers = float(abs(_model(m).c)), {}
     residual = {r: c * abs(s_transform_residual(m.params, (1, 1, 1),
                                                 RootContext(r, s), K, buffers))
@@ -621,6 +660,21 @@ def residual_scan(selector: str | Manifold, s: int, r_list: list[int], K: int):
     ys = np.log([max(row[1], 1e-300) for row in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return rows, slope
+
+
+def modularity_report(selector: str | Manifold, s: int, r_values: range, K: int,
+                      slope_tol: float) -> VerificationReport:
+    """The slope of `residual_scan` over r_values, the range start..stop
+    with stop included, against -(K+1), to within slope_tol."""
+    m = parse(selector)
+    _rows, slope = residual_scan(m, s, list(r_values), K)
+    expected = -(K + 1)
+    report = VerificationReport(m.selector, {"s": s, "r_range": [
+        r_values.start, r_values.stop - 1, r_values.step]})
+    report.add("modularity_slope", abs(slope - expected) <= slope_tol,
+               f"fitted slope {slope:.3f}, expected {expected} +- {slope_tol}",
+               f"+-{slope_tol}")
+    return report
 
 
 # -- direct summation lemmas --------------------------------------------------
@@ -680,3 +734,27 @@ def appendix_b_checks(p: tuple[int, int, int], a: tuple[int, int, int],
     third = third * Fraction(1, 2 * r)
     report.add("linear_term_integral", third.is_integral())
     return report
+
+
+# -- the verify suites --------------------------------------------------------
+
+
+def _integrality(m: Manifold, ctx: RootContext) -> VerificationReport:
+    report = VerificationReport(m.selector, {"r": ctx.r, "s": ctx.s})
+    pc = rotation_order(m.params)   # rotation numbers index this order
+    for a in rotation_triples(pc):
+        report.add(f"integrality{a}", integrality_check(pc, a, ctx)[0])
+    return report
+
+
+# the runner (m, ctx) -> report of each verify suite at one root; each public
+# check is looked up by name when it runs, so a rebound name (the benchmark's
+# tracer) is seen.  modularity scans a range of r instead (modularity_report)
+RUNNERS = {
+    "identity": lambda m, ctx: brieskorn_identity(m.params, ctx),
+    "integrality": _integrality,
+    "geometric": lambda m, ctx: geometric_relation(m, ctx),
+    "decomposition": lambda m, ctx: decomposition_report(m, ctx),
+    "lemmas": lambda m, ctx: appendix_b_checks(m.params, (1, 1, 1), ctx.r),
+}
+SUITES = (*RUNNERS, "modularity")

@@ -17,13 +17,10 @@ __all__ = [
     "RootContext",
     "jacobi",
     "normalize_s",
-    "sawtooth",
     "dedekind_sum",
-    "dedekind_sum_direct",
     "bernoulli_number",
     "bernoulli_poly",
     "moebius",
-    "euler_phi",
 ]
 
 
@@ -64,26 +61,6 @@ def normalize_s(s: int, r: int) -> int:
     t = ((s - 1) * pow(4, -1, r)) % r
     out = (1 + 4 * t) % (4 * r)
     return out if out else 4 * r
-
-
-def sawtooth(x: Fraction) -> Fraction:
-    """((x)): x - floor(x) - 1/2 for non-integer x, and 0 for integers."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
-
-
-def dedekind_sum_direct(q: int, p: int) -> Fraction:
-    """Dedekind sum s(q, p) by direct O(p) summation of the sawtooth product."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if math.gcd(q, p) != 1:
-        raise ValueError(f"gcd({q}, {p}) != 1")
-    total = Fraction(0)
-    for k in range(1, p):
-        total += sawtooth(Fraction(k, p)) * sawtooth(Fraction(k * q, p))
-    return total
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:
@@ -154,16 +131,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for e in fac.values()):
         return 0
     return -1 if len(fac) % 2 else 1
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = n
-    for p in _factorize(n):
-        out = out // p * (p - 1)
-    return out
 
 
 @dataclass(frozen=True)

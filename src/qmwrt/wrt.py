@@ -34,10 +34,11 @@ from functools import cached_property
 from .cyclotomic import CycloNumber, quadratic_sum, root_power, xi_power, xi_tilde_power
 from .intmatrix import eigenvalue_sign_counts
 from .number_theory import RootContext, jacobi, moebius
-from .seifert import SeifertData, invariants
+from .seifert import SeifertData, SeifertInvariants, invariants
 
 __all__ = [
     "WrtValue",
+    "check_closed_form",
     "seifert_gauss_sum",
     "seifert_hat_over_2g",
     "wrt_seifert_closed",
@@ -203,12 +204,32 @@ def seifert_hat_over_2g(d: SeifertData, ctx: RootContext) -> CycloNumber:
     return total * Fraction(1, 2 * norm * den)
 
 
-def _closed_form_invariants(d: SeifertData, ctx: RootContext):
+def check_closed_form(d: SeifertData, ctx: RootContext,
+                      w: bool = True) -> SeifertInvariants:
+    """The invariants of d; ValueError unless the closed form gives tau of d
+    at ctx, and with w its W = sqrt(H) (H/s) (xi - 1) tau: e != 0 and r > 1
+    (tau divides by xi - 1); at H > 1 the reciprocity form's integer-framed
+    fibers, at least one, all q_j = +-1 and gcd(s, p_j) = 1; for W also
+    gcd(s, H) = 1 and H odd."""
     inv = invariants(d)
     if inv.e == 0:
         raise ValueError("closed form needs a rational homology sphere (e != 0)")
     if ctx.r == 1:
         raise ValueError("closed form needs r > 1: it divides by xi - 1")
+    if inv.H != 1:
+        if not d.fibers:
+            raise ValueError("the reciprocity form needs at least one exceptional "
+                             "fiber; a bare framed unknot is a lens space, use lens:p")
+        for p, q in d.fibers:
+            if q not in (1, -1):
+                raise ValueError("reciprocity form needs an integer-framed "
+                                 "presentation (all q_j = +-1)")
+            if math.gcd(ctx.s, p) != 1:
+                raise ValueError(f"s={ctx.s} must be coprime to the fiber order {p}")
+    if w and math.gcd(ctx.s, inv.H) != 1:
+        raise ValueError(f"s={ctx.s} must be coprime to H={inv.H}")
+    if w and inv.H % 2 == 0:
+        raise ValueError("homology order must be odd and positive")
     return inv
 
 
@@ -262,19 +283,10 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
 
     (its delta is the numerator of 1/[n0]) is formed once, before the sum
     over n0, and multiplies the sum once, both in canonical form, which has
-    far fewer terms than either as summed.  Requires gcd(s, p_j) = 1 and at
-    least one exceptional fiber.
+    far fewer terms than either as summed.  `check_closed_form` gives its
+    domain.
     """
-    if not d.fibers:
-        raise ValueError("the reciprocity form needs at least one exceptional "
-                         "fiber; a bare framed unknot is a lens space, use lens:p")
     r, s = ctx.r, ctx.s
-    for p, q in d.fibers:
-        if q not in (1, -1):
-            raise ValueError("reciprocity form needs an integer-framed "
-                             "presentation (all q_j = +-1)")
-        if math.gcd(s, p) != 1:
-            raise ValueError(f"s={s} must be coprime to the fiber order {p}")
     D = 4 * r
     inv_delta2 = _one_over_delta_squared(ctx)
     const = _delta(ctx)     # C = delta prod_j xi^(-f_j/4) delta^-2 E_j K_j
@@ -312,7 +324,7 @@ def tau_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
     integer-framed presentation).  Data with e < 0 is handled by orientation
     reversal plus conjugation (reversing orientation conjugates the
     invariant)."""
-    inv = _closed_form_invariants(d, ctx)
+    inv = check_closed_form(d, ctx, w=False)
     if inv.e < 0:
         rev = tau_seifert_closed(d.reversed_orientation(), ctx)
         return WrtValue(rev.exact.conjugate())
@@ -353,7 +365,8 @@ def w_normalized(tau: WrtValue, H: int, ctx: RootContext) -> WrtValue:
 
 def w_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
     """W = sqrt(H) (H/s) (xi - 1) tau via the closed form, exactly."""
-    return w_normalized(tau_seifert_closed(d, ctx), invariants(d).H, ctx)
+    inv = check_closed_form(d, ctx)
+    return w_normalized(tau_seifert_closed(d, ctx), inv.H, ctx)
 
 
 # -- colored Jones / surgery oracle ----------------------------------------

@@ -302,6 +302,20 @@ def test_output_file(tmp_path, capsys):
     ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "1:201:100"],
     ["verify", "modularity", "--manifold", "brieskorn:2,3,7",
      "--r-range", "1:201:100"],
+    # the lens geometric relation evaluates at xi~ = e(-r/s), so it needs r
+    # coprime with p; its sector-sum identity needs p >= 3
+    ["verify", "all", "--manifold", "lens:5", "--r", "5"],
+    ["verify", "all", "--manifold", "lens:3", "--r", "9"],
+    ["verify", "geometric", "--manifold", "lens:1", "--r", "7"],
+    ["verify", "all", "--manifold", "lens:1", "--r", "7"],
+    # outside the closed form's domain: H even, s' dividing H, s' sharing
+    # a factor with a fiber order
+    ["wrt", "--manifold", "seifert:0;4/1,6/1,5/1", "--r", "7"],
+    ["wrt", "--manifold", "seifert:0;2/1,3/1,5/1,7/1", "--r", "9", "--s", "13"],
+    ["verify", "decomposition", "--manifold", "ex:2-3-3", "--r", "7", "--s", "9"],
+    ["verify", "all", "--manifold", "ex:2-3-3", "--r", "7", "--s", "9"],
+    ["verify", "decomposition", "--manifold", "ex:family:2", "--r", "7",
+     "--s", "5"],
 ])
 def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
     def no_products(*_args):
@@ -311,6 +325,26 @@ def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
     code, _out, err = invoke(capsys, args)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("selector, r", [("lens:1", 7), ("lens:5", 5)])
+def test_lens_decomposition_takes_any_odd_p_and_r(capsys, selector, r):
+    # only the geometric suite restricts p and r on a lens space
+    code, out, _err = invoke(capsys, ["verify", "decomposition", "--manifold",
+                                      selector, "--r", str(r)])
+    assert code == 0 and out.startswith("[pass] lens_decomposition_vs_surgery")
+
+
+def test_every_family_suite_has_a_runner_and_a_verify_choice():
+    named = {suite for fam in harness.FAMILIES.values() for suite in fam.suites}
+    assert named <= set(harness.RUNNERS) | {"modularity"}
+    assert set(harness.SUITES) == set(harness.RUNNERS) | {"modularity"}
+    for suite in [*harness.SUITES, "all"]:
+        manifold = "ex:2-3-3" if suite == "decomposition" else "brieskorn:2,3,7"
+        roots = ["--r-range", "101:301:100"] if suite == "modularity" else ["--r", "7"]
+        assert parse_args(["verify", suite, "--manifold", manifold, *roots]).suite == suite
+    with pytest.raises(UsageError, match="invalid arguments"):
+        parse_args(["verify", "flatconn", "--manifold", "brieskorn:2,3,7", "--r", "7"])
 
 
 @pytest.mark.parametrize("args", [

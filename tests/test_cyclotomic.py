@@ -10,7 +10,7 @@ from qmwrt.cyclotomic import (
     xi_power,
     xi_tilde_power,
 )
-from qmwrt.number_theory import RootContext, euler_phi
+from qmwrt.number_theory import RootContext
 
 eval_complex = CycloNumber.eval_complex
 is_integral = CycloNumber.is_integral
@@ -66,7 +66,8 @@ def _is_canonical_form(x):
     """At most phi(D) terms, each on a basis exponent: its residue mod every
     p^e exactly dividing D lies below (p - 1) p^(e-1)."""
     pes = _prime_powers(x.D)
-    return len(x.c) <= euler_phi(x.D) and all(
+    phi = math.prod((p - 1) * p ** (e - 1) for p, e in pes)
+    return len(x.c) <= phi and all(
         k % p ** e < (p - 1) * p ** (e - 1) for k in x.c for p, e in pes)
 
 

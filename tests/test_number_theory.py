@@ -9,13 +9,30 @@ from qmwrt.number_theory import (
     RootContext,
     bernoulli_poly,
     dedekind_sum,
-    dedekind_sum_direct,
-    euler_phi,
     jacobi,
     moebius,
     normalize_s,
-    sawtooth,
 )
+
+
+def sawtooth(x: Fraction) -> Fraction:
+    """((x)): x - floor(x) - 1/2 for non-integer x, and 0 for integers."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - math.floor(x) - Fraction(1, 2)
+
+
+def dedekind_sum_direct(q: int, p: int) -> Fraction:
+    """Dedekind sum s(q, p) by direct O(p) summation of the sawtooth product,
+    the reference for the reciprocity recursion of `dedekind_sum`."""
+    return sum((sawtooth(Fraction(k, p)) * sawtooth(Fraction(k * q, p))
+                for k in range(1, p)), Fraction(0))
+
+
+def euler_phi(n: int) -> int:
+    """Euler totient, by counting."""
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 def test_jacobi_examples():

@@ -281,15 +281,6 @@ def test_lens_rejects_bad_input():
         wrt_lens(5, RootContext(7, 5))  # gcd(s, p) > 1
 
 
-def test_hat_sum_generic_branch_matches_fast_path():
-    d = brieskorn((2, 3, 7))
-    for (r, s) in ((5, 1), (7, 5)):
-        ctx = RootContext(r, s)
-        fast = _hat_sum(d, ctx)
-        slow = _hat_sum_reference(d, ctx)
-        assert (fast - slow).is_zero()
-
-
 def test_single_fiber_closed_form_is_s3():
     # S2(0; p/1) fibers S^3; tau must be exactly 1 (m = 1 exercises the
     # negative denominator power in the structured sum)
@@ -414,22 +405,22 @@ def test_four_fiber_hat_sum_against_float_transcription():
         assert abs(exact - total) < 1e-7 * max(1, abs(total)), (r, s)
 
 
-def test_hat_sum_equals_generic_path_for_one_to_four_fibers():
+def test_hat_groups_equal_the_term_by_term_sum_for_one_to_four_fibers():
     # composite r gives several gcd(n, r) classes and Moebius terms (r = 45
     # has the divisor 9 with mu = 0, r = 35 two prime factors)
     cases = [
         (SeifertData(0, ((5, 1),)), ((9, 5), (15, 13), (21, 5))),
         (SeifertData(0, ((2, 1), (3, 1))), ((9, 5), (15, 13), (21, 5))),
         (brieskorn((2, 3, 5)), ((9, 5), (15, 13), (21, 5), (45, 13), (35, 1))),
-        (brieskorn((2, 3, 7)), ((9, 5), (7, 5))),
+        (brieskorn((2, 3, 7)), ((9, 5), (7, 5), (5, 1))),
         (brieskorn((2, 3, 5, 7)), ((9, 5), (5, 13))),
     ]
     for d, roots in cases:
         for r, s in roots:
             ctx = RootContext(r, s)
-            fast = _hat_sum(d, ctx)
-            slow = _hat_sum_reference(d, ctx)
-            assert (fast.D, fast.den, fast.c) == (slow.D, slow.den, slow.c), \
+            groups = _hat_sum(d, ctx)
+            terms = _hat_sum_reference(d, ctx)
+            assert (groups.D, groups.den, groups.c) == (terms.D, terms.den, terms.c), \
                 (d, r, s)
 
 
