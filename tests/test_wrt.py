@@ -281,6 +281,17 @@ def test_lens_rejects_bad_input():
         wrt_lens(5, RootContext(7, 5))  # gcd(s, p) > 1
 
 
+def test_hat_sum_generic_branch_matches_fast_path():
+    # the grouped hat sum of wrt._hat_groups against the term-by-term
+    # reference at a prime r of (2,3,7)
+    d = brieskorn((2, 3, 7))
+    for (r, s) in ((5, 1), (7, 5)):
+        ctx = RootContext(r, s)
+        groups = _hat_sum(d, ctx)
+        terms = _hat_sum_reference(d, ctx)
+        assert (groups - terms).is_zero()
+
+
 def test_single_fiber_closed_form_is_s3():
     # S2(0; p/1) fibers S^3; tau must be exactly 1 (m = 1 exercises the
     # negative denominator power in the structured sum)
@@ -405,8 +416,9 @@ def test_four_fiber_hat_sum_against_float_transcription():
         assert abs(exact - total) < 1e-7 * max(1, abs(total)), (r, s)
 
 
-def test_hat_groups_equal_the_term_by_term_sum_for_one_to_four_fibers():
-    # composite r gives several gcd(n, r) classes and Moebius terms (r = 45
+def test_hat_sum_equals_generic_path_for_one_to_four_fibers():
+    # the grouped hat sum of wrt._hat_groups against the term-by-term
+    # reference; composite r gives several gcd(n, r) classes and Moebius terms (r = 45
     # has the divisor 9 with mu = 0, r = 35 two prime factors)
     cases = [
         (SeifertData(0, ((5, 1),)), ((9, 5), (15, 13), (21, 5))),
