@@ -30,7 +30,7 @@ for p in [(2, 3, 5), (2, 3, 7), (2, 5, 7), (3, 4, 5)]:
     print(f"  geometric connection: rotation {g.rotation}, CS lift {g.cs_lift}")
     conns = nonabelian_connections(p)
     print(f"  {len(conns)} nonabelian components: "
-          + ", ".join(f"{c.rotation} -> CS = {c.cs.value}" for c in conns))
+          + ", ".join(f"{c.rotation} -> CS = {c.cs}" for c in conns))
 
 print()
 print("== Rational homology sphere examples ==")

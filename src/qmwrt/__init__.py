@@ -40,7 +40,6 @@ from .harness import (
     saddle_expansion,
 )
 from .number_theory import (
-    RationalMod1,
     RootContext,
     bernoulli_poly,
     dedekind_sum,

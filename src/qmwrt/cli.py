@@ -197,6 +197,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             job.ctx = RootContext(job.r, normalize_s(job.s, job.r))
         if job.command == "wrt" and job.model.data is not None:
             wrt.check_closed_form(job.model.data, job.ctx)
+        elif job.command == "wrt" and math.gcd(job.ctx.s, job.model.params[0]) != 1:
+            raise ValueError(f"evaluation parameter {job.ctx.s} must be coprime "
+                             f"to p={job.model.params[0]}")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return job
@@ -351,7 +354,7 @@ def _run_flatconn(job: argparse.Namespace) -> int:
     rows = [{"kind": c.kind,
              **({"label": c.label} if c.rotation is None
                 else {"rotation": list(c.rotation)}),
-             "cs_lift": str(c.cs_lift), "cs": str(c.cs.value)}
+             "cs_lift": str(c.cs_lift), "cs": str(c.cs)}
             for c in harness.family(job.model).connections(job.model)]
     payload = {"manifold": job.manifold, "results": rows}
     if job.output == "json":

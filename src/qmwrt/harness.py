@@ -26,7 +26,6 @@ from .false_theta import (
     eichler_limit,
     phi_basis,
     psi_combo,
-    s_matrix_phi,
     s_transform_residual,
     trivial_series,
 )
@@ -35,7 +34,6 @@ from .seifert import (
     Geometry,
     Manifold,
     abelian_connections,
-    brieskorn,
     classify_geometry,
     cs_nonabelian,
     geometric_connection,
@@ -139,11 +137,6 @@ def _model(m: Manifold) -> Sector0:
                    classify_geometry(inv.e, inv.chi) is Geometry.S3)
 
 
-def _brieskorn(p: tuple[int, int, int]) -> Manifold:
-    return Manifold("brieskorn", tuple(p), brieskorn(p),
-                    f"brieskorn:{','.join(map(str, p))}")
-
-
 def _side(ctx: RootContext, tilde: bool):
     """The Eichler point and the power map of one side: (s/r, xi^x), or
     (-r/s, xi~^x) on the companion side."""
@@ -176,7 +169,7 @@ def brieskorn_identity(p: tuple[int, int, int], ctx: RootContext) -> Verificatio
     inversion is involved."""
     from .wrt import seifert_hat_over_2g
 
-    m = _brieskorn(p)
+    m = parse(f"brieskorn:{','.join(map(str, p))}")
     row = _model(m)
     report = VerificationReport(m.selector, {"r": ctx.r, "s": ctx.s})
     alpha, pw = _side(ctx, False)
@@ -292,77 +285,59 @@ def _trivial_term(row: Sector0, ctx: RootContext, K: int) -> SaddleTerm:
 
 
 @lru_cache(maxsize=None)
-def _saddle_rows(p: tuple[int, int, int]) -> tuple[Sector0, tuple]:
-    """The r-free data of the Brieskorn saddle terms: the sector-0 row and,
-    per rotation number a, (a, CS lift, phi_a, S^(1,1,1)_a)."""
-    pc = rotation_order(p)   # rotation numbers index this order
-    row = _model(_brieskorn(p))
-    labels = rotation_triples(pc)
-    srow = s_matrix_phi(pc)[labels.index((1, 1, 1))]
-    # (1, 1, 1) is the rotation number of the geometric connection
-    return row, tuple((a, row.cs if a == (1, 1, 1) else cs_nonabelian(pc, a),
-                       phi_basis(pc, a), float(sa)) for a, sa in zip(labels, srow))
+def _psi_classes(m: Manifold) -> tuple[tuple[Fraction, PeriodicFunction,
+                                             CycloNumber], ...]:
+    """The S-image sum_b M_b psi^(b) of the sector-0 table f0 of m, as terms
+    (lift, f, g).
 
-
-def _brieskorn_saddles(p: tuple[int, int, int], ctx: RootContext,
-                       K: int) -> list[SaddleTerm]:
-    row, rows = _saddle_rows(tuple(p))
-    pre, root = _numeric_power(ctx)(-row.delta), -cmath.sqrt(ctx.r / (1j * ctx.s))
-    return [_trivial_term(row, ctx, K)] + [
-        SaddleTerm(f"nonabelian{a}", lift, _p_star(ctx, row.c, lift, row.P, f),
-                   root * sa * pre, -1) for a, lift, f, sa in rows]
-
-
-def _psi_classes(row: Sector0) -> list[tuple[Fraction, PeriodicFunction,
-                                              CycloNumber]]:
-    """The S-image sum_b M_b psi^(b) of a psi-basis f0, grouped by the
-    Chern-Simons class -b^2/4P mod 1 of the labels b = 1..P-1.
-
-    M_b = g_b / (i sqrt(2P)) with g_b = sum_l f0(l) zeta_2P^(lb), exact.
-    Within a class the nonzero g_b agree up to sign, so each class is
-    (lift, f, g): f = H sum_b sign_b psi^(b) and g the g_b of its first
-    nonzero label.  The lift is CS_* on the geometric class and lies in
-    [-1, 0) on the others; a class with every g_b zero has f = 0, g = 0."""
+    M_b = g_b / (i sqrt(2P)) with g_b = sum_l f0(l) zeta_2P^(lb), exact, over
+    the labels b = 1..P-1 with g_b != 0.  They are grouped by the
+    Chern-Simons class -b^2/4P mod 1, and within a class by g_b up to sign;
+    each group is one term, f = H sum_b sign_b psi^(b) and g the g_b of its
+    first label.  The lift is CS_* on the geometric class and lies in
+    [-1, 0) on the others."""
+    row = _model(m)
     P = row.P
-    g = {}
+    groups: dict[Fraction, list[tuple[CycloNumber, dict[int, int]]]] = {}
     for b in range(1, P):
         acc: dict[int, int] = {}
         for l in row.f.support():
             k = l * b % (2 * P)
             acc[k] = acc.get(k, 0) + row.f(l)
-        g[b] = CycloNumber.from_int_dict(2 * P, acc)
-    classes: dict[Fraction, list[int]] = {}
-    for b in range(1, P):
-        classes.setdefault(-Fraction(b * b, 4 * P) % 1, []).append(b)
-    out = []
-    for cls, members in sorted(classes.items()):
-        live = [b for b in members if not g[b].is_zero()]
-        combo = {}
-        for b in live:
-            if (g[b] - g[live[0]]).is_zero():
-                combo[b] = row.H
-            elif (g[b] + g[live[0]]).is_zero():
-                combo[b] = -row.H
-            else:
-                raise ArithmeticError(f"class {members} has non-unit S-row ratios")
-        lift = row.cs if cls == row.cs % 1 else cls - 1
-        out.append((lift, psi_combo(P, combo),
-                    g[live[0]] if live else CycloNumber.zero(1)))
-    return out
+        g = CycloNumber.from_int_dict(2 * P, acc)
+        if g.is_zero():
+            continue
+        members = groups.setdefault(-Fraction(b * b, 4 * P) % 1, [])
+        for g0, combo in members:
+            sign = 1 if (g - g0).is_zero() else -1 if (g + g0).is_zero() else 0
+            if sign:
+                combo[b] = sign * row.H
+                break
+        else:
+            members.append((g, {b: row.H}))
+    return tuple((row.cs if cls == row.cs % 1 else cls - 1, psi_combo(P, combo), g)
+                 for cls, members in sorted(groups.items()) for g, combo in members)
+
+
+def _geometric_tables(m: Manifold) -> list[PeriodicFunction]:
+    """The tables f of the _psi_classes terms at the lift CS_*."""
+    return [f for lift, f, _ in _psi_classes(m) if lift == _model(m).cs]
 
 
 def _sector0_saddles(m: Manifold, ctx: RootContext, K: int) -> list[SaddleTerm]:
-    """Sector 0 of a psi-basis family: the trivial term, then one term per
-    Chern-Simons class of _psi_classes, P = c xi~^lift F_f(-r/s) and
-    I = -(1/H) sqrt(r/is) x^-delta M, named "geometric" at CS_*."""
+    """Sector 0 of a Seifert family: the trivial term, then one term per
+    _psi_classes term, P = c xi~^lift F_f(-r/s) and
+    I = -(1/H) sqrt(r/is) x^-delta M, named "geometric" when it is the one
+    term at CS_* and "cs=<lift>" otherwise."""
     row = _model(m)
     pre = _numeric_power(ctx)(-row.delta)
+    unique = len(_geometric_tables(m)) == 1
     terms = [_trivial_term(row, ctx, K)]
-    for lift, f, g in _psi_classes(row):
+    for lift, f, g in _psi_classes(m):
         p_val = _p_star(ctx, row.c, lift, row.P, f)
         big_m = g.eval_complex().imag / math.sqrt(2 * row.P)
         i_val = -(1 / row.H) * cmath.sqrt(ctx.r / (1j * ctx.s)) * pre * big_m
-        name = "geometric" if lift == row.cs else f"cs={lift}"
+        name = "geometric" if unique and lift == row.cs else f"cs={lift}"
         terms.append(SaddleTerm(name, lift, p_val, i_val, -1))
     return terms
 
@@ -394,7 +369,7 @@ def _geometric(m: Manifold, ctx: RootContext, report: VerificationReport) -> Non
         w = w_seifert_closed(m.data, ctx.tilde()).exact if ctx.s > 1 \
             else _sector0(row, alpha, pw)
     else:
-        f_star = next(f for lift, f, _ in _psi_classes(row) if lift == row.cs)
+        [f_star] = _geometric_tables(m)
         w = sum(FAMILIES[m.kind].sectors(m, ctx, True), CycloNumber.zero(1))
     shift = row.delta + row.cs
     const = row.H if row.spherical else 0
@@ -446,49 +421,44 @@ def _lens_geometric(m: Manifold, ctx: RootContext,
 class Family:
     """What the harness implements for one manifold kind.
 
-    saddles(m, ctx, K) gives the saddle terms; geometric(m, ctx, report)
-    adds the geometric-relation checks to report; sectors(m, ctx, tilde)
-    gives the abelian sector values W^(a) at xi (or xi~), in the label
-    order of connections(m), the flat connections; row(m) gives the
-    sector-0 row (c, f0) of a Seifert family (see Sector0); sector_rows(m)
-    gives the a >= 1 rows (coef, f, twisted) of a psi-basis family (see
-    _sectors); suites are the verify suites that apply.
+    row(m) gives the sector-0 row (c, f0) of a Seifert family (see
+    Sector0); sectors(m, ctx, tilde) gives the abelian sector values W^(a)
+    at xi (or xi~), in the label order of connections(m), the flat
+    connections; sector_rows(m) gives the a >= 1 rows (coef, f, twisted) of
+    a psi-basis family (see _sectors); saddles(m, ctx, K) gives the saddle
+    terms; geometric(m, ctx, report) adds the geometric-relation checks to
+    report; suites are the verify suites that apply.  saddles and
+    geometric default to those of the sector-0 model.
     """
 
-    saddles: Callable
-    geometric: Callable
-    sectors: Callable | None = None
     row: Callable | None = None
+    sectors: Callable | None = None
+    sector_rows: Callable | None = None
+    saddles: Callable = _sector0_saddles
+    geometric: Callable = _geometric
     suites: tuple[str, ...] = ("decomposition", "geometric")
     connections: Callable = abelian_connections
-    sector_rows: Callable | None = None
 
 
 FAMILIES = {
     "brieskorn": Family(
-        lambda m, ctx, K: _brieskorn_saddles(m.params, ctx, K), _geometric,
-        row=lambda m: (Fraction(1, 2), phi_basis(m.params, (1, 1, 1))),
+        lambda m: (Fraction(1, 2), phi_basis(m.params, (1, 1, 1))),
         suites=("identity", "integrality", "geometric", "lemmas", "modularity"),
         connections=lambda m: nonabelian_connections(m.params)
         + [replace(geometric_connection(m.data), kind="geometric")]),
-    "lens": Family(_lens_saddles, _lens_geometric,
-                   lambda m, ctx, tilde: lens_sectors(m.params[0], ctx, tilde)),
+    "lens": Family(sectors=lambda m, ctx, tilde: lens_sectors(m.params[0], ctx, tilde),
+                   saddles=_lens_saddles, geometric=_lens_geometric),
     "2-3-3": Family(
-        _sector0_saddles, _geometric, _sectors,
-        lambda m: (Fraction(-1, 2), psi_combo(6, {1: 1, 3: 2, 5: 1})),
-        sector_rows=lambda m: [(Fraction(-1, 2),
-                                psi_combo(6, {1: 1, 3: -1, 5: 1}), False)]),
+        lambda m: (Fraction(-1, 2), psi_combo(6, {1: 1, 3: 2, 5: 1})), _sectors,
+        lambda m: [(Fraction(-1, 2), psi_combo(6, {1: 1, 3: -1, 5: 1}), False)]),
     "neg-2-3-9": Family(
-        _sector0_saddles, _geometric, _sectors,
         lambda m: (Fraction(1, 2), psi_combo(18, {1: 1, 5: -1, 13: -1, 17: 1})),
-        sector_rows=lambda m: [(Fraction(1, 4),
-                                psi_combo(18, {1: 2, 5: 1, 13: 1, 17: 2}), False)]),
+        _sectors,
+        lambda m: [(Fraction(1, 4), psi_combo(18, {1: 2, 5: 1, 13: 1, 17: 2}), False)]),
     "family": Family(
-        _sector0_saddles, _geometric, _sectors,
-        lambda m: (Fraction(1, 2), _family_psi(m.params[0], 1, -2, 1)),
-        sector_rows=lambda m: [
-            (Fraction(1, 2), _family_psi(m.params[0], 1, 0, 1), False),
-            (Fraction(-1, 2), _family_psi(m.params[0], 0, 1, 0), True)]),
+        lambda m: (Fraction(1, 2), _family_psi(m.params[0], 1, -2, 1)), _sectors,
+        lambda m: [(Fraction(1, 2), _family_psi(m.params[0], 1, 0, 1), False),
+                   (Fraction(-1, 2), _family_psi(m.params[0], 0, 1, 0), True)]),
 }
 
 
@@ -515,10 +485,13 @@ def check_suites(selector: str | Manifold, suite: str | None, s: int = 1,
       or r and s';
     - the harness has data for the manifold, and its family lists the suite;
     - geometric: r coprime with H on ex:family and on L(p, 1) (H = p), and
-      there p >= 3, for the sector-sum identity;
+      there p >= 3, for the sector-sum identity; on a psi-basis family,
+      exactly one _psi_classes term at CS_*, the one P_* reads;
     - geometric and modularity: s is its own s' at every r, since they
       evaluate at xi~ = e(-r/s) and in s/r and would silently use s';
-    - decomposition on a Seifert family: `wrt.check_closed_form` at (r, s').
+    - decomposition on a Seifert family: `wrt.check_closed_form` at (r, s');
+    - decomposition and geometric on L(p, 1): s' coprime with p, for the
+      sectors at xi.
     """
     if r_values is not None:
         denominators = [*r_values[-1:], abs(s)]
@@ -548,6 +521,10 @@ def check_suites(selector: str | Manifold, suite: str | None, s: int = 1,
         if m.kind == "lens" and H < 3:
             raise ValueError("the lens sector-sum identity "
                              "sum_a W^(a) = p x^((5-p)/4) needs p >= 3")
+        if fam.sector_rows and (n := len(_geometric_tables(m))) != 1:
+            raise ValueError(f"the S-image of sector 0 of {m.selector!r} has {n} "
+                             f"terms at CS_* = {_model(m).cs}; the geometric "
+                             f"relation needs exactly one")
     rs = r_values if "modularity" in suites else (r,) if "geometric" in suites \
         else ()
     for x in rs:
@@ -558,6 +535,9 @@ def check_suites(selector: str | Manifold, suite: str | None, s: int = 1,
                              f"take only s = 1 mod 4 below 4r")
     if "decomposition" in suites and m.data is not None:
         check_closed_form(m.data, RootContext(r, normalize_s(s, r)))
+    if m.kind == "lens" and math.gcd(used := normalize_s(s, r), m.params[0]) != 1:
+        raise ValueError(f"evaluation parameter {used} must be coprime to "
+                         f"p={m.params[0]}")
     return m, suites
 
 
@@ -606,10 +586,10 @@ def saddle_expansion(selector: str | Manifold, ctx: RootContext,
                      K: int) -> list[SaddleTerm]:
     """Saddle terms of the asymptotic expansion for the supported families.
 
-    Brieskorn spheres get the full expansion (trivial + every rotation
-    number); the rational homology sphere examples get the sector-0 terms
-    as displayed by their decompositions; lens spaces get one exact term
-    per abelian sector with the off-sector terms exactly zero.
+    A Seifert family gets the sector-0 terms: the trivial term and one
+    term per term of the exact S-image of its sector-0 table (on Brieskorn
+    spheres, one per rotation number); lens spaces get one exact term per
+    abelian sector with the off-sector terms exactly zero.
     """
     m = parse(selector)
     return family(m).saddles(m, ctx, K)
@@ -624,9 +604,9 @@ def geometric_relation(selector: str | Manifold,
       P_*(xi~) = xi~^(delta + CS_*) W(xi~) - [H if spherical],
       P_* = c xi~^CS_* F_f*(-r/s),
 
-    where f* is f0 for Brieskorn spheres and the geometric class of the
-    S-image of f0 otherwise (see _psi_classes), and W = sum_a W^(a) for
-    the rational homology spheres.  Brieskorn spheres report delta + CS_*
+    where f* is f0 for Brieskorn spheres and otherwise the table of the one
+    term of the S-image of f0 at CS_* (see _psi_classes), and W = sum_a
+    W^(a) for the rational homology spheres.  Brieskorn spheres report delta + CS_*
     mod s, an integer.  Lens spaces keep their own form:
 
       lens p : sum_a W^(a)(x) = p x^((5-p)/4), sector-0 P_* = 0

@@ -1,5 +1,5 @@
 """Exact scalar number theory: Jacobi symbols, Dedekind sums, Bernoulli
-polynomials, Moebius function, residue normalization and rationals mod 1.
+polynomials, Moebius function, residue normalization and root contexts.
 
 Everything in this module is pure integer / Fraction arithmetic with no
 floating point, so downstream identity checks can be zero tolerance.
@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "RationalMod1",
     "RootContext",
     "jacobi",
     "normalize_s",
@@ -131,29 +130,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for e in fac.values()):
         return 0
     return -1 if len(fac) % 2 else 1
-
-
-@dataclass(frozen=True)
-class RationalMod1:
-    """A rational number reduced to its canonical representative in [0, 1)."""
-
-    value: Fraction
-
-    @staticmethod
-    def of(x) -> "RationalMod1":
-        x = Fraction(x)
-        return RationalMod1(x - math.floor(x))
-
-    def __post_init__(self):
-        if not (0 <= self.value < 1):
-            raise ValueError(f"{self.value} is not in [0, 1)")
-
-    def __add__(self, other) -> "RationalMod1":
-        o = other.value if isinstance(other, RationalMod1) else Fraction(other)
-        return RationalMod1.of(self.value + o)
-
-    def __neg__(self) -> "RationalMod1":
-        return RationalMod1.of(-self.value)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .number_theory import RationalMod1, dedekind_sum
+from .number_theory import dedekind_sum
 
 __all__ = [
     "Geometry",
@@ -187,8 +187,8 @@ class FlatConnection:
     rotation: tuple[int, int, int] | None = None
 
     @property
-    def cs(self) -> RationalMod1:
-        return RationalMod1.of(self.cs_lift)
+    def cs(self) -> Fraction:
+        return self.cs_lift % 1
 
 
 def rotation_order(p: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -235,27 +235,23 @@ def nonabelian_connections(p: tuple[int, int, int]) -> list[FlatConnection]:
 def geometric_connection(d: SeifertData) -> FlatConnection:
     """The geometric flat connection, with Chern-Simons lift -chi^2/4e.
 
-    Defined for spherical and SL(2,R)~ geometry.  For Brieskorn spheres the
-    matching rotation-number component is attached (it is (1,1,1))."""
+    Defined for spherical and SL(2,R)~ geometry.  For Brieskorn spheres it
+    is the component with holonomy 1/p_j around each fiber, rotation number
+    (1,1,1) in rotation order; ArithmeticError unless its natural lift and
+    -chi^2/4e differ by an integer."""
     inv = invariants(d)
     geo = classify_geometry(inv.e, inv.chi)
     if geo not in (Geometry.S3, Geometry.SL2R):
         raise ValueError(f"{d}: geometric connection defined only for spherical "
                          f"or SL(2,R)~ geometry, got {geo.value}")
     lift = -inv.chi ** 2 / (4 * inv.e)
-    rotation = None
-    if d.m == 3 and inv.H == 1:
-        p = tuple(x for x, _ in d.fibers)
-        pc = rotation_order(p)
-        target = RationalMod1.of(lift)
-        matches = [a for a in rotation_triples(pc)
-                   if RationalMod1.of(cs_nonabelian(pc, a)) == target]
-        if len(matches) != 1:
-            raise ArithmeticError(f"{d}: expected a unique geometric rotation "
-                                  f"number, found {matches}")
-        rotation = matches[0]
-    kind = "nonabelian" if rotation else "geometric"
-    return FlatConnection(kind, lift, rotation=rotation)
+    if d.m != 3 or inv.H != 1:
+        return FlatConnection("geometric", lift)
+    pc = rotation_order(tuple(p for p, _ in d.fibers))
+    if (cs_nonabelian(pc, (1, 1, 1)) - lift).denominator != 1:
+        raise ArithmeticError(f"{d}: CS lift {lift} is not that of rotation "
+                              f"number (1, 1, 1) mod 1")
+    return FlatConnection("nonabelian", lift, rotation=(1, 1, 1))
 
 
 def abelian_connections(selector: str | Manifold) -> list[FlatConnection]:

@@ -316,15 +316,53 @@ def test_output_file(tmp_path, capsys):
     ["verify", "all", "--manifold", "ex:2-3-3", "--r", "7", "--s", "9"],
     ["verify", "decomposition", "--manifold", "ex:family:2", "--r", "7",
      "--s", "5"],
+    # the lens sectors at xi = e(s'/r) need s' coprime with p
+    ["wrt", "--manifold", "lens:5", "--r", "7", "--s", "5"],
+    ["verify", "decomposition", "--manifold", "lens:5", "--r", "7", "--s", "5"],
+    ["verify", "all", "--manifold", "lens:5", "--r", "7", "--s", "5"],
+    ["verify", "geometric", "--manifold", "lens:5", "--r", "7", "--s", "5"],
+    # two S-image terms of sector 0 share CS_*, so P_* is not defined
+    ["verify", "geometric", "--manifold", "ex:family:7", "--r", "11"],
+    ["verify", "all", "--manifold", "ex:family:7", "--r", "11"],
 ])
 def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
     def no_products(*_args):
         raise AssertionError("field arithmetic ran on rejected input")
     monkeypatch.setattr(CycloNumber, "__mul__", no_products)
     monkeypatch.setattr(CycloNumber, "__rmul__", no_products)
-    code, _out, err = invoke(capsys, args)
-    assert code == 2
-    assert "error" in err
+    code, out, err = invoke(capsys, args)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("selector", ["brieskorn:2,3,35", "brieskorn:3,5,14"])
+@pytest.mark.parametrize("r", [11, 13])
+def test_brieskorn_with_two_rotations_at_the_geometric_cs_verifies(capsys, selector, r):
+    # (1,1,1) and (1,1,6), or (1,1,1) and (13,1,1), share CS_* mod 1; the
+    # geometric connection is (1,1,1) by its holonomy
+    code, out, err = invoke(capsys, ["verify", "all", "--manifold", selector,
+                                     "--r", str(r)])
+    assert (code, err) == (0, "") and "[FAIL]" not in out
+
+
+def test_flatconn_names_the_geometric_rotation(capsys):
+    code, out, _err = invoke(capsys, ["flatconn", "--manifold", "brieskorn:2,3,35",
+                                      "--json"])
+    rows = json.loads(out)["results"]
+    geometric = [row for row in rows if row["kind"] == "geometric"]
+    assert code == 0 and len(rows) == 18
+    assert geometric == [{"kind": "geometric", "rotation": [1, 1, 1],
+                          "cs_lift": "-841/840", "cs": "839/840"}]
+
+
+def test_family_with_a_mixed_class_off_cs_star_verifies(capsys):
+    # a class of the S-image of ex:family:13 other than CS_* holds g_b that
+    # are not all +-equal; it splits into several terms, and the geometric
+    # relation reads only the one term at CS_*
+    code, out, err = invoke(capsys, ["verify", "all", "--manifold", "ex:family:13",
+                                     "--r", "11"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("[pass] geometric_relation")
 
 
 @pytest.mark.parametrize("selector, r", [("lens:1", 7), ("lens:5", 5)])

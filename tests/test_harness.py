@@ -143,12 +143,12 @@ def test_saddle_expansion_counts_and_structure():
     assert terms[0].delta == 0 and all(t.delta == -1 for t in terms[1:])
     terms = saddle_expansion("brieskorn:2,3,5", ctx, 2)
     assert len(terms) == 3
-    geom = [t for t in terms if t.connection == "nonabelian(1, 1, 1)"]
-    assert geom and geom[0].cs_lift == Fraction(-1, 120)
-    # sector-0 of S2(-1;-2,-3,-9): the class at CS = -1/8 is absent
+    geom = [t for t in terms if t.connection == "geometric"]
+    assert len(geom) == 1 and geom[0].cs_lift == Fraction(-1, 120)
+    # sector-0 of S2(-1;-2,-3,-9): its S-image has g = 0 at the class
+    # CS = -1/8, so no term sits there
     terms = saddle_expansion("ex:neg-2-3-9", ctx, 2)
-    zero_term = [t for t in terms if t.cs_lift == Fraction(-1, 8)]
-    assert zero_term and zero_term[0].p_value.is_zero()
+    assert not [t for t in terms if t.cs_lift % 1 == Fraction(7, 8)]
     # trivial coefficient is 1 across families
     for sel in ("ex:2-3-3", "ex:neg-2-3-9", "ex:family:2"):
         terms = saddle_expansion(sel, ctx, 1)
@@ -181,6 +181,43 @@ def test_sector0_expansion_approximates_sector():
             res.append(abs(w0 - tot))
         slope = np.polyfit(np.log([101.0, 201.0, 401.0]), np.log(res), 1)[0]
         assert abs(slope + 3) < 0.5, (sel, res)
+
+
+def test_sector0_expansion_of_a_family_with_a_split_class():
+    # two sign groups of the S-image of ex:family:7 share CS_*; each is its
+    # own saddle term, and together the terms still track sector 0
+    res = []
+    for r in (1001, 2003, 4001):
+        ctx = RootContext(r, 1)
+        w0 = qhs_decomposition("ex:family:7", ctx)[0][2].eval_complex()
+        terms = saddle_expansion("ex:family:7", ctx, 2)
+        assert not [t for t in terms if t.connection == "geometric"]
+        res.append(abs(w0 - sum(t.numeric(ctx) for t in terms)))
+    slope = np.polyfit(np.log([1001.0, 2003.0, 4001.0]), np.log(res), 1)[0]
+    assert abs(slope + 3) < 0.5, res
+
+
+@pytest.mark.parametrize("p", [(2, 3, 5), (2, 3, 7), (2, 5, 7), (3, 4, 5), (2, 3, 35)])
+def test_brieskorn_s_image_is_the_phi_s_matrix_row(p):
+    # the exact S-image of f0 = phi_(1,1,1) has one term per rotation number
+    # a, with table +-phi_a and M = g / sqrt(2P) equal to +- the float
+    # S-matrix entry S^(1,1,1)_a
+    from qmwrt.false_theta import s_matrix_phi
+    from qmwrt.harness import _psi_classes
+    from qmwrt.seifert import parse, rotation_order, rotation_triples
+
+    pc = rotation_order(p)
+    labels = rotation_triples(pc)
+    srow = s_matrix_phi(pc)[labels.index((1, 1, 1))]
+    big_p = math.prod(p)
+    found = []
+    for _lift, f, g in _psi_classes(parse("brieskorn:" + ",".join(map(str, p)))):
+        [(a, sign)] = [(a, sign) for a in labels for sign in (1, -1)
+                       if f == sign * phi_basis(pc, a)]
+        big_m = g.eval_complex().imag / math.sqrt(2 * big_p)
+        assert abs(sign * big_m - srow[labels.index(a)]) <= 1e-12, a
+        found.append(a)
+    assert sorted(found) == labels
 
 
 def test_residual_scan_matches_s_transform_residual():
@@ -253,7 +290,6 @@ def test_saddle_expansion_relabeled_fiber_order():
     # S-matrix rows must agree on the relabeled order
     from qmwrt.false_theta import phi_basis, eichler_limit_complex
     from qmwrt.seifert import rotation_order
-    from qmwrt.harness import _brieskorn_saddles
 
     p = (3, 4, 5)
     inv = invariants(brieskorn(p))
@@ -263,7 +299,8 @@ def test_saddle_expansion_relabeled_fiber_order():
         pre = xi_power(ctx, Fraction(1, 2) - inv.phi / 4).eval_complex()
         w_num = 0.5 * pre * eichler_limit_complex(
             phi_basis(rotation_order(p), (1, 1, 1)), inv.P, Fraction(1, r))
-        total = sum(t.numeric(ctx) for t in _brieskorn_saddles(p, ctx, 2))
+        terms = saddle_expansion("brieskorn:3,4,5", ctx, 2)
+        total = sum(t.numeric(ctx) for t in terms)
         res.append(abs(w_num - total))
     slope = np.polyfit(np.log([101.0, 201.0, 401.0]), np.log(res), 1)[0]
     assert abs(slope + 3) < 0.5

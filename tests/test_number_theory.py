@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from qmwrt.number_theory import (
-    RationalMod1,
     RootContext,
     bernoulli_poly,
     dedekind_sum,
@@ -163,15 +162,6 @@ def test_moebius_sum_over_divisors():
 
 def test_euler_phi():
     assert [euler_phi(n) for n in (1, 2, 12, 60)] == [1, 1, 4, 16]
-
-
-def test_rational_mod1():
-    x = RationalMod1.of(Fraction(7, 3))
-    assert x.value == Fraction(1, 3)
-    assert (x + Fraction(5, 6)).value == Fraction(1, 6)
-    assert (-x).value == Fraction(2, 3)
-    with pytest.raises(ValueError):
-        RationalMod1(Fraction(3, 2))
 
 
 def test_root_context_validation():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from qmwrt.intmatrix import det_int
-from qmwrt.number_theory import RationalMod1
 from qmwrt.seifert import (
     EXAMPLE_233,
     EXAMPLE_NEG239,
@@ -111,7 +110,7 @@ def test_linking_matrix_determinant():
 def test_rotation_numbers_and_counts():
     conns = nonabelian_connections((2, 3, 5))
     assert len(conns) == 2
-    values = {c.cs.value for c in conns}
+    values = {c.cs for c in conns}
     assert values == {Fraction(119, 120), Fraction(71, 120)}  # -1/120, -49/120
     lifts = {c.rotation: c.cs_lift for c in conns}
     assert lifts[(1, 1, 2)] == Fraction(-4489, 120)
@@ -145,8 +144,7 @@ def test_geometric_connection_examples():
         d = example_family(p)
         g = geometric_connection(d)
         big_p = p * (2 * p + 1)
-        assert RationalMod1.of(g.cs_lift) \
-            == RationalMod1.of(-Fraction((big_p - 1) ** 2, 4 * big_p))
+        assert g.cs == -Fraction((big_p - 1) ** 2, 4 * big_p) % 1
     # Nil geometry (e != 0, chi = 0) is out of scope for the geometric value
     with pytest.raises(ValueError):
         geometric_connection(SeifertData(1, ((2, 1), (2, 1), (2, 1), (2, 1))))
@@ -156,9 +154,16 @@ def test_geometric_connection_examples():
 
 
 def test_geometric_rotation_is_unique_and_111():
-    # uniqueness of the CS match is asserted inside geometric_connection
-    for p in [(2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 5, 7), (3, 4, 5), (3, 5, 7)]:
-        assert geometric_connection(brieskorn(p)).rotation == (1, 1, 1)
+    # the geometric connection is named by its holonomy, not found by its CS
+    # value mod 1: on (2,3,35) and (3,5,14) a second rotation number shares
+    # that value.  Its lift and the natural lift of (1,1,1) differ by an
+    # integer, which geometric_connection asserts.
+    for p in [(2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 5, 7), (3, 4, 5), (3, 5, 7),
+              (2, 3, 35), (3, 5, 14)]:
+        g = geometric_connection(brieskorn(p))
+        assert g.rotation == (1, 1, 1), p
+        shared = [c.rotation for c in nonabelian_connections(p) if c.cs == g.cs]
+        assert (1, 1, 1) in shared and (len(shared) == 2) == (p[2] in (35, 14)), p
 
 
 def test_framing_exponent_matches_geometric_cs():
