@@ -237,8 +237,9 @@ def geometric_connection(d: SeifertData) -> FlatConnection:
 
     Defined for spherical and SL(2,R)~ geometry.  For Brieskorn spheres it
     is the component with holonomy 1/p_j around each fiber, rotation number
-    (1,1,1) in rotation order; ArithmeticError unless its natural lift and
-    -chi^2/4e differ by an integer."""
+    (1,1,1) in rotation order; ArithmeticError unless its natural lift (the
+    negative of it for e < 0, the other orientation) and -chi^2/4e differ by
+    an integer."""
     inv = invariants(d)
     geo = classify_geometry(inv.e, inv.chi)
     if geo not in (Geometry.S3, Geometry.SL2R):
@@ -248,7 +249,10 @@ def geometric_connection(d: SeifertData) -> FlatConnection:
     if d.m != 3 or inv.H != 1:
         return FlatConnection("geometric", lift)
     pc = rotation_order(tuple(p for p, _ in d.fibers))
-    if (cs_nonabelian(pc, (1, 1, 1)) - lift).denominator != 1:
+    natural = cs_nonabelian(pc, (1, 1, 1))
+    if inv.e < 0:
+        natural = -natural
+    if (natural - lift).denominator != 1:
         raise ArithmeticError(f"{d}: CS lift {lift} is not that of rotation "
                               f"number (1, 1, 1) mod 1")
     return FlatConnection("nonabelian", lift, rotation=(1, 1, 1))

@@ -21,7 +21,13 @@ with h the multiplicative order of chi, which is at most r here.
 The surgery paths clear every other denominator by conjugation: with
 delta = xi^(1/2) - xi^(-1/2), 1/[n] = delta xi^(n/2) / (xi^n - 1), and
 g = F(U^f) u with u = delta xi^(3f/4), f = +-1, is a Gauss sum with
-g conj(g) = 2r, so 1/F(U^f) = u conj(g) / 2r.
+g conj(g) = 2r, so 1/F(U^f) = u conj(g) / 2r.  The surgery oracle writes
+each product of quantum integers as delta^-2 times four signed roots,
+
+    [n][n0 n] = delta^-2 (q^(n/2) - q^(-n/2)) (q^(n0 n/2) - q^(-n0 n/2)),
+
+so a fiber sum over n is 4(r - 1) roots in one integer dict, and the whole
+state sum costs O(m r^2) roots plus O(m r) products at D = 4r.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ __all__ = [
     "w_seifert_closed",
     "sqrt_homology_order",
     "w_normalized",
-    "quantum_integer",
     "f_surgery_normalization",
     "f_surgery_inverse",
     "wrt_brute_surgery",
@@ -98,15 +103,6 @@ def _one_over_delta_squared(ctx: RootContext) -> CycloNumber:
     """delta^-2 = xi / (xi - 1)^2, in canonical form at conductor 2r."""
     one_over = _one_over_root_minus_one(2 * ctx.r, 2 * ctx.s % (2 * ctx.r), ctx.r)
     return (root_power(2 * ctx.r, 2 * ctx.s) * one_over * one_over).canonical()
-
-
-def _one_over_quantum_integer(n: int, ctx: RootContext) -> CycloNumber:
-    """1/[n] = delta xi^(n/2) / (xi^n - 1) for r not dividing n, in
-    canonical form at conductor 4r."""
-    D = 4 * ctx.r
-    return (_delta(ctx) * xi_power(ctx, Fraction(n, 2))
-            * _one_over_root_minus_one(D, 4 * ctx.s * n % D,
-                                       ctx.r // math.gcd(n, ctx.r))).canonical()
 
 
 # -- the structured closed-form sum ----------------------------------------
@@ -372,19 +368,6 @@ def w_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
 # -- colored Jones / surgery oracle ----------------------------------------
 
 
-def quantum_integer(n: int, ctx: RootContext) -> CycloNumber:
-    """[n]_q = (q^(n/2) - q^(-n/2)) / (q^(1/2) - q^(-1/2)) at q = xi,
-    as the exact Laurent sum q^((n-1)/2) + q^((n-3)/2) + ... + q^(-(n-1)/2)."""
-    if n < 0:
-        return -quantum_integer(-n, ctx)
-    D = 4 * ctx.r
-    acc: dict[int, int] = {}
-    for i in range(n):
-        k = (2 * ctx.s * (n - 1 - 2 * i)) % D
-        acc[k] = acc.get(k, 0) + 1
-    return CycloNumber.from_int_dict(D, acc)
-
-
 def surgery_linking_matrix(d: SeifertData) -> list[list[int]]:
     """Linking matrix of the integer surgery presentation (requires all
     q_j = +-1): central b-framed unknot linked once with each p_j q_j-framed
@@ -429,34 +412,56 @@ def f_surgery_inverse(f: int, ctx: RootContext) -> CycloNumber:
     return (u * bar * Fraction(1, 2 * ctx.r)).canonical()
 
 
+def _fiber_colour_sum(f: int, n0: int, ctx: RootContext) -> CycloNumber:
+    """M_f(n0) = delta^2 sum_{n=1}^{r-1} xi^(f(n^2-1)/4) [n][n0 n], the
+    f-framed fiber's factor of the state sum at central colour n0, as the
+    4(r - 1) signed roots
+
+        sum_n sum_{e1,e2=+-1} e1 e2 zeta^(s f (n^2-1) + 2 s (e1 + e2 n0) n)
+
+    at zeta = zeta_4r, since q^(1/2) = zeta^(2s)."""
+    s = ctx.s
+    D = 4 * ctx.r
+    shifts = [(2 * s * (e1 + e2 * n0), e1 * e2)
+              for e1 in (1, -1) for e2 in (1, -1)]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for n in range(1, ctx.r):
+        base = s * f * (n * n - 1)
+        for a, sign in shifts:
+            k = (base + a * n) % D
+            acc[k] = get(k, 0) + sign
+    return CycloNumber.from_int_dict(D, acc)
+
+
 def wrt_brute_surgery(d: SeifertData, ctx: RootContext) -> WrtValue:
     """tau via the defining surgery state sum over colors {1..r-1}^(m+1).
 
-    The inner sums factor over the fiber components for each central color,
-    so the cost is O(m r^2) dictionary convolutions rather than r^(m+1)
-    terms.
+    For each central colour n0 the sum factors over the fiber components,
+    and 1/[n0] = delta xi^(n0/2) / (xi^n0 - 1) is the one surviving central
+    weight.  With the fiber sums M_f of `_fiber_colour_sum`,
+
+        tau = N delta^(1-2m) sum_{n0=1}^{r-1} xi^(b(n0^2-1)/4 + n0/2)
+              (xi^n0 - 1)^-1 prod_j M_{f_j}(n0),
+
+    N = `_surgery_normalization`, and the n0-free delta^(1-2m) N multiplies
+    the sum once, in canonical form.  The cost is O(m r^2) roots plus
+    O(m r) products at D = 4r, not r^(m+1) terms.
     """
     if d.m == 0:
         raise ValueError("the Seifert link shape needs at least one fiber; "
                          "use the framed-unknot route for lens spaces")
     r, s = ctx.r, ctx.s
     D = 4 * r
-    # the n0-free factor xi^(f (nj^2-1)/4) [nj] of each fiber colour
-    fiber_weights = [[root_power(D, s * p * q * (nj * nj - 1))
-                      * quantum_integer(nj, ctx) for nj in range(1, r)]
-                     for p, q in d.fibers]
     total = CycloNumber.zero(D)
     for n0 in range(1, r):
-        # J * prod [n_i] has one surviving 1/[n0]
-        part = root_power(D, s * d.b * (n0 * n0 - 1)) \
-            * _one_over_quantum_integer(n0, ctx)
-        for weights in fiber_weights:
-            inner = CycloNumber.zero(D)
-            for nj, weight in enumerate(weights, start=1):
-                inner = inner + weight * quantum_integer(n0 * nj, ctx)
-            part = part * inner
+        part = root_power(D, s * d.b * (n0 * n0 - 1) + 2 * s * n0) \
+            * _one_over_root_minus_one(D, 4 * s * n0 % D, r // math.gcd(n0, r))
+        for p, q in d.fibers:
+            part = part * _fiber_colour_sum(p * q, n0, ctx)
         total = total + part
-    return WrtValue(total * _surgery_normalization(d, ctx))
+    const = _delta(ctx) * _one_over_delta_squared(ctx) ** d.m
+    return WrtValue(total * (const * _surgery_normalization(d, ctx)).canonical())
 
 
 # -- lens spaces ------------------------------------------------------------

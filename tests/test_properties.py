@@ -1,30 +1,32 @@
 """Property tests over random small Seifert data that the closed form accepts:
 integer-framed fibers (q = +-1, the first of order 2), odd homology order,
-e != 0, and roots r <= 9 with s coprime to r and to every fiber order."""
+e != 0, and roots r <= 9 (or from a given list) with s coprime to r and to
+every fiber order."""
 
 import math
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmwrt.number_theory import RootContext
 from qmwrt.seifert import SeifertData, invariants
 from qmwrt.wrt import tau_seifert_closed, wrt_brute_surgery
+from test_wrt import _brute_surgery_reference
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=20,
                     deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
-def seifert_and_root(draw, min_fibers=1):
+def seifert_and_root(draw, min_fibers=1, max_fibers=3, roots=(3, 5, 7, 9)):
     fibers = [(2, draw(st.sampled_from((1, -1))))]
     fibers += draw(st.lists(st.tuples(st.sampled_from((3, 5, 7)),
                                       st.sampled_from((1, -1))),
-                            min_size=min_fibers - 1, max_size=2))
+                            min_size=min_fibers - 1, max_size=max_fibers - 1))
     d = SeifertData(draw(st.integers(-2, 2)), tuple(fibers))
     inv = invariants(d)
     assume(inv.e != 0 and inv.H % 2 == 1)
-    r = draw(st.sampled_from((3, 5, 7, 9)))
+    r = draw(st.sampled_from(roots))
     s = draw(st.sampled_from((1, 5, 13)))
     assume(math.gcd(s, r) == 1 and all(math.gcd(s, p) == 1 for p, _ in fibers))
     return d, RootContext(r, s)
@@ -64,3 +66,13 @@ def test_closed_form_equals_surgery_oracle(case):
     # S2(0; 2/1), while the closed form returns 1
     d, ctx = case
     assert tau_seifert_closed(d, ctx).exact == wrt_brute_surgery(d, ctx).exact
+
+
+@PROPERTY
+@given(seifert_and_root(min_fibers=1, max_fibers=4, roots=(3, 5, 7, 9, 11, 13)))
+@example((SeifertData(2, ((2, 1), (3, -1), (7, 1), (3, 1))), RootContext(13, 5)))
+def test_surgery_oracle_equals_the_quantum_integer_state_sum(case):
+    # two forms of one state sum, so one fiber is fine here
+    d, ctx = case
+    new, ref = wrt_brute_surgery(d, ctx).exact, _brute_surgery_reference(d, ctx).exact
+    assert (new.D, new.c, new.den) == (ref.D, ref.c, ref.den)

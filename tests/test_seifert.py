@@ -166,6 +166,23 @@ def test_geometric_rotation_is_unique_and_111():
         assert (1, 1, 1) in shared and (len(shared) == 2) == (p[2] in (35, 14)), p
 
 
+@pytest.mark.parametrize("p, lift", [
+    ((2, 3, 5), Fraction(1, 120)),
+    ((2, 3, 7), Fraction(1, 168)),
+    ((2, 5, 7), Fraction(121, 280)),
+    ((3, 4, 5), Fraction(169, 240)),
+])
+def test_geometric_connection_of_the_reversed_orientation(p, lift):
+    # e = -1/P: the lift -chi^2/4e is the negative of the forward one, and
+    # agrees mod 1 with the negated natural lift of rotation (1,1,1)
+    g = geometric_connection(brieskorn(p).reversed_orientation())
+    assert g.rotation == (1, 1, 1) and g.cs_lift == lift
+    assert g.cs_lift == -geometric_connection(brieskorn(p)).cs_lift
+    natural = next(c.cs_lift for c in nonabelian_connections(p)
+                   if c.rotation == (1, 1, 1))
+    assert (g.cs_lift + natural).denominator == 1
+
+
 def test_framing_exponent_matches_geometric_cs():
     # phi/4 - 1/2 + CS[A_*] is an integer (CS[A_*] = -chi^2/4e); this is the
     # compatibility between the framing exponent and the geometric value.

@@ -19,10 +19,10 @@ from qmwrt.seifert import (
     parse_manifold,
 )
 from qmwrt.wrt import (
+    WrtValue,
     f_surgery_inverse,
     f_surgery_normalization,
     lens_sectors,
-    quantum_integer,
     seifert_gauss_norm,
     seifert_gauss_sum,
     seifert_hat_over_2g,
@@ -42,6 +42,69 @@ ORACLE_MANIFOLDS = [
     ("ex:2-3-3", "S2(1;2,3,3)"),
     ("ex:neg-2-3-9", "S2(-1;-2,-3,-9)"),
 ]
+
+
+def quantum_integer(n, ctx):
+    """[n]_q = (q^(n/2) - q^(-n/2)) / (q^(1/2) - q^(-1/2)) at q = xi,
+    as the exact Laurent sum q^((n-1)/2) + q^((n-3)/2) + ... + q^(-(n-1)/2)."""
+    if n < 0:
+        return -quantum_integer(-n, ctx)
+    D = 4 * ctx.r
+    acc = {}
+    for i in range(n):
+        k = (2 * ctx.s * (n - 1 - 2 * i)) % D
+        acc[k] = acc.get(k, 0) + 1
+    return CycloNumber.from_int_dict(D, acc)
+
+
+def _one_over_quantum_integer(n, ctx):
+    """1/[n] = delta xi^(n/2) / (xi^n - 1) for r not dividing n, in
+    canonical form at conductor 4r."""
+    D = 4 * ctx.r
+    return (wrt._delta(ctx) * xi_power(ctx, Fraction(n, 2))
+            * wrt._one_over_root_minus_one(D, 4 * ctx.s * n % D,
+                                           ctx.r // math.gcd(n, ctx.r))).canonical()
+
+
+def _brute_surgery_reference(d, ctx):
+    """tau by the surgery state sum as products of quantum integers: for each
+    central colour n0, 1/[n0] times, per fiber, the sum over n of
+    xi^(f(n^2-1)/4) [n][n0 n], then the normalization: the reference for
+    `wrt_brute_surgery`, which sums four signed roots per fiber colour."""
+    r, s = ctx.r, ctx.s
+    D = 4 * r
+    # the n0-free factor xi^(f (nj^2-1)/4) [nj] of each fiber colour
+    fiber_weights = [[root_power(D, s * p * q * (nj * nj - 1))
+                      * quantum_integer(nj, ctx) for nj in range(1, r)]
+                     for p, q in d.fibers]
+    total = CycloNumber.zero(D)
+    for n0 in range(1, r):
+        # J * prod [n_i] has one surviving 1/[n0]
+        part = root_power(D, s * d.b * (n0 * n0 - 1)) \
+            * _one_over_quantum_integer(n0, ctx)
+        for weights in fiber_weights:
+            inner = CycloNumber.zero(D)
+            for nj, weight in enumerate(weights, start=1):
+                inner = inner + weight * quantum_integer(n0 * nj, ctx)
+            part = part * inner
+        total = total + part
+    return WrtValue(total * wrt._surgery_normalization(d, ctx))
+
+
+@pytest.mark.parametrize("r, s", [(3, 1), (7, 5), (9, 13), (11, 1), (13, 5)])
+def test_fiber_sum_is_four_roots_per_colour(r, s):
+    # sum_n xi^(f(n^2-1)/4) [n][n0 n] = delta^-2 M_f(n0), exactly, for
+    # framings of both signs and n0 both prime to r and not
+    ctx = RootContext(r, s)
+    D = 4 * r
+    for f in (1, -1, 2, -2, 3, -3, 7, -9):
+        for n0 in {1, 2, 3, r - 1} & set(range(1, r)):
+            lhs = CycloNumber.zero(D)
+            for n in range(1, r):
+                lhs = lhs + root_power(D, s * f * (n * n - 1)) \
+                    * quantum_integer(n, ctx) * quantum_integer(n0 * n, ctx)
+            m_f = wrt._fiber_colour_sum(f, n0, ctx)
+            assert lhs == wrt._one_over_delta_squared(ctx) * m_f, (f, n0)
 
 
 def test_quantum_integer():
@@ -72,7 +135,7 @@ def test_surgery_linking_matrix_and_cap():
     b = surgery_linking_matrix(d)
     assert b[0] == [1, 1, 1, 1] and b[1][1] == 2 and b[3][3] == 5
     # the oracle factors per fiber: its nominal color space of 34^4 =
-    # 1,336,336 tuples costs O(m r^2) products
+    # 1,336,336 tuples costs O(m r^2) roots and O(m r) products
     d, ctx = parse_manifold("ex:2-3-3"), RootContext(35, 1)
     assert wrt_brute_surgery(d, ctx).exact == tau_seifert_closed(d, ctx).exact
 
@@ -562,7 +625,7 @@ def test_reciprocals_by_conjugation(r):
                                          f_surgery_inverse(f, ctx), 4 * r)
         for n0 in range(1, r):
             _assert_canonical_reciprocal(quantum_integer(n0, ctx),
-                                         wrt._one_over_quantum_integer(n0, ctx),
+                                         _one_over_quantum_integer(n0, ctx),
                                          4 * r)
         delta = wrt._delta(ctx)
         _assert_canonical_reciprocal(delta * delta,
@@ -651,3 +714,18 @@ def test_qhs_at_large_root_needs_no_field_norm(monkeypatch, capsys):
                  "--exact", "--json"]) == 0
     capsys.readouterr()
     assert sum(pairs) < 10 ** 6
+
+
+def test_surgery_oracle_sums_roots_not_quantum_integer_products(monkeypatch):
+    # 0.16 million term pairs with four signed roots per fiber colour; 1.58
+    # million as r - 1 products of two quantum integers per fiber sum
+    pairs = []
+    product = cyclotomic._product
+
+    def recorded(ca, cb, D):
+        pairs.append(len(ca) * len(cb))
+        return product(ca, cb, D)
+
+    monkeypatch.setattr(cyclotomic, "_product", recorded)
+    wrt_brute_surgery(parse_manifold("ex:2-3-3"), RootContext(31, 1))
+    assert sum(pairs) < 3 * 10 ** 5
