@@ -27,13 +27,17 @@ each product of quantum integers as delta^-2 times four signed roots,
     [n][n0 n] = delta^-2 (q^(n/2) - q^(-n/2)) (q^(n0 n/2) - q^(-n0 n/2)),
 
 so a fiber sum over n is 4(r - 1) roots in one integer dict, and the whole
-state sum costs O(m r^2) roots plus O(m r) products at D = 4r.
+state sum costs O(m r^2) roots plus O(m r) products at D = 4r.  At H > 1
+the closed form splits each fiber's Gauss sum by CRT into a Gauss sum free
+of the colour, which cancels in the ratio that pins the fiber's constant,
+times F1 roots at conductor 4 F1 r (see `_tau_qhs_reciprocity`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
@@ -242,19 +246,15 @@ def _surgery_normalization(d: SeifertData, ctx: RootContext) -> CycloNumber:
     return norm.canonical()
 
 
-def _fiber_b_sum(f: int, w: int, ctx: RootContext) -> CycloNumber:
-    """B(w) = sum_{a mod |f|} e^(-2 pi i s a (r a + w)/f), of conductor |f|."""
-    sgn = 1 if f > 0 else -1
-    return quadratic_sum(abs(f), -sgn * ctx.s * ctx.r, -sgn * ctx.s * w)
-
-
-def _fiber_probe(f: int, ctx: RootContext) -> tuple[int, CycloNumber]:
-    """The first w0 in 0..|f| with B(w0) != 0, and B(w0)."""
-    for w0 in range(abs(f) + 1):
-        b0 = _fiber_b_sum(f, w0, ctx)
-        if not b0.is_zero():
-            return w0, b0
-    raise ArithmeticError("no nonvanishing probe for the fiber sum")
+def _fiber_theta(f: int, w: int, ctx: RootContext) -> CycloNumber:
+    """P'(w) = sum_{a mod F1} zeta^(-sgn(f) s u (w + 2ra)^2) at zeta =
+    zeta_{4 F1 r}, |f| = F1 F2 with F1 the largest divisor whose primes
+    divide 2r and u = 1/F2 mod 4 F1 r: at most F1 roots."""
+    F1 = math.gcd(abs(f), (2 * ctx.r) ** abs(f).bit_length())
+    D, step = 4 * F1 * ctx.r, 2 * ctx.r
+    c = (-ctx.s if f > 0 else ctx.s) * pow(abs(f) // F1, -1, D)
+    return CycloNumber.from_int_dict(
+        D, Counter(c * (w + step * a) ** 2 % D for a in range(F1)))
 
 
 def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
@@ -266,48 +266,48 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
         S_j(n0) = xi^(-f_j/4) delta^-2 [A_j(n0+1) - A_j(n0-1)],
         A_j(w)  = sum_{n mod 2r} xi^((f_j n^2 + 2 w n)/4),
 
-    and reciprocity turns A_j(w) into E_j K_j xi^(-w^2/4f_j) B_j(w) where
+    and reciprocity gives A_j(w) = E_j K_j xi^(-w^2/4f_j) B_j(w), with
+    K_j = sum_{l mod s} xi~^(f_j l^2), E_j = e^(pi i sgn(f_j)/4) sqrt(2r/s|f_j|),
+    B_j(w) = sum_{a mod |f_j|} e^(-2 pi i s a (r a + w)/f_j), and so
 
-        K_j = sum_{l mod s} xi~^(f_j l^2),
-        B_j(w) = sum_{a mod |f_j|} e^(-2 pi i s a (r a + w)/f_j),
+        xi^(-w^2/4f) B(w) = sum_{a mod |f|} zeta_{4|f|r}^(-sgn(f) s (w + 2ra)^2).
 
-    and the scalar E_j = e^(pi i sgn(f_j)/4) sqrt(2r) / sqrt(s |f_j|) is
-    pinned exactly as the ratio A_j(w0) / (K_j B_j(w0)) at a probe value w0.
-    Only the central factors and the brackets depend on n0, so the constant
-
-        C = delta prod_j xi^(-f_j/4) delta^-2 E_j K_j
-
-    (its delta is the numerator of 1/[n0]) is formed once, before the sum
-    over n0, and multiplies the sum once, both in canonical form, which has
-    far fewer terms than either as summed.  `check_closed_form` gives its
-    domain.
+    With |f| = F1 F2 as in `_fiber_theta`, zeta_{4|f|r} = zeta_{4F1r}^u
+    zeta_{F2}^v (u F2 + 4 v F1 r = 1): of a term, the first factor reads
+    a mod F1 only and the second a mod F2 only, where w + 2ra runs over all
+    residues.  So by CRT on a the sum is G_j P'_j(w), P'_j = `_fiber_theta`
+    and G_j a Gauss sum mod F2 free of w, and A_j = c_j P'_j.  The scalar
+    c_j = E_j K_j G_j is pinned exactly as A_j(w0) / P'_j(w0) at the first
+    probe w0 with P'_j(w0) != 0, where G_j cancels: it is never formed.
+    Each bracket has at most 2 F1_j roots, so the n0 sum lives at
+    lcm_j 4 F1_j r.  The constant C = delta prod_j xi^(-f_j/4) delta^-2 c_j
+    (its delta is the numerator of 1/[n0]) is formed once and multiplies
+    the sum once, both in canonical form, which has far fewer terms than
+    either as summed.  `check_closed_form` gives its domain.
     """
     r, s = ctx.r, ctx.s
     D = 4 * r
     inv_delta2 = _one_over_delta_squared(ctx)
-    const = _delta(ctx)     # C = delta prod_j xi^(-f_j/4) delta^-2 E_j K_j
-    fiber_b = []            # B_j tables, indexed by w mod |f_j|
+    const = _delta(ctx)     # C = delta prod_j xi^(-f_j/4) delta^-2 c_j
+    thetas = []             # P'_j(w) for w = 0 .. max(r, |f_j|)
     for p, q in d.fibers:
         f = p * q
-        F = abs(f)
-        w0, b0 = _fiber_probe(f, ctx)
-        ek = quadratic_sum(D, s * f, 2 * s * w0, count=2 * r) \
-            * _inverse_by_conjugate(b0) * xi_power(ctx, Fraction(w0 * w0, 4 * f))
-        const = const * xi_power(ctx, Fraction(-f, 4)) * inv_delta2 * ek
-        fiber_b.append((f, {w: _fiber_b_sum(f, w, ctx) for w in range(F)}))
-
+        theta = [_fiber_theta(f, w, ctx) for w in range(max(r, abs(f)) + 1)]
+        w0 = next((w for w in range(abs(f) + 1) if not theta[w].is_zero()), None)
+        if w0 is None:
+            raise ArithmeticError("no nonvanishing probe for the fiber sum")
+        const = const * xi_power(ctx, Fraction(-f, 4)) * inv_delta2 \
+            * quadratic_sum(D, s * f, 2 * s * w0, count=2 * r) \
+            * _inverse_by_conjugate(theta[w0])
+        thetas.append(theta)
     total = CycloNumber.zero(D)
     for n0 in range(1, r):
-        # the last two factors and the delta in C are 1/[n0] = delta
-        # xi^(n0/2) / (xi^(n0) - 1)
-        part = xi_power(ctx, Fraction(d.b * (n0 * n0 - 1), 4)) \
-            * _one_over_root_minus_one(D, 4 * s * n0 % D, r // math.gcd(n0, r)) \
-            * xi_power(ctx, Fraction(n0, 2))
-        for f, btab in fiber_b:
-            F = abs(f)
-            plus = xi_power(ctx, Fraction(-(n0 + 1) ** 2, 4 * f)) * btab[(n0 + 1) % F]
-            minus = xi_power(ctx, Fraction(-(n0 - 1) ** 2, 4 * f)) * btab[(n0 - 1) % F]
-            part = part * (plus - minus)
+        # the root is xi^(b(n0^2-1)/4 + n0/2); its xi^(n0/2), the next factor
+        # and the delta in C are 1/[n0] = delta xi^(n0/2) / (xi^(n0) - 1)
+        part = root_power(D, s * d.b * (n0 * n0 - 1) + 2 * s * n0) \
+            * _one_over_root_minus_one(D, 4 * s * n0 % D, r // math.gcd(n0, r))
+        for theta in thetas:
+            part = part * (theta[n0 + 1] - theta[n0 - 1])
         total = total + part
     return total.canonical() * (const * _surgery_normalization(d, ctx)).canonical()
 

@@ -8,19 +8,21 @@ import math
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from qmwrt import wrt
 from qmwrt.number_theory import RootContext
 from qmwrt.seifert import SeifertData, invariants
-from qmwrt.wrt import tau_seifert_closed, wrt_brute_surgery
-from test_wrt import _brute_surgery_reference
+from qmwrt.wrt import WrtValue, tau_seifert_closed, wrt_brute_surgery
+from test_wrt import _brute_surgery_reference, _tau_reciprocity_reference
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=20,
                     deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
-def seifert_and_root(draw, min_fibers=1, max_fibers=3, roots=(3, 5, 7, 9)):
+def seifert_and_root(draw, min_fibers=1, max_fibers=3, roots=(3, 5, 7, 9),
+                     orders=(3, 5, 7)):
     fibers = [(2, draw(st.sampled_from((1, -1))))]
-    fibers += draw(st.lists(st.tuples(st.sampled_from((3, 5, 7)),
+    fibers += draw(st.lists(st.tuples(st.sampled_from(orders),
                                       st.sampled_from((1, -1))),
                             min_size=min_fibers - 1, max_size=max_fibers - 1))
     d = SeifertData(draw(st.integers(-2, 2)), tuple(fibers))
@@ -75,4 +77,18 @@ def test_surgery_oracle_equals_the_quantum_integer_state_sum(case):
     # two forms of one state sum, so one fiber is fine here
     d, ctx = case
     new, ref = wrt_brute_surgery(d, ctx).exact, _brute_surgery_reference(d, ctx).exact
+    assert (new.D, new.c, new.den) == (ref.D, ref.c, ref.den)
+
+
+@PROPERTY
+@given(seifert_and_root(min_fibers=1, max_fibers=4, roots=(9, 15, 21),
+                        orders=(3, 5, 7, 9, 15)))
+@example((SeifertData(0, ((2, 1), (3, 1), (5, 1), (7, 1))), RootContext(15, 1)))
+def test_reciprocity_form_equals_the_whole_fiber_sum_form(case):
+    # r shares the primes 3, 5 or 7 with the fiber orders, so the part F1 of
+    # an order that the closed form keeps is often more than 1
+    d, ctx = case
+    assume(invariants(d).H != 1)
+    new = WrtValue(wrt._tau_qhs_reciprocity(d, ctx)).exact
+    ref = WrtValue(_tau_reciprocity_reference(d, ctx)).exact
     assert (new.D, new.c, new.den) == (ref.D, ref.c, ref.den)

@@ -91,6 +91,51 @@ def _brute_surgery_reference(d, ctx):
     return WrtValue(total * wrt._surgery_normalization(d, ctx))
 
 
+def _fiber_b_sum(f, w, ctx):
+    """B(w) = sum_{a mod |f|} e^(-2 pi i s a (r a + w)/f), of conductor |f|."""
+    sgn = 1 if f > 0 else -1
+    return quadratic_sum(abs(f), -sgn * ctx.s * ctx.r, -sgn * ctx.s * w)
+
+
+def _tau_reciprocity_reference(d, ctx):
+    """tau by reciprocity with the whole fiber sums B_j: each bracket is the
+    difference of xi^(-w^2/4f) B(w), of conductor 4|f|r, at w = n0 + 1 and
+    n0 - 1, and the constant is pinned at the first w0 with B(w0) != 0; the
+    reference for `wrt._tau_qhs_reciprocity`, whose brackets keep only the
+    part at conductor 4 F1 r."""
+    r, s = ctx.r, ctx.s
+    D = 4 * r
+    inv_delta2 = wrt._one_over_delta_squared(ctx)
+    const = wrt._delta(ctx)
+    fiber_b = []
+    for p, q in d.fibers:
+        f = p * q
+        w0, b0 = next((w, b) for w in range(abs(f) + 1)
+                      if not (b := _fiber_b_sum(f, w, ctx)).is_zero())
+        ek = quadratic_sum(D, s * f, 2 * s * w0, count=2 * r) \
+            * wrt._inverse_by_conjugate(b0) * xi_power(ctx, Fraction(w0 * w0, 4 * f))
+        const = const * xi_power(ctx, Fraction(-f, 4)) * inv_delta2 * ek
+        fiber_b.append((f, {w: _fiber_b_sum(f, w, ctx) for w in range(abs(f))}))
+    total = CycloNumber.zero(D)
+    for n0 in range(1, r):
+        part = xi_power(ctx, Fraction(d.b * (n0 * n0 - 1), 4)) \
+            * wrt._one_over_root_minus_one(D, 4 * s * n0 % D, r // math.gcd(n0, r)) \
+            * xi_power(ctx, Fraction(n0, 2))
+        for f, btab in fiber_b:
+            F = abs(f)
+            plus = xi_power(ctx, Fraction(-(n0 + 1) ** 2, 4 * f)) * btab[(n0 + 1) % F]
+            minus = xi_power(ctx, Fraction(-(n0 - 1) ** 2, 4 * f)) * btab[(n0 - 1) % F]
+            part = part * (plus - minus)
+        total = total + part
+    return total.canonical() * (const * wrt._surgery_normalization(d, ctx)).canonical()
+
+
+def _probe(f, ctx):
+    """The first w0 in 0..|f| with P'(w0) != 0, and P'(w0)."""
+    return next((w, t) for w in range(abs(f) + 1)
+                if not (t := wrt._fiber_theta(f, w, ctx)).is_zero())
+
+
 @pytest.mark.parametrize("r, s", [(3, 1), (7, 5), (9, 13), (11, 1), (13, 5)])
 def test_fiber_sum_is_four_roots_per_colour(r, s):
     # sum_n xi^(f(n^2-1)/4) [n][n0 n] = delta^-2 M_f(n0), exactly, for
@@ -571,10 +616,35 @@ def _pin(x):
 
 
 def test_reciprocity_form_keeps_its_exact_representation():
-    # the canonical form at the smallest conductor; the sum as formed had
-    # 1,260 terms over den 210 at D = 7,560
-    x = tau_seifert_closed(parse_manifold(FOUR_FIBERS), RootContext(9, 1)).exact
-    assert _pin(x) == (36, 3, 6, "cda79aea9afecbb9")
+    # the canonical form at the smallest conductor of the five Seifert
+    # manifolds of the benchmark's qhs_exact workload, at their roots; the
+    # 4-fiber n0 sum is 45 terms at D = 216, and with whole fiber Gauss
+    # sums it was 1,260 terms over den 210 at D = 7,560
+    for selector, r, s, pin in [
+        ("ex:2-3-3", 11, 1, (44, 1, 7, "0c52125f8d777b13")),
+        ("ex:neg-2-3-9", 11, 5, (44, 1, 9, "1f0c1b5a6e79af67")),
+        ("ex:family:2", 7, 17, (7, 1, 5, "47a0a444f8acad2d")),
+        ("ex:family:3", 9, 5, (36, 1, 4, "c76d733833fdd894")),
+        (FOUR_FIBERS, 9, 1, (36, 3, 6, "cda79aea9afecbb9")),
+    ]:
+        x = tau_seifert_closed(parse_manifold(selector), RootContext(r, s)).exact
+        assert _pin(x) == pin, selector
+
+
+def test_reciprocity_form_stays_at_conductor_4_f1_r(monkeypatch):
+    # the fiber of order 2 has F1 = 2 at r = 31 and the others F1 = 1, so
+    # no product is above 8r = 248; with the whole fiber sums B_j the n0 sum
+    # lived at 4 * 210 * 31 = 26,040
+    conductors = []
+    product = cyclotomic._product
+
+    def recorded(ca, cb, D):
+        conductors.append(D)
+        return product(ca, cb, D)
+
+    monkeypatch.setattr(cyclotomic, "_product", recorded)
+    tau_seifert_closed(parse_manifold(FOUR_FIBERS), RootContext(31, 1))
+    assert max(conductors) <= 248
 
 
 def test_w_is_formed_from_the_canonical_tau(monkeypatch, capsys):
@@ -631,9 +701,29 @@ def test_reciprocals_by_conjugation(r):
         _assert_canonical_reciprocal(delta * delta,
                                      wrt._one_over_delta_squared(ctx), 2 * r)
         for f in FRAMINGS:
-            _w0, b0 = wrt._fiber_probe(f, ctx)
-            _assert_canonical_reciprocal(b0, wrt._inverse_by_conjugate(b0),
-                                         abs(f))
+            _w0, theta0 = _probe(f, ctx)
+            F1 = math.gcd(abs(f), (2 * r) ** abs(f))
+            _assert_canonical_reciprocal(theta0, wrt._inverse_by_conjugate(theta0),
+                                         4 * F1 * r)
+
+
+@pytest.mark.parametrize("r", range(3, 46, 2))
+def test_fiber_theta_is_proportional_to_the_whole_fiber_sum(r):
+    # xi^(-w^2/4f) B(w) = G P'(w) with G a Gauss sum mod F2, free of w, so
+    # P(w) P'(w0) = P(w0) P'(w) for every w mod 2r, P = xi^(-w^2/4f) B
+    for s in (1, 5, 13, 17):
+        if math.gcd(r, s) != 1:
+            continue
+        ctx = RootContext(r, s)
+        for f in FRAMINGS:
+            def whole(w):
+                return xi_power(ctx, Fraction(-w * w, 4 * f)) * _fiber_b_sum(f, w, ctx)
+
+            w0, theta0 = _probe(f, ctx)
+            whole0 = whole(w0)
+            for w in range(2 * r):
+                assert whole(w) * theta0 == whole0 * wrt._fiber_theta(f, w, ctx), \
+                    (f, s, w)
 
 
 def test_conjugation_needs_a_rational_norm():
