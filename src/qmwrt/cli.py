@@ -129,11 +129,16 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         prog="qmwrt",
         description="exact WRT invariants, false theta functions and "
                     "quantum modularity checks for Seifert fibered spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-    # every command is listed in --help, but only the one argv names (its
-    # first word that is a command, as argparse reads it) gets its arguments
-    parsers = {name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
-               for name, text in _COMMANDS.items()}
+    # argv that starts with a command needs only its parser (the metavar keeps
+    # the usage line); other argv get all six, which --help and errors list.
+    # Only the command argv names, as argparse reads it, gets its arguments.
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
+    parsers = {name: sub.add_parser(name, help=_COMMANDS[name],
+                                    argument_default=argparse.SUPPRESS)
+               for name in names}
     command = next((word for word in argv if word in parsers), None)
     if command:
         _add_arguments(command, parsers[command])

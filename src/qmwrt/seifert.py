@@ -19,6 +19,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .number_theory import dedekind_sum
 
@@ -100,6 +101,7 @@ class SeifertInvariants:
     phi: Fraction   # framing correction exponent (b = 0 normalization)
 
 
+@lru_cache(maxsize=None)
 def invariants(d: SeifertData) -> SeifertInvariants:
     e = -Fraction(d.b) + sum((Fraction(q, p) for p, q in d.fibers), Fraction(0))
     chi = 2 - sum((1 - Fraction(1, p) for p, q in d.fibers), Fraction(0))

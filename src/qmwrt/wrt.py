@@ -19,9 +19,13 @@ denominators are cleared with the root-of-unity identity
 with h the multiplicative order of chi, which is at most r here.
 
 The surgery paths clear every other denominator by conjugation: with
-delta = xi^(1/2) - xi^(-1/2), 1/[n] = delta xi^(n/2) / (xi^n - 1), and
-g = F(U^f) u with u = delta xi^(3f/4), f = +-1, is a Gauss sum with
-g conj(g) = 2r, so 1/F(U^f) = u conj(g) / 2r.  The surgery oracle writes
+delta = xi^(1/2) - xi^(-1/2), 1/[n] = delta xi^(n/2) / (xi^n - 1).  For
+f = +-1, F(U^f) delta xi^(3f/4) = -f Gamma_f with the Gauss sum
+Gamma_f = sum_{n mod 2r} zeta_4r^(f s n^2), so the normalization
+1/(F(U^+1)^b+ F(U^-1)^b-) is a root of unity times delta^(m+1) over a power
+of 2r, times one Gamma_f at odd signature (see `_surgery_normalization`);
+only the lens oracle forms F(U) itself and checks g conj(g) = 2r for
+g = F(U^f) delta xi^(3f/4).  The surgery oracle writes
 each product of quantum integers as delta^-2 times four signed roots,
 
     [n][n0 n] = delta^-2 (q^(n/2) - q^(-n/2)) (q^(n0 n/2) - q^(-n0 n/2)),
@@ -42,7 +46,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cyclotomic import CycloNumber, quadratic_sum, root_power, xi_power, xi_tilde_power
-from .intmatrix import eigenvalue_sign_counts
 from .number_theory import RootContext, jacobi, moebius
 from .seifert import SeifertData, SeifertInvariants, invariants
 
@@ -61,7 +64,6 @@ __all__ = [
     "wrt_brute_surgery",
     "wrt_lens",
     "wrt_lens_brute",
-    "surgery_linking_matrix",
 ]
 
 
@@ -208,18 +210,18 @@ def check_closed_form(d: SeifertData, ctx: RootContext,
                       w: bool = True) -> SeifertInvariants:
     """The invariants of d; ValueError unless the closed form gives tau of d
     at ctx, and with w its W = sqrt(H) (H/s) (xi - 1) tau: e != 0 and r > 1
-    (tau divides by xi - 1); at H > 1 the reciprocity form's integer-framed
-    fibers, at least one, all q_j = +-1 and gcd(s, p_j) = 1; for W also
-    gcd(s, H) = 1 and H odd."""
+    (tau divides by xi - 1), at least one exceptional fiber, at H > 1 the
+    reciprocity form's integer framings, all q_j = +-1, and gcd(s, p_j) = 1;
+    for W also gcd(s, H) = 1 and H odd."""
     inv = invariants(d)
     if inv.e == 0:
         raise ValueError("closed form needs a rational homology sphere (e != 0)")
     if ctx.r == 1:
         raise ValueError("closed form needs r > 1: it divides by xi - 1")
+    if not d.fibers:
+        raise ValueError("the reciprocity form needs at least one exceptional "
+                         "fiber; a bare framed unknot is a lens space, use lens:p")
     if inv.H != 1:
-        if not d.fibers:
-            raise ValueError("the reciprocity form needs at least one exceptional "
-                             "fiber; a bare framed unknot is a lens space, use lens:p")
         for p, q in d.fibers:
             if q not in (1, -1):
                 raise ValueError("reciprocity form needs an integer-framed "
@@ -233,16 +235,45 @@ def check_closed_form(d: SeifertData, ctx: RootContext,
     return inv
 
 
-def _surgery_normalization(d: SeifertData, ctx: RootContext) -> CycloNumber:
-    """1 / (F(U^+1)^b+ F(U^-1)^b-) for the signature of the surgery link."""
-    b_plus, b_minus, zero = eigenvalue_sign_counts(surgery_linking_matrix(d))
-    if zero:
+def _signature_counts(d: SeifertData) -> tuple[int, int]:
+    """(b+, b-) of the linking matrix of the integer surgery presentation of
+    d (a central b-framed unknot linked once with each p_j q_j-framed fiber
+    unknot), by Sylvester's law of inertia: the leaves give the signs of the
+    framings, those of q_j = +-1, and the centre's Schur complement
+    b - sum_j q_j/p_j = -e the sign of -e."""
+    if any(q not in (1, -1) for _, q in d.fibers):
+        raise ValueError("integer surgery needs q_j = +-1 (framing p_j/q_j)")
+    e = invariants(d).e
+    if e == 0:
         raise ValueError("surgery matrix is degenerate (not a QHS)")
-    norm = CycloNumber.one()
-    if b_plus:
-        norm = norm * f_surgery_inverse(1, ctx) ** b_plus
-    if b_minus:
-        norm = norm * f_surgery_inverse(-1, ctx) ** b_minus
+    b_plus = sum(q == 1 for _, q in d.fibers) + (e < 0)
+    return b_plus, d.m + 1 - b_plus
+
+
+def _surgery_normalization(d: SeifertData, ctx: RootContext) -> CycloNumber:
+    """N = 1 / (F(U^+1)^b+ F(U^-1)^b-) for the signature of the surgery link,
+    in closed form.  With the Gauss sums Gamma_f = sum_{n mod 2r}
+    zeta_4r^(f s n^2), F(U^f) delta xi^(3f/4) = -f Gamma_f, Gamma_1 Gamma_-1
+    = 2r and Gamma_f^2 = 2r f i give, for k = b+ + b- = m + 1,
+    sigma = b+ - b-, eps = -sgn(sigma) and h = |sigma| // 2,
+
+        N = (-1)^b+ delta^k xi^(3 sigma/4) Gamma_-1^b+ Gamma_1^b- / (2r)^k
+          = zeta_4r^(3 s sigma + eps r h + 2r b+) delta^k
+            Gamma_eps^(sigma mod 2) / (2r)^ceil(k/2):
+
+    Gamma is formed at odd sigma only, and Gamma^2 != 2r eps i there is an
+    ArithmeticError."""
+    b_plus, b_minus = _signature_counts(d)
+    r, s, D = ctx.r, ctx.s, 4 * ctx.r
+    k, sigma = b_plus + b_minus, b_plus - b_minus
+    eps = -1 if sigma > 0 else 1
+    norm = root_power(D, 3 * s * sigma + eps * r * (abs(sigma) // 2) + 2 * r * b_plus) \
+        * Fraction(1, (2 * r) ** ((k + 1) // 2)) * _delta(ctx) ** k
+    if sigma % 2:
+        gamma = quadratic_sum(D, eps * s, count=2 * r)
+        if gamma * gamma != root_power(D, eps * r) * (2 * r):
+            raise ArithmeticError(f"Gamma_{eps} fails Gamma^2 = +-2r i at r={r}")
+        norm = norm * gamma
     return norm.canonical()
 
 
@@ -366,22 +397,6 @@ def w_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
 
 
 # -- colored Jones / surgery oracle ----------------------------------------
-
-
-def surgery_linking_matrix(d: SeifertData) -> list[list[int]]:
-    """Linking matrix of the integer surgery presentation (requires all
-    q_j = +-1): central b-framed unknot linked once with each p_j q_j-framed
-    fiber unknot."""
-    for p, q in d.fibers:
-        if q not in (1, -1):
-            raise ValueError("integer surgery needs q_j = +-1 (framing p_j/q_j)")
-    m = d.m
-    out = [[0] * (m + 1) for _ in range(m + 1)]
-    out[0][0] = d.b
-    for j, (p, q) in enumerate(d.fibers, start=1):
-        out[0][j] = out[j][0] = 1
-        out[j][j] = p * q
-    return out
 
 
 def f_surgery_normalization(f: int, ctx: RootContext) -> CycloNumber:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qmwrt import cli, false_theta, harness, wrt
+from qmwrt import cli, false_theta, harness, seifert, wrt
 from qmwrt.cli import UsageError, main, parse_args
 from qmwrt.cyclotomic import CycloNumber
 from qmwrt.number_theory import RootContext
@@ -324,6 +325,9 @@ def test_output_file(tmp_path, capsys):
     # two S-image terms of sector 0 share CS_*, so P_* is not defined
     ["verify", "geometric", "--manifold", "ex:family:7", "--r", "11"],
     ["verify", "all", "--manifold", "ex:family:7", "--r", "11"],
+    # a framed unknot alone is a lens space at H = 1 as at H > 1
+    ["wrt", "--manifold", "seifert:1;", "--r", "5"],
+    ["wrt", "--manifold", "seifert:-1;", "--r", "5"],
 ])
 def test_bad_input_rejected_before_computing(capsys, monkeypatch, args):
     def no_products(*_args):
@@ -493,16 +497,80 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 
 def test_failed_norm_check_is_an_internal_error(capsys, monkeypatch):
-    # a wrong F(U) breaks g conj(g) = 2r, which must not read as bad input
-    right = wrt.f_surgery_normalization
-    monkeypatch.setattr(wrt, "f_surgery_normalization",
-                        lambda f, ctx: 2 * right(f, ctx))
-    for args in (["wrt", "--manifold", "ex:2-3-3", "--r", "7", "--exact"],
-                 ["verify", "decomposition", "--manifold", "lens:7",
-                  "--r", "11"]):
-        code, _out, err = invoke(capsys, args)
+    # a wrong Gauss sum breaks g conj(g) = 2r of the lens oracle's F(U), or
+    # Gamma^2 = +-2r i of tau's normalization, which tau forms at odd
+    # signature only (sigma = 3 for the 4-fiber sphere); neither may read as
+    # bad input
+    for name, args in (
+            ("quadratic_sum", ["wrt", "--manifold", "seifert:0;2/1,3/1,5/1,7/1",
+                               "--r", "9", "--exact"]),
+            ("f_surgery_normalization", ["verify", "decomposition", "--manifold",
+                                         "lens:7", "--r", "11"])):
+        right = getattr(wrt, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(wrt, name, lambda *a, right=right, **k: 2 * right(*a, **k))
+            code, _out, err = invoke(capsys, args)
         assert code == 3, args
         assert err.startswith("internal error:") and "2r" in err
+
+
+TOP_USAGE = "usage: qmwrt [-h] {wrt,falsetheta,flatconn,gauss,verify,sweep} ..."
+WRT_USAGE = "usage: qmwrt wrt [-h] --manifold MANIFOLD --r R [--s S] [--exact] [--json]"
+VERIFY_USAGE = "usage: qmwrt verify [-h] --manifold MANIFOLD [--r R] [--r-range R_RANGE]"
+
+
+@pytest.mark.parametrize("argv, code, usage", [
+    ("", 2, TOP_USAGE),
+    ("--help", 0, TOP_USAGE),
+    ("-h wrt", 0, TOP_USAGE),
+    ("-x wrt", 2, WRT_USAGE),
+    ("bogus", 2, TOP_USAGE),
+    ("bogus wrt", 2, TOP_USAGE),
+    ("wrt", 2, WRT_USAGE),
+    ("wrt --help", 0, WRT_USAGE),
+    ("verify --help", 0, VERIFY_USAGE),
+    ("wrt --r 5", 2, WRT_USAGE),
+])
+def test_usage_texts_name_every_command(capsys, monkeypatch, argv, code, usage):
+    # parse_args builds one command's parser when argv starts with it, and
+    # all six otherwise; either way the texts are those of the full tree
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv.split())
+    except SystemExit as exc:   # --help
+        got = exc.code
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert (got, text.splitlines()[0]) == (code, usage)
+    if usage == TOP_USAGE and code == 0:
+        assert all(help_text in text for help_text in cli._COMMANDS.values())
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    parse_args(["wrt", "--manifold", "brieskorn:2,3,7", "--r", "19", "--exact"])
+    assert built == ["qmwrt", "qmwrt wrt"]
+
+
+def test_a_wrt_job_forms_the_invariants_once(capsys, monkeypatch):
+    # parse_args, the run and the closed form all read invariants(d): one
+    # Dedekind sum per fiber, not one per reader
+    sums = []
+    right = seifert.dedekind_sum
+    monkeypatch.setattr(seifert, "dedekind_sum",
+                        lambda *args: sums.append(args) or right(*args))
+    seifert.invariants.cache_clear()
+    assert main(["wrt", "--manifold", "brieskorn:2,3,7", "--r", "19",
+                 "--exact"]) == 0
+    capsys.readouterr()
+    assert len(sums) == 3
 
 
 def test_integrality_with_even_fiber_order_not_first(capsys):

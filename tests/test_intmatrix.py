@@ -13,7 +13,7 @@ from qmwrt.intmatrix import (
     inverse_rational,
 )
 from qmwrt.seifert import parse_manifold
-from qmwrt.wrt import surgery_linking_matrix
+from test_wrt import surgery_linking_matrix
 
 
 def _charpoly_fraction(m):

@@ -12,7 +12,11 @@ from qmwrt import wrt
 from qmwrt.number_theory import RootContext
 from qmwrt.seifert import SeifertData, invariants
 from qmwrt.wrt import WrtValue, tau_seifert_closed, wrt_brute_surgery
-from test_wrt import _brute_surgery_reference, _tau_reciprocity_reference
+from test_wrt import (
+    _brute_surgery_reference,
+    _surgery_normalization_reference,
+    _tau_reciprocity_reference,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=20,
                     deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -91,4 +95,29 @@ def test_reciprocity_form_equals_the_whole_fiber_sum_form(case):
     assume(invariants(d).H != 1)
     new = WrtValue(wrt._tau_qhs_reciprocity(d, ctx)).exact
     ref = WrtValue(_tau_reciprocity_reference(d, ctx)).exact
+    assert (new.D, new.c, new.den) == (ref.D, ref.c, ref.den)
+
+
+@st.composite
+def integer_framed_and_root(draw):
+    fibers = draw(st.lists(st.tuples(st.integers(2, 9), st.sampled_from((1, -1))),
+                           min_size=1, max_size=4))
+    d = SeifertData(draw(st.integers(-2, 2)), tuple(fibers))
+    assume(invariants(d).e != 0)
+    r = draw(st.sampled_from(range(3, 22, 2)))
+    s = draw(st.sampled_from((1, 5, 13, 17)))
+    assume(math.gcd(s, r) == 1)
+    return d, RootContext(r, s)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(integer_framed_and_root())
+@example((SeifertData(0, ((2, 1), (3, 1), (5, 1), (7, 1))), RootContext(9, 1)))
+@example((SeifertData(-2, ((4, -1), (9, -1))), RootContext(15, 17)))
+def test_closed_form_normalization_equals_the_f_u_route(case):
+    # odd and even signature, any fiber orders, composite r
+    d, ctx = case
+    new = wrt._surgery_normalization(d, ctx)
+    ref = _surgery_normalization_reference(d, ctx)
+    assert new == ref
     assert (new.D, new.c, new.den) == (ref.D, ref.c, ref.den)

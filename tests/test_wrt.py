@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from qmwrt.cli import main
 from qmwrt.cyclotomic import CycloNumber, quadratic_sum, root_power, xi_power
 from qmwrt.false_theta import phi_basis, eichler_limit
 from qmwrt.harness import brieskorn_identity
+from qmwrt.intmatrix import eigenvalue_sign_counts
 from qmwrt.number_theory import RootContext, jacobi, normalize_s
 from qmwrt.seifert import (
     EXAMPLE_233,
@@ -27,7 +29,6 @@ from qmwrt.wrt import (
     seifert_gauss_sum,
     seifert_hat_over_2g,
     sqrt_homology_order,
-    surgery_linking_matrix,
     tau_seifert_closed,
     w_normalized,
     w_seifert_closed,
@@ -66,6 +67,38 @@ def _one_over_quantum_integer(n, ctx):
                                            ctx.r // math.gcd(n, ctx.r))).canonical()
 
 
+def surgery_linking_matrix(d):
+    """Linking matrix of the integer surgery presentation (requires all
+    q_j = +-1): central b-framed unknot linked once with each p_j q_j-framed
+    fiber unknot.  `wrt._signature_counts` reads its signature off d."""
+    for p, q in d.fibers:
+        if q not in (1, -1):
+            raise ValueError("integer surgery needs q_j = +-1 (framing p_j/q_j)")
+    m = d.m
+    out = [[0] * (m + 1) for _ in range(m + 1)]
+    out[0][0] = d.b
+    for j, (p, q) in enumerate(d.fibers, start=1):
+        out[0][j] = out[j][0] = 1
+        out[j][j] = p * q
+    return out
+
+
+def _surgery_normalization_reference(d, ctx):
+    """1 / (F(U^+1)^b+ F(U^-1)^b-) with the signature read off the
+    characteristic polynomial of the surgery matrix and each 1/F(U^f) formed
+    from the O(r^2) root sum F(U^f): the reference for
+    `wrt._surgery_normalization`, which has both in closed form."""
+    b_plus, b_minus, zero = eigenvalue_sign_counts(surgery_linking_matrix(d))
+    if zero:
+        raise ValueError("surgery matrix is degenerate (not a QHS)")
+    norm = CycloNumber.one()
+    if b_plus:
+        norm = norm * f_surgery_inverse(1, ctx) ** b_plus
+    if b_minus:
+        norm = norm * f_surgery_inverse(-1, ctx) ** b_minus
+    return norm.canonical()
+
+
 def _brute_surgery_reference(d, ctx):
     """tau by the surgery state sum as products of quantum integers: for each
     central colour n0, 1/[n0] times, per fiber, the sum over n of
@@ -88,7 +121,7 @@ def _brute_surgery_reference(d, ctx):
                 inner = inner + weight * quantum_integer(n0 * nj, ctx)
             part = part * inner
         total = total + part
-    return WrtValue(total * wrt._surgery_normalization(d, ctx))
+    return WrtValue(total * _surgery_normalization_reference(d, ctx))
 
 
 def _fiber_b_sum(f, w, ctx):
@@ -127,7 +160,8 @@ def _tau_reciprocity_reference(d, ctx):
             minus = xi_power(ctx, Fraction(-(n0 - 1) ** 2, 4 * f)) * btab[(n0 - 1) % F]
             part = part * (plus - minus)
         total = total + part
-    return total.canonical() * (const * wrt._surgery_normalization(d, ctx)).canonical()
+    norm = _surgery_normalization_reference(d, ctx)
+    return total.canonical() * (const * norm).canonical()
 
 
 def _probe(f, ctx):
@@ -173,6 +207,48 @@ def test_s3_normalization():
     w, sectors = wrt_lens(1, ctx)
     assert w.exact == xi_power(ctx, 1) - 1
     assert len(sectors) == 1
+
+
+def test_signature_counts_are_the_eigenvalue_sign_counts():
+    # Sylvester's law of inertia on the star-shaped surgery matrix, against
+    # Descartes' rule on its characteristic polynomial; e = 0 is singular
+    cases = 0
+    for m in range(5):
+        for orders in itertools.combinations_with_replacement((2, 3, 5), m):
+            for qs in itertools.product((1, -1), repeat=m):
+                for b in range(-2, 3):
+                    d = SeifertData(b, tuple(zip(orders, qs)))
+                    pos, neg, zero = eigenvalue_sign_counts(surgery_linking_matrix(d))
+                    if zero:
+                        assert invariants(d).e == 0
+                        with pytest.raises(ValueError, match="degenerate"):
+                            wrt._signature_counts(d)
+                        continue
+                    assert wrt._signature_counts(d) == (pos, neg), d
+                    cases += 1
+    assert cases == 1696
+    with pytest.raises(ValueError, match="q_j = \\+-1"):
+        wrt._signature_counts(SeifertData(0, ((3, 2),)))
+
+
+@pytest.mark.parametrize("r", range(3, 42, 2))
+def test_gamma_squared_is_2r_i(r):
+    # Gamma_f = sum_{n mod 2r} zeta_4r^(f s n^2) for every s' = 1 mod 4
+    # below 4r prime to r; up to r = 21 also F(U^f) delta xi^(3f/4) =
+    # -f Gamma_f, the identity the closed-form normalization rests on
+    D = 4 * r
+    for s in range(1, D, 4):
+        if math.gcd(s, r) != 1:
+            continue
+        ctx = RootContext(r, s)
+        gamma = quadratic_sum(D, s, count=2 * r)
+        assert gamma * gamma == 2 * r * root_power(4, 1), s
+        if r > 21:
+            continue
+        for f in (1, -1):
+            u = wrt._delta(ctx) * xi_power(ctx, Fraction(3 * f, 4))
+            assert f_surgery_normalization(f, ctx) * u \
+                == -f * quadratic_sum(D, f * s, count=2 * r), (s, f)
 
 
 def test_surgery_linking_matrix_and_cap():
