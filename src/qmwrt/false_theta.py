@@ -19,13 +19,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .cyclotomic import CycloNumber
-from .number_theory import RootContext, bernoulli_number
+from .number_theory import RootContext, _Value, bernoulli_number
 from .seifert import rotation_order, rotation_triples
 
 if TYPE_CHECKING:
@@ -49,24 +48,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeriodicFunction:
+class PeriodicFunction(_Value):
     """Odd (hence mean-zero) integer-valued periodic function given by its
-    table.
+    table, stored as a tuple.
 
     period is the full period (2P for the bases used here).
     """
 
-    period: int
-    values: tuple[int, ...]
+    __slots__ = ("period", "values")
 
-    def __post_init__(self):
-        v, n = self.values, self.period
+    def __init__(self, period: int, values: tuple[int, ...]):
+        v, n = tuple(values), period
         if len(v) != n:
             raise ValueError("table length must equal the period")
         if any(v[:1]) or v[1:] != tuple(map(operator.neg, v[:0:-1])):
             l = next(l for l in range(n) if v[l] != -v[(-l) % n])
             raise ValueError(f"table is not odd at l={l}")
+        self._set(n, v)
 
     def __call__(self, l: int) -> int:
         return self.values[l % self.period]

@@ -13,8 +13,8 @@ import cmath
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import CycloNumber, quadratic_sum, root_power
 from .intmatrix import (
@@ -23,7 +23,7 @@ from .intmatrix import (
     inverse_rational,
     signature,
 )
-from .number_theory import RootContext, jacobi
+from .number_theory import RootContext, _Value, jacobi
 from .wrt import f_surgery_normalization
 
 __all__ = [
@@ -47,8 +47,7 @@ def gauss_brute(s: int, r: int) -> CycloNumber:
     return quadratic_sum(r, s)
 
 
-@dataclass(frozen=True)
-class GaussClosedForm:
+class GaussClosedForm(NamedTuple):
     """Symbolic value multiplier * jacobi * phase * sqrt(sqrt_radicand).
 
     phase is one of "1", "i", "1+i", "1-i", "0"; the degenerate gcd g > 1
@@ -117,8 +116,7 @@ def gauss_linear(P: int, A, s: int, r: int) -> CycloNumber:
     return (g * xi1_shift * gauss_brute(s * P1, r1)).embed(math.lcm(r, r1))
 
 
-@dataclass(frozen=True)
-class FUnknot:
+class FUnknot(NamedTuple):
     """F(U^sign) both ways: the exact defining sum (conductor 4r) and the
     closed form -sign (r/s) ((1 +- i^s)/sqrt 2) sqrt(2r) q^(-+3/4) / (q^(1/2)-q^(-1/2))."""
 
@@ -142,25 +140,26 @@ def f_unknot(sign: int, ctx: RootContext) -> FUnknot:
     return FUnknot(sign, f_surgery_normalization(sign, ctx), jacobi(r, s), closed)
 
 
-@dataclass(frozen=True)
-class QuadraticFormZ:
-    """Integer symmetric bilinear form with a rational offset vector."""
+class QuadraticFormZ(_Value):
+    """Integer symmetric bilinear form with a rational offset vector, both
+    stored as tuples."""
 
-    B: tuple[tuple[int, ...], ...]
-    psi: tuple[Fraction, ...]
+    __slots__ = ("B", "psi")
 
     @property
     def N(self) -> int:
         return len(self.B)
 
-    def __post_init__(self):
-        n = len(self.B)
-        if any(len(row) != n for row in self.B):
+    def __init__(self, B: tuple[tuple[int, ...], ...], psi: tuple[Fraction, ...]):
+        B, psi = tuple(map(tuple, B)), tuple(psi)
+        n = len(B)
+        if any(len(row) != n for row in B):
             raise ValueError("B must be square")
-        if any(self.B[i][j] != self.B[j][i] for i in range(n) for j in range(n)):
+        if any(B[i][j] != B[j][i] for i in range(n) for j in range(n)):
             raise ValueError("B must be symmetric")
-        if len(self.psi) != n:
+        if len(psi) != n:
             raise ValueError("psi must have length N")
+        self._set(B, psi)
 
 
 def _inner_B(B, x, y):
@@ -210,8 +209,7 @@ def reciprocity(form: QuadraticFormZ, r: int) -> tuple[complex, complex]:
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class HighRankGaussSum:
+class HighRankGaussSum(NamedTuple):
     """Rank-N quadratic Gauss sum sum_x e^(2 pi i <x,Bx>/r): closed vs brute."""
 
     jacobi: int
@@ -226,7 +224,7 @@ def gauss_high_rank(B: list[list[int]], r: int) -> HighRankGaussSum:
     for odd r coprime to det B."""
     if r < 1 or r % 2 == 0:
         raise ValueError("r must be odd and positive")
-    form = QuadraticFormZ(tuple(map(tuple, B)), (Fraction(0),) * len(B))
+    form = QuadraticFormZ(B, (Fraction(0),) * len(B))
     n, B = form.N, form.B
     d = det_int(B)
     if d == 0:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cyclotomic import CycloNumber, root_power, xi_power, xi_tilde_power
 from .false_theta import (
@@ -70,8 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -82,11 +81,10 @@ class CheckResult:
                 "detail": self.detail, "tolerance": self.tolerance}
 
 
-@dataclass
 class VerificationReport:
-    manifold: str
-    ctx: dict
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, manifold: str, ctx: dict):
+        self.manifold, self.ctx = manifold, ctx
+        self.checks: list[CheckResult] = []
 
     @property
     def passed(self) -> bool:
@@ -104,8 +102,7 @@ class VerificationReport:
 # -- the sector-0 model -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sector0:
+class Sector0(NamedTuple):
     """The sector-0 model of a Seifert family: its row (c, f0) and the
     quantities of the manifold the row is evaluated with.  Sector 0 is
 
@@ -252,8 +249,7 @@ def _sectors(m: Manifold, ctx: RootContext, tilde: bool) -> list[CycloNumber]:
 # -- saddle expansion --------------------------------------------------------
 
 
-@dataclass
-class SaddleTerm:
+class SaddleTerm(NamedTuple):
     """One term of the expansion W ~ sum_A e^(2 pi i (r/s) CS[A]) P_A I_A."""
 
     connection: str
@@ -417,8 +413,7 @@ def _lens_geometric(m: Manifold, ctx: RootContext,
 # -- the family table ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """What the harness implements for one manifold kind.
 
     row(m) gives the sector-0 row (c, f0) of a Seifert family (see
@@ -445,7 +440,7 @@ FAMILIES = {
         lambda m: (Fraction(1, 2), phi_basis(m.params, (1, 1, 1))),
         suites=("identity", "integrality", "geometric", "lemmas", "modularity"),
         connections=lambda m: nonabelian_connections(m.params)
-        + [replace(geometric_connection(m.data), kind="geometric")]),
+        + [geometric_connection(m.data)._replace(kind="geometric")]),
     "lens": Family(sectors=lambda m, ctx, tilde: lens_sectors(m.params[0], ctx, tilde),
                    saddles=_lens_saddles, geometric=_lens_geometric),
     "2-3-3": Family(

@@ -8,7 +8,6 @@ floating point, so downstream identity checks can be zero tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -132,8 +131,46 @@ def moebius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-@dataclass(frozen=True)
-class RootContext:
+class _Value:
+    """Base of the immutable value types: equality and hash over _key (every
+    field in __slots__ unless a class narrows it), a repr naming each field,
+    and AttributeError on assigning or deleting a field.  A subclass's
+    __init__ validates its arguments, then stores them with _set."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    _key = _fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, *_value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class RootContext(_Value):
     """A root-of-unity context (r, s).
 
     xi = e^(2 pi i s / r) is a primitive r-th root of unity and
@@ -145,16 +182,16 @@ class RootContext:
     quarter-root convention used by every exact computation downstream.
     """
 
-    r: int
-    s: int = 1
+    __slots__ = ("r", "s")
 
-    def __post_init__(self):
-        if self.r < 1 or self.r % 2 == 0:
-            raise ValueError(f"r must be odd and >= 1, got {self.r}")
-        if self.s % 4 != 1:
-            raise ValueError(f"s must be 1 mod 4, got {self.s}")
-        if math.gcd(self.s, 4 * self.r) != 1:
-            raise ValueError(f"gcd(s, 4r) must be 1, got s={self.s}, r={self.r}")
+    def __init__(self, r: int, s: int = 1):
+        if r < 1 or r % 2 == 0:
+            raise ValueError(f"r must be odd and >= 1, got {r}")
+        if s % 4 != 1:
+            raise ValueError(f"s must be 1 mod 4, got {s}")
+        if math.gcd(s, 4 * r) != 1:
+            raise ValueError(f"gcd(s, 4r) must be 1, got s={s}, r={r}")
+        self._set(r, s)
 
     @property
     def conductor(self) -> int:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .number_theory import dedekind_sum
+from .number_theory import _Value, dedekind_sum
 
 __all__ = [
     "Geometry",
@@ -57,19 +57,20 @@ class Geometry(enum.Enum):
     SOL3 = "Sol3"
 
 
-@dataclass(frozen=True)
-class SeifertData:
-    """Base-S^2 Seifert data: integer b and exceptional fibers (p_j, q_j)."""
+class SeifertData(_Value):
+    """Base-S^2 Seifert data: integer b and exceptional fibers (p_j, q_j),
+    stored as a tuple of pairs."""
 
-    b: int
-    fibers: tuple[tuple[int, int], ...]
+    __slots__ = ("b", "fibers")
 
-    def __post_init__(self):
-        for p, q in self.fibers:
+    def __init__(self, b: int, fibers: tuple[tuple[int, int], ...]):
+        fibers = tuple(map(tuple, fibers))
+        for p, q in fibers:
             if p < 2:
                 raise ValueError(f"fiber order p must be >= 2, got {p}")
             if math.gcd(p, q) != 1:
                 raise ValueError(f"fiber ({p}, {q}) is not coprime")
+        self._set(b, fibers)
 
     @property
     def m(self) -> int:
@@ -92,8 +93,7 @@ class SeifertData:
         return f"S2({self.b}; {inner})"
 
 
-@dataclass(frozen=True)
-class SeifertInvariants:
+class SeifertInvariants(NamedTuple):
     e: Fraction
     chi: Fraction
     P: int
@@ -174,8 +174,7 @@ def brieskorn(p: list[int] | tuple[int, ...]) -> SeifertData:
 # -- flat connections -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatConnection:
+class FlatConnection(NamedTuple):
     """A connected component of the SL(2,C) flat moduli space.
 
     kind is "trivial", "abelian" (with an integer label) or "nonabelian"
@@ -297,17 +296,21 @@ def example_family(p: int) -> SeifertData:
     return SeifertData(0, ((p, 1), (2 * p + 1, -1), (2 * p + 1, -1)))
 
 
-@dataclass(frozen=True)
-class Manifold:
+class Manifold(_Value):
     """A parsed manifold selector: its family kind ("brieskorn", "lens",
     "seifert", "2-3-3", "neg-2-3-9" or "family"), the family's integer
     parameters, and its Seifert data (None for lens spaces, which have a
-    dedicated closed form).  selector keeps the text as given."""
+    dedicated closed form).  selector keeps the text as given; equality and
+    hash ignore it."""
 
-    kind: str
-    params: tuple[int, ...]
-    data: SeifertData | None
-    selector: str = field(default="", compare=False)
+    __slots__ = ("kind", "params", "data", "selector")
+
+    def __init__(self, kind: str, params: tuple[int, ...], data: SeifertData | None,
+                 selector: str = ""):
+        self._set(kind, params, data, selector)
+
+    def _key(self) -> tuple:
+        return self.kind, self.params, self.data
 
 
 _EXAMPLE_KINDS = ("2-3-3", "neg-2-3-9", "family")

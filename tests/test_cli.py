@@ -22,7 +22,9 @@ def invoke(capsys, args):
 
 
 # Runs qmwrt.cli.main on each JSON-encoded argv in a fresh interpreter and
-# reports the exit codes, the stdout and which lazily imported modules loaded.
+# reports the exit codes, the stdout and which costly modules loaded: numpy
+# and the thread pool are imported only where needed, and dataclasses and
+# inspect (which dataclasses imports) never by qmwrt itself.
 FRESH_RUN = """\
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -31,7 +33,8 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes = [qmwrt.cli.main(json.loads(a)) for a in sys.argv[2:]]
 print(json.dumps({"codes": codes, "out": out.getvalue(), "loaded":
-                  [m for m in ("numpy", "concurrent.futures") if m in sys.modules]}))
+                  [m for m in ("numpy", "concurrent.futures", "dataclasses", "inspect")
+                   if m in sys.modules]}))
 """
 
 
@@ -66,7 +69,9 @@ def test_sweep_loads_numpy_and_prints_as_in_process(capsys):
     argv = ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:301:100",
             "--jobs", "1"]
     code, out, _err = invoke(capsys, argv)
-    assert run_fresh(argv) == {"codes": [code], "out": out, "loaded": ["numpy"]}
+    # numpy imports inspect itself, but not dataclasses
+    assert run_fresh(argv) == {"codes": [code], "out": out,
+                               "loaded": ["numpy", "inspect"]}
 
 
 def test_parse_wrt_job():

@@ -131,6 +131,13 @@ def test_periodic_function_validation():
         PeriodicFunction(4, (1, 1, -1, -1))  # not odd at l=0
 
 
+def test_periodic_function_takes_a_list_table():
+    f = PeriodicFunction(4, [0, 1, 0, -1])
+    assert f.values == (0, 1, 0, -1) and f == PeriodicFunction(4, (0, 1, 0, -1))
+    with pytest.raises(ValueError, match="not odd at l=1"):
+        PeriodicFunction(4, [0, 1, 0, 1])
+
+
 def test_eichler_limit_examples():
     assert eichler_limit(psi_basis(2, 1), 2, Fraction(0)).as_rational() \
         == Fraction(1, 2)

@@ -1,10 +1,13 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from qmwrt.false_theta import PeriodicFunction
 from qmwrt.intmatrix import det_int
+from qmwrt.number_theory import RootContext
 from qmwrt.seifert import (
     EXAMPLE_233,
     EXAMPLE_NEG239,
@@ -232,6 +235,35 @@ def test_parse_and_format():
         parse_manifold("nonsense:1")
     with pytest.raises(ValueError):
         SeifertData(0, ((4, 2),))
+
+
+def test_seifert_data_takes_list_fibers():
+    d = SeifertData(0, [(2, 1), (3, 1), (5, 1)])
+    assert d.fibers == ((2, 1), (3, 1), (5, 1))
+    assert d == SeifertData(0, d.fibers) and invariants(d).H == 31
+    assert SeifertData(0, [[2, 1], [3, 1]]).fibers == ((2, 1), (3, 1))
+
+
+def test_value_types_compare_by_fields_and_are_immutable():
+    m = parse("ex:2-3-3")
+    assert m == parse("2-3-3") and hash(m) == hash(parse("2-3-3"))
+    assert m.selector != parse("2-3-3").selector
+    assert RootContext(7, 5) != RootContext(7, 1)
+    values = [(RootContext(7, 5), (7, 5)),
+              (SeifertData(1, ((2, 1),)), (1, ((2, 1),))),
+              (PeriodicFunction(2, (0, 0)), (2, (0, 0)))]
+    for value, fields in values:
+        again = type(value)(*fields)
+        assert value == again and hash(value) == hash(again)
+        assert value != fields and fields != value
+        assert pickle.loads(pickle.dumps(value)) == value
+    for value, name in ((RootContext(7, 5), "r"), (m, "selector"),
+                        (SeifertData(1, ()), "fibers"), (PeriodicFunction(2, (0, 0)), "values")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(ValueError) as exc:
+        RootContext(8)
+    assert str(exc.value) == "r must be odd and >= 1, got 8"
 
 
 def test_orientation_reversal():
