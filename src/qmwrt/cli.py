@@ -40,6 +40,8 @@ INTERNAL_ERROR = 3
 # Longest exact walk of `falsetheta`, |support| c/2 terms at denominator c:
 # phi at c = 10^6 took 3 s, 110 MB (5 s, 240 MB with --exact --json).
 EXACT_WALK_BOUND = 4_000_000
+# Most `sweep --jobs`: each job is a thread with its own length-r buffers.
+JOBS_BOUND = 64
 # the value of each option that argv leaves out
 DEFAULTS = {"manifold": None, "suite": None, "r": None, "r_range": None, "s": 1,
             "order": 2, "slope_tol": 0.5, "jobs": 1, "basis": "phi", "p": None,
@@ -168,8 +170,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if not (math.isfinite(job.slope_tol) and job.slope_tol >= 0):
         raise UsageError(f"--slope-tol must be finite and >= 0, "
                          f"got {job.slope_tol}")
-    if job.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {job.jobs}")
+    if not 1 <= job.jobs <= JOBS_BOUND:
+        raise UsageError(f"--jobs must be in 1..{JOBS_BOUND}, got {job.jobs}")
     text, job.r_values = job.r_range, None
     if text:
         try:

@@ -179,6 +179,60 @@ def _class_index(u, aP: int, arho: int, c: int, x, q) -> np.ndarray:
     return np.subtract(x, np.multiply(np.floor_divide(x, c, out=q), c, out=q), out=x)
 
 
+def _folded_rows(rows: list, P: int, c: int, h) -> complex:
+    """sum_j f(j) phase_j S_j over the rows (j, t, f(j) phase_j) of class
+    rho = 0, where S_j = sum_{u<c} H(u) (Pc - j - 2P ((u - t) mod c)) and
+    h[u] = H(u) = e(aPu^2/c) for u <= c2/2.  H has period c2 = c/g',
+    g' = gcd(P, c), and is even, so S_j reads h against the weight summed
+    over the g' periods and folded at c2 - u: with t1 = t mod c2 it is
+    Pc + 2Pg't1 - 2Pc [t1 > 0] at u = 0, 2Pg' (2t1 - c2 n(u)) for
+    0 < u < c2/2, n(u) = [u < t1] + [u > c2 - t1], half that at u = c2/2,
+    less j g' sum_{u<c2} H(u).  Between the breakpoints t1 and c2 - t1 the
+    weight is constant, so the rows read one sum of h per segment."""
+    g1 = math.gcd(P, c)
+    c2 = c // g1
+    end = (c2 + 1) // 2                      # 0 < u < c2/2 is [1, end)
+    cuts = []
+    for j, t, phase in rows:
+        t1 = t % c2
+        # n(u) is 1 on [1, b) and n_b from b on, the midpoint u = c2/2 too
+        b, n_b = (max(t1, 1), 0) if 2 * t1 <= c2 else (c2 - t1 + 1, 2)
+        cuts.append((j, t1, b, n_b, phase))
+    stops = sorted({1, end, *(cut[2] for cut in cuts)})
+    segments = [(s0, h[s0:s1].sum()) for s0, s1 in zip(stops, stops[1:])]
+    mid = h[end] if c2 % 2 == 0 else 0j
+    whole = h[0] + 2 * sum(s for _, s in segments) + mid
+    total = 0j
+    for j, t1, b, n_b, phase in cuts:
+        low, high = (2 * P * g1 * (2 * t1 - c2 * n) for n in (1, n_b))
+        total += phase * (sum((low if s0 < b else high) * s for s0, s in segments)
+                          + (P * c + 2 * P * g1 * t1 - 2 * P * c * (t1 > 0)) * h[0]
+                          + high // 2 * mid - j * g1 * whole)
+    return total
+
+
+def _segment_rows(rows: list, P: int, c: int, u, h, w) -> complex:
+    """sum_j f(j) phase_j S_j over the rows (j, t, f(j) phase_j) of one
+    class rho != 0, S_j = sum_{u<c} h[u] (Pc - j - 2P ((u - t) mod c)).  The
+    weight is linear in u between the rows' t, so [0, c) is cut there, and
+    a segment [s0, s1) with centre m gives A = sum h and B = sum (u - m) h,
+    B formed in h itself (not read again) with u - m in w: S_j is
+    sum (Pc - j + 2P (t - m) - 2Pc [s0 < t]) A - 2P B over the segments."""
+    import numpy as np
+    stops = sorted({0, c, *(t for _, t, _ in rows)})
+    segments = []
+    for s0, s1 in zip(stops, stops[1:]):
+        m, seg = (s0 + s1 - 1) / 2, h[s0:s1]
+        flat = seg.sum()
+        np.multiply(seg, np.subtract(u[s0:s1], m, out=w[s0:s1]), out=seg)
+        segments.append((s0, m, flat, seg.sum()))
+    total = 0j
+    for j, t, phase in rows:
+        total += phase * sum((P * c - j + 2 * P * (t - m) - 2 * P * c * (s0 < t)) * flat
+                             - 2 * P * tilt for s0, m, flat, tilt in segments)
+    return total
+
+
 def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction,
                           buffers: dict | None = None) -> complex:
     """Float value of eichler_limit, by completing the square.
@@ -188,13 +242,15 @@ def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction,
     rho = j mod g and t = ((j - rho)/g) (2P/g)^-1 mod c/g, j - 2Pt = rho
     mod c, so with u = m + t the phase is e(a (j - 2Pt)^2/4Pc) H_rho(u),
     H_rho(u) = e(a (P u^2 + rho u)/c): each row reads the table of its
-    class rho against the weight Pc - j - 2P ((u - t) mod c), a slice of
-    the doubled ramp Pc - 2Pm.
+    class rho against the weight Pc - j - 2P ((u - t) mod c), by segment
+    sums (_folded_rows for rho = 0, the only class when c is prime to 2P,
+    on half a period of its table; _segment_rows for the others).
 
-    Every length-c array is kept in buffers, if given, for later calls
-    with the same dict and no larger c to reuse: a scan passes one dict to
-    all its calls, largest c first, and so does not fault in fresh pages
-    on each.  One dict serves one thread at a time."""
+    Every length-c array (the table of e(k/c), u, the class index and its
+    quotients, the class table) is kept in buffers, if given, for later
+    calls with the same dict and no larger c to reuse: a scan passes one
+    dict to all its calls, largest c first, and so does not fault in fresh
+    pages on each.  One dict serves one thread at a time."""
     a, c = _lowest_terms(alpha)
     buffers = {} if buffers is None else buffers
     import numpy as np
@@ -208,27 +264,25 @@ def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction,
     np.conjugate(unit[(c + 1) // 2 - 1:0:-1], out=unit[c // 2 + 1:])
     u = _buffer(buffers, np.arange, "u", c, np.int64)
     idx = _buffer(buffers, np.empty, "idx", c, np.int64)
-    ramp = _buffer(buffers, np.empty, "ramp", 2 * c, np.float64)
-    prod = _buffer(buffers, np.empty, "prod", c, np.complex128)
-    np.subtract(P * c, np.multiply(2.0 * P, u, out=ramp[:c]), out=ramp[:c])
-    ramp[c:] = ramp[:c]
+    q = _buffer(buffers, np.empty, "q", c, np.int64)
+    h = _buffer(buffers, np.empty, "h", c, np.complex128)
     inv = pow(2 * P // g, -1, c // g)
-    tables: dict[int, tuple] = {}
-    total = 0j
+    classes: dict[int, list] = {}
     for j in range(1, P):
         if f(j):
             rho = j % g
-            if rho not in tables:
-                # prod is free until a row is summed: it holds the quotients
-                _class_index(u, a * P, a * rho, c, idx, prod.view(np.int64)[:c])
-                h = _buffer(buffers, np.empty, f"h{len(tables)}", c, np.complex128)
-                unit.take(idx, out=h, mode="clip")
-                tables[rho] = h, h.sum()
-            h, h0 = tables[rho]
             t = (j - rho) // g * inv % (c // g)
             k = a * (j - 2 * P * t) ** 2 % D   # read in (-1/2, 1/2]: half the angle error
-            total += f(j) * cmath.exp(2j * math.pi * ((k - D if 2 * k > D else k) / D)) \
-                * (np.sum(np.multiply(h, ramp[c - t:2 * c - t], out=prod)) - j * h0)
+            phase = f(j) * cmath.exp(2j * math.pi * ((k - D if 2 * k > D else k) / D))
+            classes.setdefault(rho, []).append((j, t, phase))
+    total = 0j
+    for rho, rows in classes.items():
+        size = c // math.gcd(P, c) // 2 + 1 if rho == 0 else c
+        _class_index(u[:size], a * P, a * rho, c, idx[:size], q[:size])
+        unit.take(idx[:size], out=h[:size], mode="clip")
+        total += (_folded_rows(rows, P, c, h) if rho == 0
+                  # q is free once the index is formed: it holds u - m
+                  else _segment_rows(rows, P, c, u, h, q.view(np.float64)))
     return complex(total) / (P * c)
 
 

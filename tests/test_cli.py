@@ -90,6 +90,15 @@ def test_parse_verify_sweep_job():
     assert job.order == 3
 
 
+def test_parse_bounds_sweep_jobs():
+    # parse_args alone: the rejected values must never reach a thread pool
+    argv = ["sweep", "--manifold", "brieskorn:2,3,7", "--r-range", "101:100001:100"]
+    assert parse_args(argv + ["--jobs", str(cli.JOBS_BOUND)]).jobs == cli.JOBS_BOUND
+    for jobs in (cli.JOBS_BOUND + 1, 100000):
+        with pytest.raises(UsageError, match="--jobs must be in 1..64"):
+            parse_args(argv + ["--jobs", str(jobs)])
+
+
 def test_parse_rejects_even_r():
     with pytest.raises(UsageError, match="odd"):
         parse_args(["wrt", "--manifold", "lens:3", "--r", "4"])

@@ -263,7 +263,10 @@ def test_reused_buffers_give_the_values_of_fresh_ones():
             for f in fs:
                 assert eichler_limit_complex(f, 42, alpha, buffers) \
                     == eichler_limit_complex(f, 42, alpha), (c, alpha)
-    assert buffers["ramp"].size == 2 * 38803
+        if c == 38803:
+            sized = buffers["u"]
+    # the c = 38,803 call sized the buffer and every later call reused it
+    assert buffers["u"] is sized and sized.size == 38803
 
 
 def test_completed_square_accuracy_at_a_large_denominator():
@@ -276,6 +279,49 @@ def test_completed_square_accuracy_at_a_large_denominator():
             ref = mpmath.fsum(v * mpmath.expjpi(mpmath.mpf(2 * k) / x.D)
                               for k, v in x.c.items()) / x.den
             assert abs(ref - eichler_limit_complex(f, 42, alpha)) < 3e-13, a
+
+
+def test_completed_square_accuracy_at_sweep_sized_denominators():
+    # c of 1,000-3,000 with gcd(P, c) = 1, 3, 5, 7, 21 and 2 (the even c),
+    # at both signs of a; the 110-bit reference sums the exact limit's terms
+    mpmath = pytest.importorskip("mpmath")
+    points = [((2, 3, 5), Fraction(1, 1001)), ((2, 3, 5), Fraction(-7, 1503)),
+              ((2, 3, 5), Fraction(3, 2005)), ((2, 3, 7), Fraction(-5, 2009)),
+              ((2, 3, 7), Fraction(2, 1071)), ((2, 3, 7), Fraction(1, 2999)),
+              ((2, 5, 7), Fraction(-3, 1502)), ((2, 5, 7), Fraction(1, 2807))]
+    with mpmath.workprec(110):
+        for p, alpha in points:
+            big_p, f = math.prod(p), phi_basis(p, (1, 1, 1))
+            x = eichler_limit(f, big_p, alpha)
+            ref = mpmath.fsum(v * mpmath.expjpi(mpmath.mpf(2 * k) / x.D)
+                              for k, v in x.c.items()) / x.den
+            # under twice the 2.35e-14 that an element-by-element product
+            # of each row with its weights reaches at these points
+            assert abs(ref - eichler_limit_complex(f, big_p, alpha)) < 4e-14, (p, alpha)
+
+
+@pytest.mark.parametrize("big_p, terms, c", [
+    (6, {1: 1, 5: -1}, 6 * 7),                  # c a multiple of P
+    (15, {3: 2, 7: -1}, 15 * 4),                # c a multiple of 2P
+    (15, {2: 1, 4: -3, 14: 1}, 14),             # rho = 0, c2 = c = 14 even
+    (15, {10: 1, 5: 2}, 1010),                  # rho = 0, g' = 5, c2 = 202 even
+    (15, {5: 1, 10: -2}, 5 * 61),               # rho = 0, g' = 5, c2 = 61 odd
+    (30, {7: 1, 14: 2, 21: -1}, 7),             # t1 = 0 in every row
+    (30, {1: 1, 29: 1}, 1),
+    (30, {1: 1, 29: 1, 16: 2}, 2),
+    # 4 classes rho != 0 mod 21, two of them with two rows, and rho = 0
+    (42, {1: 1, 22: 1, 5: -2, 26: -1, 12: 3, 20: 1, 21: 2}, 21 * 53),
+    (42, {1: 1, 7: 2, 13: -1, 29: 2, 9: 1}, 2 * 3 * 101),   # even c: 3 classes mod 6
+    (70, {1: 1, 11: 1, 35: -1, 45: 2}, 35 * 17),            # classes mod 35, and rho = 0
+])
+def test_completed_square_at_the_fold_and_segment_edges(big_p, terms, c):
+    f = psi_combo(big_p, terms)
+    for a in (1, -1, 7, -13):
+        if math.gcd(a, c) == 1:
+            alpha = Fraction(a, c)
+            exact = eichler_limit(f, big_p, alpha).eval_complex()
+            fast = eichler_limit_complex(f, big_p, alpha)
+            assert abs(fast - exact) <= 1e-11 * (1 + abs(exact)), alpha
 
 
 def test_l_value_examples():
