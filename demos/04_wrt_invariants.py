@@ -6,14 +6,24 @@ from fractions import Fraction
 
 from qmwrt.number_theory import RootContext, normalize_s
 from qmwrt.seifert import EXAMPLE_233, brieskorn, invariants, parse_manifold
+from qmwrt.cyclotomic import xi_power
 from qmwrt.wrt import (
+    WrtValue,
     tau_seifert_closed,
     w_normalized,
     wrt_brute_surgery,
     wrt_lens,
     wrt_lens_brute,
-    wrt_seifert_closed,
 )
+
+
+def wrt_seifert_closed(d, ctx):
+    """The prefactored invariant xi^Delta (xi - 1) tau, Delta = phi/4 - 1/2,
+    exactly; for integer homology spheres it equals hat_sum / (2 G)."""
+    tau = tau_seifert_closed(d, ctx).exact
+    delta = invariants(d).phi / 4 - Fraction(1, 2)
+    return WrtValue(xi_power(ctx, delta) * (xi_power(ctx, 1) - 1) * tau)
+
 
 print("== tau of the Poincare sphere, two independent ways ==")
 pres = parse_manifold("seifert:1;2/1,3/1,5/1")   # integer-framed presentation
@@ -56,6 +66,5 @@ for p in (3, 5, 7):
     total = sectors[0]
     for sec in sectors[1:]:
         total = total + sec
-    from qmwrt.cyclotomic import xi_power
     check = (total - p * xi_power(ctx, Fraction(5 - p, 4))).is_zero()
     print(f"  sector sum = p xi^((5-p)/4): {check}")

@@ -4,7 +4,7 @@ mechanical verification of their quantum modularity properties.
 
 The package is organized bottom-up:
 
-- number_theory : Jacobi symbols, Dedekind sums, Bernoulli polynomials
+- number_theory : Jacobi symbols, Dedekind sums, Bernoulli numbers
 - intmatrix     : integer matrices: determinants, signatures, cokernels
 - cyclotomic    : exact arithmetic in Q(zeta_D)
 - gauss_sums    : quadratic Gauss sums, closed forms, reciprocity
@@ -41,7 +41,6 @@ from .harness import (
 )
 from .number_theory import (
     RootContext,
-    bernoulli_poly,
     dedekind_sum,
     jacobi,
     moebius,
@@ -62,7 +61,6 @@ from .wrt import (
     w_normalized,
     wrt_brute_surgery,
     wrt_lens,
-    wrt_seifert_closed,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Exact scalar number theory: Jacobi symbols, Dedekind sums, Bernoulli
-polynomials, Moebius function, residue normalization and root contexts.
+numbers, Moebius function, residue normalization and root contexts.
 
 Everything in this module is pure integer / Fraction arithmetic with no
 floating point, so downstream identity checks can be zero tolerance.
@@ -17,7 +17,6 @@ __all__ = [
     "normalize_s",
     "dedekind_sum",
     "bernoulli_number",
-    "bernoulli_poly",
     "moebius",
 ]
 
@@ -95,15 +94,6 @@ def bernoulli_number(n: int) -> Fraction:
     for j in range(n):
         acc += math.comb(n + 1, j) * bernoulli_number(j)
     return -acc / (n + 1)
-
-
-def bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    """Bernoulli polynomial B_n(x) as an exact rational."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = Fraction(x)
-    return sum((math.comb(n, j) * bernoulli_number(j) * x ** (n - j)
-                for j in range(n + 1)), start=Fraction(0))
 
 
 def _factorize(n: int) -> dict[int, int]:

@@ -23,18 +23,19 @@ delta = xi^(1/2) - xi^(-1/2), 1/[n] = delta xi^(n/2) / (xi^n - 1).  For
 f = +-1, F(U^f) delta xi^(3f/4) = -f Gamma_f with the Gauss sum
 Gamma_f = sum_{n mod 2r} zeta_4r^(f s n^2), so the normalization
 1/(F(U^+1)^b+ F(U^-1)^b-) is a root of unity times delta^(m+1) over a power
-of 2r, times one Gamma_f at odd signature (see `_surgery_normalization`);
+of 2r, times one Gamma_f at odd signature (see `_surgery_constant`);
 only the lens oracle forms F(U) itself and checks g conj(g) = 2r for
 g = F(U^f) delta xi^(3f/4).  The surgery oracle writes
 each product of quantum integers as delta^-2 times four signed roots,
 
     [n][n0 n] = delta^-2 (q^(n/2) - q^(-n/2)) (q^(n0 n/2) - q^(-n0 n/2)),
 
-so a fiber sum over n is 4(r - 1) roots in one integer dict, and the whole
-state sum costs O(m r^2) roots plus O(m r) products at D = 4r.  At H > 1
+so a fiber sum over n is 4(r - 1) roots in one integer dict.  At H > 1
 the closed form splits each fiber's Gauss sum by CRT into a Gauss sum free
 of the colour, which cancels in the ratio that pins the fiber's constant,
-times F1 roots at conductor 4 F1 r (see `_tau_qhs_reciprocity`).
+times F1 roots at conductor 4 F1 r (see `_tau_qhs_reciprocity`).  Both run
+`_central_sum`, with delta^(2-m) left in the n0-free constant; the oracle
+costs O(m r^2) roots plus O(m r) products at D = 4r.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
+from . import cyclotomic
 from .cyclotomic import CycloNumber, quadratic_sum, root_power, xi_power, xi_tilde_power
 from .number_theory import RootContext, jacobi, moebius
 from .seifert import SeifertData, SeifertInvariants, invariants
@@ -54,7 +56,6 @@ __all__ = [
     "check_closed_form",
     "seifert_gauss_sum",
     "seifert_hat_over_2g",
-    "wrt_seifert_closed",
     "tau_seifert_closed",
     "w_seifert_closed",
     "sqrt_homology_order",
@@ -105,10 +106,39 @@ def _inverse_by_conjugate(x: CycloNumber) -> CycloNumber:
     return (bar * (1 / norm)).canonical()
 
 
-def _one_over_delta_squared(ctx: RootContext) -> CycloNumber:
-    """delta^-2 = xi / (xi - 1)^2, in canonical form at conductor 2r."""
-    one_over = _one_over_root_minus_one(2 * ctx.r, 2 * ctx.s % (2 * ctx.r), ctx.r)
-    return (root_power(2 * ctx.r, 2 * ctx.s) * one_over * one_over).canonical()
+def _add_over_root_minus_one(acc, x, D, a, h, shift, weight) -> None:
+    """acc += weight zeta^shift x Z, Z = sum_{t<h} t zeta^(at) = h / (zeta^a - 1),
+    for numerator dicts at zeta_D and zeta^a of order h > 1.  On a cycle of
+    k -> k + a (a class mod D/h) the numerators y of x Z obey y(k + a) = y(k)
+    + S - h x(k + a), S the sum of x there, up to a constant: its roots sum to 0."""
+    get, L = acc.get, D // h
+    x = {(k + shift) % D: weight * v for k, v in x.items()}
+    for k0 in {k % L for k in x}:
+        ks = [(k0 + a * i) % D for i in range(h)]
+        xs = list(map(x.get, ks, itertools.repeat(0)))
+        S, z = sum(xs), 0
+        for k, v in zip(ks, xs):
+            z += S - h * v
+            if z:
+                acc[k] = get(k, 0) + z
+
+
+def _central_sum(d: SeifertData, ctx: RootContext, D: int, factors) -> CycloNumber:
+    """sum_{n0=1}^{r-1} xi^(b(n0^2-1)/4 + n0/2) (xi^n0 - 1)^-1 prod_j X_j(n0)
+    in canonical form at D, a multiple of 4r, for the numerator dicts
+    [X_1(n0), ...] = factors(n0), multiplied by `cyclotomic._product`, and
+    1/(xi^n0 - 1) = (g/r) sum_{t<h} t xi^(n0 t), g = gcd(n0, r), h = r/g."""
+    r, s, F = ctx.r, ctx.s, D // (4 * ctx.r)     # zeta_D^F = xi^(1/4)
+    acc: dict[int, int] = {}
+    for n0 in range(1, r):
+        x, *ys = factors(n0)
+        for y in ys:
+            x = x and y and cyclotomic._product(x, y, D)
+        g = math.gcd(n0, r)
+        # the central weight 1/[n0] = delta xi^(n0/2) / (xi^n0 - 1); delta is in C
+        _add_over_root_minus_one(acc, x, D, 4 * F * s * n0 % D, r // g,
+                                 F * s * (d.b * (n0 * n0 - 1) + 2 * n0), g)
+    return CycloNumber.from_int_dict(D, acc, r).canonical()
 
 
 # -- the structured closed-form sum ----------------------------------------
@@ -250,25 +280,28 @@ def _signature_counts(d: SeifertData) -> tuple[int, int]:
     return b_plus, d.m + 1 - b_plus
 
 
-def _surgery_normalization(d: SeifertData, ctx: RootContext) -> CycloNumber:
-    """N = 1 / (F(U^+1)^b+ F(U^-1)^b-) for the signature of the surgery link,
-    in closed form.  With the Gauss sums Gamma_f = sum_{n mod 2r}
+def _surgery_constant(d: SeifertData, ctx: RootContext) -> CycloNumber:
+    """The n0-free constant C = delta^(1-2m) N of the surgery state sum for m
+    fibers, N = 1 / (F(U^+1)^b+ F(U^-1)^b-) for the signature of the
+    surgery link, in closed form.  With the Gauss sums Gamma_f = sum_{n mod 2r}
     zeta_4r^(f s n^2), F(U^f) delta xi^(3f/4) = -f Gamma_f, Gamma_1 Gamma_-1
     = 2r and Gamma_f^2 = 2r f i give, for k = b+ + b- = m + 1,
     sigma = b+ - b-, eps = -sgn(sigma) and h = |sigma| // 2,
 
         N = (-1)^b+ delta^k xi^(3 sigma/4) Gamma_-1^b+ Gamma_1^b- / (2r)^k
           = zeta_4r^(3 s sigma + eps r h + 2r b+) delta^k
-            Gamma_eps^(sigma mod 2) / (2r)^ceil(k/2):
+            Gamma_eps^(sigma mod 2) / (2r)^ceil(k/2),
 
-    Gamma is formed at odd sigma only, and Gamma^2 != 2r eps i there is an
-    ArithmeticError."""
+    so C has delta^(2-m) = (xi^(1/2) / (xi - 1))^(m-2).  Gamma is formed at
+    odd sigma only, and Gamma^2 != 2r eps i there is an ArithmeticError."""
     b_plus, b_minus = _signature_counts(d)
-    r, s, D = ctx.r, ctx.s, 4 * ctx.r
+    r, s, D, m = ctx.r, ctx.s, 4 * ctx.r, d.m
     k, sigma = b_plus + b_minus, b_plus - b_minus
     eps = -1 if sigma > 0 else 1
+    delta_power = _delta(ctx) ** (2 - m) if m <= 2 else (root_power(2 * r, s)
+        * _one_over_root_minus_one(2 * r, 2 * s % (2 * r), r)).canonical() ** (m - 2)
     norm = root_power(D, 3 * s * sigma + eps * r * (abs(sigma) // 2) + 2 * r * b_plus) \
-        * Fraction(1, (2 * r) ** ((k + 1) // 2)) * _delta(ctx) ** k
+        * Fraction(1, (2 * r) ** ((k + 1) // 2)) * delta_power
     if sigma % 2:
         gamma = quadratic_sum(D, eps * s, count=2 * r)
         if gamma * gamma != root_power(D, eps * r) * (2 * r):
@@ -277,15 +310,20 @@ def _surgery_normalization(d: SeifertData, ctx: RootContext) -> CycloNumber:
     return norm.canonical()
 
 
-def _fiber_theta(f: int, w: int, ctx: RootContext) -> CycloNumber:
-    """P'(w) = sum_{a mod F1} zeta^(-sgn(f) s u (w + 2ra)^2) at zeta =
-    zeta_{4 F1 r}, |f| = F1 F2 with F1 the largest divisor whose primes
-    divide 2r and u = 1/F2 mod 4 F1 r: at most F1 roots."""
+def _theta_form(f: int, ctx: RootContext) -> tuple[int, int, int]:
+    """(D, c, F1) with P'(w) = sum_{a mod F1} zeta_D^(c (w + 2ra)^2), where
+    D = 4 F1 r, c = -sgn(f) s u, |f| = F1 F2 with F1 the largest divisor
+    whose primes divide 2r, and u = 1/F2 mod D."""
     F1 = math.gcd(abs(f), (2 * ctx.r) ** abs(f).bit_length())
-    D, step = 4 * F1 * ctx.r, 2 * ctx.r
-    c = (-ctx.s if f > 0 else ctx.s) * pow(abs(f) // F1, -1, D)
+    D = 4 * F1 * ctx.r
+    return D, (-ctx.s if f > 0 else ctx.s) * pow(abs(f) // F1, -1, D), F1
+
+
+def _fiber_theta(f: int, w: int, ctx: RootContext) -> CycloNumber:
+    """P'(w) of `_theta_form`: at most F1 roots at conductor 4 F1 r."""
+    D, c, F1 = _theta_form(f, ctx)
     return CycloNumber.from_int_dict(
-        D, Counter(c * (w + step * a) ** 2 % D for a in range(F1)))
+        D, Counter(c * (w + 2 * ctx.r * a) ** 2 % D for a in range(F1)))
 
 
 def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
@@ -303,44 +341,37 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
 
         xi^(-w^2/4f) B(w) = sum_{a mod |f|} zeta_{4|f|r}^(-sgn(f) s (w + 2ra)^2).
 
-    With |f| = F1 F2 as in `_fiber_theta`, zeta_{4|f|r} = zeta_{4F1r}^u
+    With |f| = F1 F2 as in `_theta_form`, zeta_{4|f|r} = zeta_{4F1r}^u
     zeta_{F2}^v (u F2 + 4 v F1 r = 1): of a term, the first factor reads
     a mod F1 only and the second a mod F2 only, where w + 2ra runs over all
     residues.  So by CRT on a the sum is G_j P'_j(w), P'_j = `_fiber_theta`
     and G_j a Gauss sum mod F2 free of w, and A_j = c_j P'_j.  The scalar
     c_j = E_j K_j G_j is pinned exactly as A_j(w0) / P'_j(w0) at the first
     probe w0 with P'_j(w0) != 0, where G_j cancels: it is never formed.
-    Each bracket has at most 2 F1_j roots, so the n0 sum lives at
-    lcm_j 4 F1_j r.  The constant C = delta prod_j xi^(-f_j/4) delta^-2 c_j
-    (its delta is the numerator of 1/[n0]) is formed once and multiplies
-    the sum once, both in canonical form, which has far fewer terms than
-    either as summed.  `check_closed_form` gives its domain.
+    Each bracket P'_j(n0+1) - P'_j(n0-1) is at most 2 F1_j roots, so
+    `_central_sum` runs at lcm_j 4 F1_j r; `_surgery_constant` prod_j
+    xi^(-f_j/4) c_j multiplies it once.  `check_closed_form` gives its domain.
     """
     r, s = ctx.r, ctx.s
-    D = 4 * r
-    inv_delta2 = _one_over_delta_squared(ctx)
-    const = _delta(ctx)     # C = delta prod_j xi^(-f_j/4) delta^-2 c_j
-    thetas = []             # P'_j(w) for w = 0 .. max(r, |f_j|)
-    for p, q in d.fibers:
-        f = p * q
-        theta = [_fiber_theta(f, w, ctx) for w in range(max(r, abs(f)) + 1)]
-        w0 = next((w for w in range(abs(f) + 1) if not theta[w].is_zero()), None)
+    const = _surgery_constant(d, ctx)
+    for f in (p * q for p, q in d.fibers):
+        w0, theta0 = next(((w, t) for w in range(abs(f) + 1)
+                           if not (t := _fiber_theta(f, w, ctx)).is_zero()), (None, None))
         if w0 is None:
             raise ArithmeticError("no nonvanishing probe for the fiber sum")
-        const = const * xi_power(ctx, Fraction(-f, 4)) * inv_delta2 \
-            * quadratic_sum(D, s * f, 2 * s * w0, count=2 * r) \
-            * _inverse_by_conjugate(theta[w0])
-        thetas.append(theta)
-    total = CycloNumber.zero(D)
-    for n0 in range(1, r):
-        # the root is xi^(b(n0^2-1)/4 + n0/2); its xi^(n0/2), the next factor
-        # and the delta in C are 1/[n0] = delta xi^(n0/2) / (xi^(n0) - 1)
-        part = root_power(D, s * d.b * (n0 * n0 - 1) + 2 * s * n0) \
-            * _one_over_root_minus_one(D, 4 * s * n0 % D, r // math.gcd(n0, r))
-        for theta in thetas:
-            part = part * (theta[n0 + 1] - theta[n0 - 1])
-        total = total + part
-    return total.canonical() * (const * _surgery_normalization(d, ctx)).canonical()
+        const = const * xi_power(ctx, Fraction(-f, 4)) \
+            * quadratic_sum(4 * r, s * f, 2 * s * w0, count=2 * r) \
+            * _inverse_by_conjugate(theta0)
+    forms = [_theta_form(p * q, ctx) for p, q in d.fibers]
+    D = math.lcm(*(Df for Df, _, _ in forms))
+
+    def bracket(n0, Df, c, F1):     # P'(n0 + 1) - P'(n0 - 1) at zeta_D
+        acc = Counter(c * (n0 + 1 + 2 * r * a) ** 2 % Df * (D // Df) for a in range(F1))
+        acc.subtract(c * (n0 - 1 + 2 * r * a) ** 2 % Df * (D // Df) for a in range(F1))
+        return {k: v for k, v in acc.items() if v}
+
+    return _central_sum(d, ctx, D, lambda n0: [bracket(n0, *form) for form in forms]) \
+        * const.canonical()
 
 
 def tau_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
@@ -361,14 +392,6 @@ def tau_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
     one_over = _one_over_root_minus_one(4 * ctx.r, 4 * ctx.s % (4 * ctx.r), ctx.r)
     return WrtValue(seifert_hat_over_2g(d, ctx)
                     * xi_power(ctx, Fraction(1, 2) - inv.phi / 4) * one_over)
-
-
-def wrt_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
-    """The prefactored invariant xi^Delta (xi - 1) tau, Delta = phi/4 - 1/2,
-    exactly; for integer homology spheres it equals hat_sum / (2 G)."""
-    tau = tau_seifert_closed(d, ctx).exact
-    delta = invariants(d).phi / 4 - Fraction(1, 2)
-    return WrtValue(xi_power(ctx, delta) * (xi_power(ctx, 1) - 1) * tau)
 
 
 def sqrt_homology_order(H: int) -> CycloNumber:
@@ -435,10 +458,8 @@ def _fiber_colour_sum(f: int, n0: int, ctx: RootContext) -> CycloNumber:
         sum_n sum_{e1,e2=+-1} e1 e2 zeta^(s f (n^2-1) + 2 s (e1 + e2 n0) n)
 
     at zeta = zeta_4r, since q^(1/2) = zeta^(2s)."""
-    s = ctx.s
-    D = 4 * ctx.r
-    shifts = [(2 * s * (e1 + e2 * n0), e1 * e2)
-              for e1 in (1, -1) for e2 in (1, -1)]
+    s, D = ctx.s, 4 * ctx.r
+    shifts = [(2 * s * (e1 + e2 * n0), e1 * e2) for e1 in (1, -1) for e2 in (1, -1)]
     acc: dict[int, int] = {}
     get = acc.get
     for n in range(1, ctx.r):
@@ -456,27 +477,18 @@ def wrt_brute_surgery(d: SeifertData, ctx: RootContext) -> WrtValue:
     and 1/[n0] = delta xi^(n0/2) / (xi^n0 - 1) is the one surviving central
     weight.  With the fiber sums M_f of `_fiber_colour_sum`,
 
-        tau = N delta^(1-2m) sum_{n0=1}^{r-1} xi^(b(n0^2-1)/4 + n0/2)
+        tau = delta^(1-2m) N sum_{n0=1}^{r-1} xi^(b(n0^2-1)/4 + n0/2)
               (xi^n0 - 1)^-1 prod_j M_{f_j}(n0),
 
-    N = `_surgery_normalization`, and the n0-free delta^(1-2m) N multiplies
-    the sum once, in canonical form.  The cost is O(m r^2) roots plus
-    O(m r) products at D = 4r, not r^(m+1) terms.
+    N the normalization: `_central_sum` times C = `_surgery_constant`, in
+    O(m r^2) roots plus O(m r) products at D = 4r, not r^(m+1) terms.
     """
     if d.m == 0:
         raise ValueError("the Seifert link shape needs at least one fiber; "
                          "use the framed-unknot route for lens spaces")
-    r, s = ctx.r, ctx.s
-    D = 4 * r
-    total = CycloNumber.zero(D)
-    for n0 in range(1, r):
-        part = root_power(D, s * d.b * (n0 * n0 - 1) + 2 * s * n0) \
-            * _one_over_root_minus_one(D, 4 * s * n0 % D, r // math.gcd(n0, r))
-        for p, q in d.fibers:
-            part = part * _fiber_colour_sum(p * q, n0, ctx)
-        total = total + part
-    const = _delta(ctx) * _one_over_delta_squared(ctx) ** d.m
-    return WrtValue(total * (const * _surgery_normalization(d, ctx)).canonical())
+    total = _central_sum(d, ctx, 4 * ctx.r, lambda n0: [
+        _fiber_colour_sum(p * q, n0, ctx).c for p, q in d.fibers])
+    return WrtValue(total * _surgery_constant(d, ctx))
 
 
 # -- lens spaces ------------------------------------------------------------

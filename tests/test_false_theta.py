@@ -22,8 +22,9 @@ from qmwrt.false_theta import (
     trivial_series,
     PeriodicFunction,
 )
-from qmwrt.number_theory import RootContext, bernoulli_poly
+from qmwrt.number_theory import RootContext
 from qmwrt.seifert import rotation_triples
+from test_number_theory import bernoulli_poly
 
 
 def test_phi_table_235():

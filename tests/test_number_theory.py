@@ -6,12 +6,22 @@ import pytest
 
 from qmwrt.number_theory import (
     RootContext,
-    bernoulli_poly,
+    bernoulli_number,
     dedekind_sum,
     jacobi,
     moebius,
     normalize_s,
 )
+
+
+def bernoulli_poly(n: int, x: Fraction) -> Fraction:
+    """Bernoulli polynomial B_n(x) as an exact rational, from the Bernoulli
+    numbers: the reference the L-value tests compare against."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    x = Fraction(x)
+    return sum((math.comb(n, j) * bernoulli_number(j) * x ** (n - j)
+                for j in range(n + 1)), start=Fraction(0))
 
 
 def sawtooth(x: Fraction) -> Fraction:

@@ -115,9 +115,10 @@ def integer_framed_and_root(draw):
 @example((SeifertData(0, ((2, 1), (3, 1), (5, 1), (7, 1))), RootContext(9, 1)))
 @example((SeifertData(-2, ((4, -1), (9, -1))), RootContext(15, 17)))
 def test_closed_form_normalization_equals_the_f_u_route(case):
-    # odd and even signature, any fiber orders, composite r
+    # odd and even signature, any fiber orders, composite r; the constant is
+    # delta^(1-2m) N, so delta^(2m-1) times it is N
     d, ctx = case
-    new = wrt._surgery_normalization(d, ctx)
+    new = (wrt._delta(ctx) ** (2 * d.m - 1) * wrt._surgery_constant(d, ctx)).canonical()
     ref = _surgery_normalization_reference(d, ctx)
     assert new == ref
     assert (new.D, new.c, new.den) == (ref.D, ref.c, ref.den)
