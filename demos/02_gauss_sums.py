@@ -1,20 +1,10 @@
-"""Quadratic Gauss sums: brute force against closed forms, square
-completion with degenerate gcd, reciprocity, and the higher-rank version.
+"""Quadratic Gauss sums: brute force against the closed form by r mod 4, and
+the degenerate gcd reduction.
 """
 
 import math
-from fractions import Fraction
 
-from qmwrt.gauss_sums import (
-    QuadraticFormZ,
-    f_unknot,
-    gauss_brute,
-    gauss_closed,
-    gauss_high_rank,
-    gauss_linear,
-    reciprocity,
-)
-from qmwrt.number_theory import RootContext
+from qmwrt.gauss_sums import gauss_brute, gauss_closed
 
 print("== G(s, r) = sum_n e^(2 pi i s n^2 / r): closed form by r mod 4 ==")
 for (s, r) in [(1, 5), (1, 3), (1, 2), (1, 4), (2, 7), (3, 8)]:
@@ -30,33 +20,3 @@ for (s, r) in [(6, 9), (10, 15)]:
     print(f"G({s},{r}) = {gauss_brute(s, r).eval_complex():.6f} "
           f"(= {math.gcd(s, r)} * G({s // math.gcd(s, r)},{r // math.gcd(s, r)}))")
 
-print()
-print("== linear terms by square completion ==")
-# sum_n xi^(P n^2 + 2 A n) over Z/r; vanishes unless gcd(P, r) divides 2A
-for (P, A, s, r) in [(1, 1, 1, 5), (3, 1, 1, 9), (3, Fraction(3, 2), 1, 9)]:
-    v = gauss_linear(P, A, s, r)
-    print(f"P={P}, A={A}, s={s}, r={r}: {v.eval_complex():.6f} "
-          f"({'zero' if v.is_zero() else 'nonzero'})")
-
-print()
-print("== unknot normalization constants ==")
-ctx = RootContext(7, 5)
-for sign in (1, -1):
-    f = f_unknot(sign, ctx)
-    print(f"F(U^{sign:+d}) = {f.exact.eval_complex():.6f}; "
-          f"closed form {f.closed_numeric:.6f}")
-
-print()
-print("== reciprocity: both sides of the transformation formula ==")
-form = QuadraticFormZ(((2, 1), (1, 4)), (Fraction(0), Fraction(1, 3)))
-lhs, rhs = reciprocity(form, 3)
-print(f"rank 2 example: lhs = {lhs:.9f}, rhs = {rhs:.9f}, "
-      f"|difference| = {abs(lhs - rhs):.2e}")
-
-print()
-print("== higher-rank sums: (det B / r) i^(N [r = 3 mod 4]) r^(N/2) ==")
-for (B, r) in [([[1]], 5), ([[1]], 3), ([[1, 0], [0, 2]], 5),
-               ([[2, 1], [1, 3]], 7)]:
-    hr = gauss_high_rank(B, r)
-    print(f"B = {B}, r = {r}: brute {hr.brute.eval_complex():.6f}, "
-          f"closed {hr.closed_numeric:.6f}")

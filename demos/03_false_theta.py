@@ -1,7 +1,9 @@
 """False theta functions: the periodic bases, their exact limits at
-rationals, modular S/T data, and the quantum modular S-transform defect.
+rationals, the S-matrix of the triple basis, and the quantum modular
+S-transform defect.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -13,10 +15,7 @@ from qmwrt.false_theta import (
     phi_basis,
     psi_basis,
     s_matrix_phi,
-    s_matrix_psi,
     s_transform_residual,
-    t_phase,
-    theta_truncated,
 )
 from qmwrt.number_theory import RootContext
 from qmwrt.seifert import rotation_triples
@@ -44,22 +43,24 @@ for alpha in (Fraction(1, 7), Fraction(0), Fraction(-7, 5)):
 print(f"limit at 0 equals L(0, f) = {l_value(f111, P, 0)}")
 
 print()
-print("== T and S transformation data ==")
-print(f"T-exponents x (eigenvalue e^(i pi x)): "
-      f"{[str(t_phase(p, a)) for a in rotation_triples(p)]}")
+print("== S transformation data ==")
 m = s_matrix_phi(p)
 print(f"S matrix ({m.shape[0]}x{m.shape[1]}):")
 print(np.array_str(m, precision=5))
-mp = s_matrix_psi(6)
-print(f"elementary-basis S is an involution: |M^2 - I| = "
-      f"{np.max(np.abs(mp @ mp - np.eye(5))):.2e}")
 
 print()
 print("== self-duality at tau = i ==")
 labels = rotation_triples(p)
 cutoff = 2 * P + int(12 * math.sqrt(P))
-theta = [theta_truncated(phi_basis(p, a), P, 1j, cutoff, Fraction(1, 2))
-         for a in labels]
+# theta_a(tau) = (1/2) sum_l l f_a(l) e^(2 pi i tau l^2/4P) at tau = i, cut off
+# where its Gaussian terms fall below double precision
+theta = []
+for a in labels:
+    f, total = phi_basis(p, a), 0j
+    for l in range(cutoff + 1):
+        if f(l):
+            total += l * f(l) * cmath.exp(2j * math.pi * 1j * l * l / (4 * P))
+    theta.append(0.5 * total)
 for i, a in enumerate(labels):
     image = sum(m[i, j] * theta[j] for j in range(len(labels)))
     print(f"theta_{a}(i) = {theta[i]:.10f}; S-image differs by "

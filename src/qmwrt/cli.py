@@ -38,7 +38,9 @@ __all__ = ["UsageError", "parse_args", "run", "main"]
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 # Longest exact walk of `falsetheta`, |support| c/2 terms at denominator c:
-# phi at c = 10^6 took 3 s, 110 MB (5 s, 240 MB with --exact --json).
+# phi at c = 10^6 took 3 s, 110 MB (5 s, 240 MB with --exact --json).  Also
+# the largest r of `gauss`, whose brute sum has r terms: r = 4,000,037 took
+# 4 s, 319 MB.
 EXACT_WALK_BOUND = 4_000_000
 # Most `sweep --jobs`: each job is a thread with its own length-r buffers.
 JOBS_BOUND = 64
@@ -160,6 +162,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         # gauss sums are defined for any positive modulus
         if job.r < 1:
             raise UsageError("r must be positive")
+        if job.r > EXACT_WALK_BOUND:
+            raise UsageError(f"r={job.r} needs a brute sum of r terms, "
+                             f"past the bound {EXACT_WALK_BOUND}")
         return job
     if job.r is not None:
         low = 1 if job.command == "falsetheta" else 3   # r = 1, xi = 1: no invariant

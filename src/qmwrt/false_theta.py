@@ -1,6 +1,6 @@
-"""Periodic function bases, theta series, exact Eichler-integral limits at
-rationals, modular S/T transformation data, L-values, and the S-transform
-residual used for asymptotic verification.
+"""Periodic function bases, exact Eichler-integral limits at rationals, the
+S-matrix of the triple basis, L-values, and the S-transform residual used
+for asymptotic verification.
 
 Two bases of odd 2P-periodic integer functions appear:
 
@@ -38,13 +38,10 @@ __all__ = [
     "psi_combo",
     "eichler_limit",
     "eichler_limit_complex",
-    "t_phase",
     "s_matrix_phi",
-    "s_matrix_psi",
     "l_value",
     "trivial_series",
     "s_transform_residual",
-    "theta_truncated",
 ]
 
 
@@ -74,9 +71,6 @@ class PeriodicFunction(_Value):
             raise ValueError("period mismatch")
         return PeriodicFunction(self.period,
                                 tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "PeriodicFunction") -> "PeriodicFunction":
-        return self + (-1) * other
 
     def __rmul__(self, n: int) -> "PeriodicFunction":
         return PeriodicFunction(self.period, tuple(n * v for v in self.values))
@@ -286,14 +280,6 @@ def eichler_limit_complex(f: PeriodicFunction, P: int, alpha: Fraction,
     return complex(total) / (P * c)
 
 
-def t_phase(p: tuple[int, int, int], a: tuple[int, int, int]) -> Fraction:
-    """Exponent x (an exact rational) with T-eigenvalue e^(pi i x) for the
-    triple-basis component a: x = (P/2)(1 + sum a_j/p_j)^2 = -2 CS[a]."""
-    P = math.prod(p)
-    t = 1 + sum(Fraction(aj, pj) for aj, pj in zip(a, p))
-    return Fraction(P, 2) * t * t
-
-
 @lru_cache(maxsize=None)
 def s_matrix_phi(p: tuple[int, int, int]) -> np.ndarray:
     """S-transformation matrix of the triple basis, indexed by the canonical
@@ -319,16 +305,6 @@ def s_matrix_phi(p: tuple[int, int, int]) -> np.ndarray:
             out[i, j] = -8 / math.sqrt(2 * P) * sign * math.prod(sines)
     out.setflags(write=False)
     return out
-
-
-def s_matrix_psi(P: int) -> np.ndarray:
-    """S-transformation matrix sqrt(2/P) sin(a b pi / P) of the elementary
-    basis, (P-1) x (P-1); an involution by discrete sine orthogonality."""
-    if P < 2:
-        raise ValueError("P must be >= 2")
-    import numpy as np
-    a = np.arange(1, P)
-    return np.sqrt(2 / P) * np.sin(np.outer(a, a) * np.pi / P)
 
 
 @lru_cache(maxsize=None)
@@ -399,20 +375,3 @@ def s_transform_residual(p: tuple[int, int, int], a: tuple[int, int, int],
     direct = eichler_limit_complex(f, P, Fraction(ctx.s, ctx.r), buffers)
     return direct + cmath.sqrt(ctx.r / (1j * ctx.s)) * back - _series(series, P, ctx)
 
-
-def theta_truncated(f: PeriodicFunction, P: int, tau: complex, cutoff: int,
-                    scale=Fraction(1)) -> complex:
-    """Partial theta sum scale * sum_{0 <= l <= cutoff} l f(l) e^(2 pi i tau l^2/4P).
-
-    Converges like a Gaussian for Im tau > 0; pass scale = 1/2 for the
-    triple-basis normalization."""
-    if tau.imag <= 0:
-        raise ValueError("tau must be in the upper half plane")
-    if cutoff < 2 * P:
-        raise ValueError("cutoff must cover at least one period")
-    total = 0j
-    for l in range(cutoff + 1):
-        v = f(l)
-        if v:
-            total += l * v * cmath.exp(2j * math.pi * tau * l * l / (4 * P))
-    return float(Fraction(scale)) * total

@@ -13,6 +13,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+__all__ = [
+    "det_int",
+    "charpoly_int",
+    "eigenvalue_sign_counts",
+    "signature",
+    "inverse_rational",
+    "cokernel_representatives",
+]
+
 Matrix = list[list[int]]
 
 

@@ -183,11 +183,6 @@ class RootContext(_Value):
             raise ValueError(f"gcd(s, 4r) must be 1, got s={s}, r={r}")
         self._set(r, s)
 
-    @property
-    def conductor(self) -> int:
-        """Base conductor 4r housing xi^(1/4)."""
-        return 4 * self.r
-
     def tilde(self) -> "RootContext":
         """Context whose root equals xi~ = e^(-2 pi i r / s) of this one."""
         return RootContext(self.s, normalize_s(-self.r, self.s))

@@ -19,20 +19,15 @@ from qmwrt.false_theta import (
     phi_basis,
     psi_basis,
     s_matrix_phi,
-    s_matrix_psi,
     s_transform_residual,
-    t_phase,
-    theta_truncated,
 )
-from qmwrt.gauss_sums import QuadraticFormZ, gauss_brute, gauss_closed, \
-    gauss_high_rank, reciprocity
+from qmwrt.gauss_sums import gauss_brute, gauss_closed
 from qmwrt.harness import (
     brieskorn_identity,
     decomposition_report,
     geometric_relation,
     integrality_check,
 )
-from qmwrt.intmatrix import det_int
 from qmwrt.number_theory import RootContext, normalize_s
 from qmwrt.seifert import (
     EXAMPLE_233,
@@ -51,6 +46,7 @@ from qmwrt.wrt import (
     wrt_lens,
     wrt_lens_brute,
 )
+from test_false_theta import theta_truncated
 
 
 def report(tag: str, ok: bool, detail: str = ""):
@@ -225,39 +221,9 @@ def test_a9_gauss_suite():
         g = gauss_brute(s, r)
         assert g * g.conjugate() == r
         checked += 1
-    done = 0
-    while done < 50:
-        n = rng.choice([1, 2, 3])
-        r = rng.choice([1, 2, 3, 4, 5, 6])
-        b = [[0] * n for _ in range(n)]
-        for i in range(n):
-            b[i][i] = rng.randint(-3, 3) * (2 if r % 2 else 1)
-            for j in range(i + 1, n):
-                b[i][j] = b[j][i] = rng.randint(-3, 3)
-        if det_int(b) == 0:
-            continue
-        psi = tuple(Fraction(rng.randint(0, r - 1), r) for _ in range(n))
-        lhs, rhs = reciprocity(QuadraticFormZ(tuple(map(tuple, b)), psi), r)
-        assert abs(lhs - rhs) < 1e-9
-        done += 1
-    done = 0
-    while done < 50:
-        n = rng.choice([1, 2, 3])
-        r = rng.choice(range(3, 26, 2))
-        b = [[0] * n for _ in range(n)]
-        for i in range(n):
-            b[i][i] = rng.randint(-4, 4)
-            for j in range(i + 1, n):
-                b[i][j] = b[j][i] = rng.randint(-3, 3)
-        d = det_int(b)
-        if d == 0 or math.gcd(d, r) != 1:
-            continue
-        hr = gauss_high_rank(b, r)
-        assert abs(hr.closed_numeric - hr.brute.eval_complex()) < 1e-9 * r ** (n / 2)
-        done += 1
     report("A9 gauss sum suite", True,
-           "closed = brute for all odd r <= 99 and coprime s; |G|^2 = r; "
-           "reciprocity and high-rank closed forms on 50 random instances each")
+           "closed = brute for all odd r <= 99 and coprime s; |G|^2 = r on "
+           "100 random instances")
 
 
 def brieskorn_triples_up_to(bound):
@@ -306,9 +272,6 @@ def test_a10_framing_exponent_compatibility():
 
 
 def test_a11_modular_form_sanity():
-    for big_p in range(2, 31):
-        m = s_matrix_psi(big_p)
-        assert np.max(np.abs(m @ m - np.eye(big_p - 1))) < 1e-12
     for p in [(2, 3, 5), (2, 3, 7)]:
         labels = rotation_triples(p)
         m = s_matrix_phi(p)
@@ -322,7 +285,8 @@ def test_a11_modular_form_sanity():
     for p in [(2, 3, 5), (2, 3, 7), (3, 4, 5)]:
         pc = rotation_order(p)
         for c in nonabelian_connections(p):
-            assert t_phase(pc, c.rotation) == -2 * c.cs_lift
+            t = 1 + sum(Fraction(a, q) for a, q in zip(c.rotation, pc))
+            assert Fraction(math.prod(pc), 2) * t * t == -2 * c.cs_lift
     for (big_p, make) in ((6, lambda a: psi_basis(6, a)),
                           (30, lambda a: phi_basis((2, 3, 5), (1, 1, a)))):
         for a in (1, 2):
@@ -330,5 +294,5 @@ def test_a11_modular_form_sanity():
             assert eichler_limit(f, big_p, Fraction(0)).as_rational() \
                 == l_value(f, big_p, 0)
     report("A11 modular data sanity", True,
-           "S-involution (1e-12), self-duality at tau=i (1e-8), "
-           "T-phase = e^(-2 pi i CS) exact, limit-at-0 = L(0,.) exact")
+           "self-duality at tau=i (1e-8), T-exponent "
+           "(P/2)(1 + sum a_j/p_j)^2 = -2 CS exact, limit-at-0 = L(0,.) exact")

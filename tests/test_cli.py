@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qmwrt import cli, false_theta, harness, seifert, wrt
+from qmwrt import cli, false_theta, gauss_sums, harness, seifert, wrt
 from qmwrt.cli import UsageError, main, parse_args
 from qmwrt.cyclotomic import CycloNumber
 from qmwrt.number_theory import RootContext
@@ -72,6 +73,24 @@ def test_sweep_loads_numpy_and_prints_as_in_process(capsys):
     # numpy imports inspect itself, but not dataclasses
     assert run_fresh(argv) == {"codes": [code], "out": out,
                                "loaded": ["numpy", "inspect"]}
+
+
+def test_import_loads_every_module_the_tracer_looks_up():
+    # bench/tracing.py reads sys.modules["qmwrt.<name>"] for each name in its
+    # MODULES after `import qmwrt`; the names are read here without importing bench
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+                     .read_text())
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [target.id for target in node.targets] == ["MODULES"])
+    script = ("import json, sys\nsys.path.insert(0, sys.argv[1])\n"
+              "import qmwrt, qmwrt.cli\n"
+              "print(json.dumps([n for n in sys.argv[2:]\n"
+              "                  if 'qmwrt.' + n not in sys.modules]))")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-I", "-c", script, str(src), *names],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(proc.stdout) == []
 
 
 def test_parse_wrt_job():
@@ -456,13 +475,16 @@ def test_denominators_past_the_bound_rejected_before_computing(capsys, monkeypat
      "--s", "-2147483647", "--tilde"],
     ["falsetheta", "--p", "2,3,7", "--a", "1,1,1", "--r", "1000001"],
     ["falsetheta", "--basis", "psi", "--p", "6", "--a", "1", "--r", "4000001"],
+    ["gauss", "--s", "1", "--r", "4000001"],
 ])
 def test_exact_walk_past_the_bound_rejected_before_computing(capsys, monkeypatch,
                                                              args):
     def no_limits(*_args):
         raise AssertionError("computation ran on rejected input")
-    for name in ("eichler_limit", "eichler_limit_complex"):
-        monkeypatch.setattr(false_theta, name, no_limits)
+    for module, name in ((false_theta, "eichler_limit"),
+                         (false_theta, "eichler_limit_complex"),
+                         (gauss_sums, "gauss_brute")):
+        monkeypatch.setattr(module, name, no_limits)
     code, out, err = invoke(capsys, args)
     assert (code, out) == (2, "")
     assert f"past the bound {cli.EXACT_WALK_BOUND}" in err

@@ -15,16 +15,32 @@ from qmwrt.false_theta import (
     psi_basis,
     psi_combo,
     s_matrix_phi,
-    s_matrix_psi,
     s_transform_residual,
-    t_phase,
-    theta_truncated,
     trivial_series,
     PeriodicFunction,
 )
 from qmwrt.number_theory import RootContext
 from qmwrt.seifert import rotation_triples
 from test_number_theory import bernoulli_poly
+
+
+def theta_truncated(f: PeriodicFunction, P: int, tau: complex, cutoff: int,
+                    scale=Fraction(1)) -> complex:
+    """Partial theta sum scale * sum_{0 <= l <= cutoff} l f(l) e^(2 pi i tau l^2/4P),
+    the reference for the S-matrix of the triple basis at tau = i.
+
+    Converges like a Gaussian for Im tau > 0; pass scale = 1/2 for the
+    triple-basis normalization."""
+    if tau.imag <= 0:
+        raise ValueError("tau must be in the upper half plane")
+    if cutoff < 2 * P:
+        raise ValueError("cutoff must cover at least one period")
+    total = 0j
+    for l in range(cutoff + 1):
+        v = f(l)
+        if v:
+            total += l * v * cmath.exp(2j * math.pi * tau * l * l / (4 * P))
+    return float(Fraction(scale)) * total
 
 
 def test_phi_table_235():
@@ -372,11 +388,10 @@ def test_class_index_at_the_int64_edge():
 
 
 def test_t_phase_examples():
-    x = t_phase((2, 3, 5), (1, 1, 1))
-    assert x == Fraction(3721, 60)
-    # e^(pi i x) = e^(-2 pi i CS): x + 2 CS is an even integer
+    # the T-exponent x = (P/2)(1 + sum a_j/p_j)^2 of (2,3,5), a = (1,1,1), is
+    # 3721/60; e^(pi i x) = e^(-2 pi i CS): x + 2 CS is an even integer
     from qmwrt.seifert import cs_nonabelian
-    assert (x + 2 * cs_nonabelian((2, 3, 5), (1, 1, 1))) % 2 == 0
+    assert (Fraction(3721, 60) + 2 * cs_nonabelian((2, 3, 5), (1, 1, 1))) % 2 == 0
     # elementary-basis analogue has exponent a^2/2P
     big_p, a = 6, 3
     f = psi_basis(big_p, a)
@@ -386,15 +401,6 @@ def test_t_phase_examples():
     rhs = cmath.exp(1j * math.pi * a * a / (2 * big_p)) \
         * theta_truncated(f, big_p, tau, 140)
     assert abs(lhs - rhs) < 1e-10
-
-
-def test_s_matrix_psi_involution():
-    for big_p in range(2, 31):
-        m = s_matrix_psi(big_p)
-        assert np.allclose(m, m.T)
-        assert np.max(np.abs(m @ m - np.eye(big_p - 1))) < 1e-12
-    assert s_matrix_psi(2).shape == (1, 1)
-    assert abs(s_matrix_psi(2)[0, 0] - 1) < 1e-15
 
 
 def test_s_matrix_phi_shape_and_self_duality():

@@ -2,20 +2,9 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
-from qmwrt.gauss_sums import (
-    QuadraticFormZ,
-    f_unknot,
-    gauss_brute,
-    gauss_closed,
-    gauss_high_rank,
-    gauss_linear,
-    reciprocity,
-)
-from qmwrt.intmatrix import det_int
+from qmwrt.gauss_sums import gauss_brute, gauss_closed
 from qmwrt.number_theory import RootContext
-from qmwrt.wrt import f_surgery_inverse
+from qmwrt.wrt import f_surgery_inverse, f_surgery_normalization
 
 
 def test_brute_examples():
@@ -85,134 +74,15 @@ def test_multiplicativity_coprime_moduli():
         assert (whole - split).is_zero()
 
 
-def test_gauss_linear_examples():
-    from qmwrt.cyclotomic import CycloNumber, root_power
-
-    # no linear term: reduces to a plain Gauss sum
-    assert gauss_linear(2, 0, 1, 7) == gauss_brute(2, 7)
-    # (1, 1, 1, 5) equals the direct five-term sum exactly
-    direct = CycloNumber.zero(5)
-    for n in range(5):
-        direct = direct + root_power(5, (n * n + 2 * n) % 5)
-    assert gauss_linear(1, 1, 1, 5) == direct
-    # gcd degeneration: g = 3 does not divide 2A = 2
-    assert gauss_linear(3, 1, 1, 9).is_zero()
-
-
-def test_gauss_linear_vs_direct_random():
-    from qmwrt.cyclotomic import CycloNumber, root_power
-    rng = random.Random(29)
-    done = 0
-    while done < 200:
-        r = rng.choice([3, 5, 7, 9, 15, 21, 25, 27, 33, 45])
-        s = rng.randrange(1, r)
-        if math.gcd(s, r) != 1:
-            continue
-        done += 1
-        big_p = rng.randint(-20, 20)
-        a2 = rng.randint(-20, 20)   # 2A
-        direct = CycloNumber.zero(r)
-        for n in range(r):
-            direct = direct + root_power(r, s * (big_p * n * n + a2 * n))
-        got = gauss_linear(big_p, Fraction(a2, 2), s, r)
-        assert (got - direct).is_zero(), (big_p, a2, s, r)
-
-
-def test_gauss_linear_rejects_even_modulus():
-    with pytest.raises(ValueError):
-        gauss_linear(1, 0, 1, 4)
-
-
-def test_f_unknot_two_paths():
-    for r, s in ((5, 1), (7, 5), (9, 13), (3, 1), (11, 1)):
-        ctx = RootContext(r, s)
-        for sign in (1, -1):
-            f = f_unknot(sign, ctx)
-            assert abs(f.exact.eval_complex() - f.closed_numeric) < 1e-10
-
-
 def test_f_unknot_ratio_modulus_one():
     for r, s in ((5, 1), (7, 5), (9, 13)):
         ctx = RootContext(r, s)
-        ratio = f_unknot(1, ctx).exact.eval_complex() \
-            / f_unknot(-1, ctx).exact.eval_complex()
+        ratio = f_surgery_normalization(1, ctx).eval_complex() \
+            / f_surgery_normalization(-1, ctx).eval_complex()
         assert abs(abs(ratio) - 1) < 1e-12
 
 
 def test_f_unknot_normalizes_s3():
     # tau(S^3) as +1 surgery on the unknot: F(U+)/F(U+) = 1
     ctx = RootContext(7, 1)
-    f = f_unknot(1, ctx).exact
-    assert f * f_surgery_inverse(1, ctx) == 1
-
-
-def test_reciprocity_examples():
-    lhs, rhs = reciprocity(QuadraticFormZ(((2,),), (Fraction(0),)), 3)
-    assert abs(lhs - rhs) < 1e-9
-    # one-element sums (both sides have a single term)
-    lhs, rhs = reciprocity(QuadraticFormZ(((2,),), (Fraction(0),)), 1)
-    assert abs(lhs - 1) < 1e-12 and abs(rhs - 1) < 1e-12
-    # hypothesis violation is reported: r B11 odd
-    with pytest.raises(ValueError, match="diagonal"):
-        reciprocity(QuadraticFormZ(((1,),), (Fraction(0),)), 1)
-    with pytest.raises(ValueError, match="psi"):
-        reciprocity(QuadraticFormZ(((2,),), (Fraction(1, 3),)), 2)
-
-
-def test_reciprocity_random():
-    rng = random.Random(7)
-    done = 0
-    while done < 50:
-        n = rng.choice([1, 2, 3])
-        r = rng.choice([1, 2, 3, 4, 5, 6])
-        b = [[0] * n for _ in range(n)]
-        for i in range(n):
-            b[i][i] = rng.randint(-3, 3) * (2 if r % 2 else 1)
-            for j in range(i + 1, n):
-                b[i][j] = b[j][i] = rng.randint(-3, 3)
-        if det_int(b) == 0:
-            continue
-        done += 1
-        psi = tuple(Fraction(rng.randint(0, r - 1), r) for _ in range(n))
-        lhs, rhs = reciprocity(QuadraticFormZ(tuple(map(tuple, b)), psi), r)
-        assert abs(lhs - rhs) < 1e-9
-
-
-def test_high_rank_examples():
-    hr = gauss_high_rank([[1]], 5)
-    assert abs(hr.closed_numeric - math.sqrt(5)) < 1e-12
-    assert abs(hr.brute.eval_complex() - math.sqrt(5)) < 1e-12
-    hr = gauss_high_rank([[1]], 3)
-    assert hr.i_exponent == 1
-    assert abs(hr.closed_numeric - 1j * math.sqrt(3)) < 1e-12
-    hr = gauss_high_rank([[1, 0], [0, 2]], 5)
-    assert abs(hr.closed_numeric - hr.brute.eval_complex()) < 1e-9
-
-
-def test_high_rank_random():
-    rng = random.Random(3)
-    done = 0
-    while done < 50:
-        n = rng.choice([1, 2, 3])
-        r = rng.choice([3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25])
-        b = [[0] * n for _ in range(n)]
-        for i in range(n):
-            b[i][i] = rng.randint(-4, 4)
-            for j in range(i + 1, n):
-                b[i][j] = b[j][i] = rng.randint(-3, 3)
-        d = det_int(b)
-        if d == 0 or math.gcd(d, r) != 1:
-            continue
-        done += 1
-        hr = gauss_high_rank(b, r)
-        assert abs(hr.closed_numeric - hr.brute.eval_complex()) \
-            < 1e-9 * r ** (n / 2)
-
-
-def test_high_rank_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gauss_high_rank([[1]], 4)
-    with pytest.raises(ValueError):
-        gauss_high_rank([[3]], 9)     # det shares a factor with r
-    with pytest.raises(ValueError):
-        gauss_high_rank([[0]], 5)     # degenerate
+    assert f_surgery_normalization(1, ctx) * f_surgery_inverse(1, ctx) == 1

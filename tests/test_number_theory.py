@@ -176,7 +176,7 @@ def test_euler_phi():
 
 def test_root_context_validation():
     ctx = RootContext(5, 13)
-    assert ctx.conductor == 20
+    assert (ctx.r, ctx.s) == (5, 13)
     with pytest.raises(ValueError):
         RootContext(4, 1)
     with pytest.raises(ValueError):

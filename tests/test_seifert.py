@@ -214,13 +214,14 @@ def test_abelian_connections():
 
 
 def test_t_phase_consistency():
-    # e^(-2 pi i CS) as exact rationals: the T-exponent is -2 CS on the nose
-    from qmwrt.false_theta import t_phase
+    # e^(-2 pi i CS) as exact rationals: the T-exponent
+    # (P/2)(1 + sum a_j/p_j)^2 is -2 CS on the nose
     from qmwrt.seifert import rotation_order
     for p in [(2, 3, 5), (2, 3, 7), (3, 4, 5)]:
         pc = rotation_order(p)
         for c in nonabelian_connections(p):
-            assert t_phase(pc, c.rotation) == -2 * c.cs_lift
+            t = 1 + sum(Fraction(a, q) for a, q in zip(c.rotation, pc))
+            assert Fraction(math.prod(pc), 2) * t * t == -2 * c.cs_lift
 
 
 def test_parse_and_format():
