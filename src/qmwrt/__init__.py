@@ -48,7 +48,6 @@ from .number_theory import (
     RootContext,
     dedekind_sum,
     jacobi,
-    moebius,
     normalize_s,
 )
 from .seifert import (

@@ -94,10 +94,6 @@ class VerificationReport:
             tolerance: str = "exact") -> None:
         self.checks.append(CheckResult(name, passed, detail, tolerance))
 
-    def to_json(self) -> dict:
-        return {"manifold": self.manifold, "ctx": self.ctx,
-                "results": [c.to_json() for c in self.checks]}
-
 
 # -- the sector-0 model -------------------------------------------------------
 

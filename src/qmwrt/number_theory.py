@@ -1,5 +1,5 @@
 """Exact scalar number theory: Jacobi symbols, Dedekind sums, Bernoulli
-numbers, Moebius function, residue normalization and root contexts.
+numbers, residue normalization and root contexts.
 
 Everything in this module is pure integer / Fraction arithmetic with no
 floating point, so downstream identity checks can be zero tolerance.
@@ -17,7 +17,6 @@ __all__ = [
     "normalize_s",
     "dedekind_sum",
     "bernoulli_number",
-    "moebius",
 ]
 
 
@@ -107,18 +106,6 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def moebius(n: int) -> int:
-    """Moebius function mu(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1
-    fac = _factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
 
 
 class _Value:

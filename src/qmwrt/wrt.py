@@ -16,7 +16,8 @@ denominators are cleared with the root-of-unity identity
 
     1/(chi - 1) = (1/h) sum_{t=0}^{h-1} t chi^t        (chi^h = 1, chi != 1),
 
-with h the multiplicative order of chi, which is at most r here.
+for every such h, not only the order of chi: the hat sum takes h = r at every
+n, the surgery paths' central sum the order of chi.
 
 The surgery paths clear every other denominator by conjugation: with
 delta = xi^(1/2) - xi^(-1/2), 1/[n] = delta xi^(n/2) / (xi^n - 1).  For
@@ -48,7 +49,7 @@ from functools import cached_property
 
 from . import cyclotomic
 from .cyclotomic import CycloNumber, quadratic_sum, root_power, xi_power, xi_tilde_power
-from .number_theory import RootContext, jacobi, moebius
+from .number_theory import RootContext, jacobi
 from .seifert import SeifertData, SeifertInvariants, invariants
 
 __all__ = [
@@ -163,18 +164,20 @@ def _hat_groups(d: SeifertData, ctx: RootContext):
 
     Term n is zeta^(-sHn^2) times the 2^m signed shifts of
     prod_j (zeta^(c_j n) - zeta^(-c_j n)), c_j = 2Ps/p_j, times the (m-2)-th
-    power of 1/(zeta^a - zeta^-a), a = 2Psn, by the 1/(chi - 1) identity
-    (1/r) sum_{t=1}^{h-1} t g zeta^(a(1+2t)) with g = gcd(n, r), h = r/g.
-    Since zeta^(2ah) = 1, that power is one integer series
-    sum_e w_e zeta^(ae), e mod 2h, over r^(m-2) per class g; for m < 2 it is
-    the binomial expansion of (zeta^a - zeta^-a)^(2-m).  A Moebius sum over
-    d | h replaces the n with gcd(n, r) = g by all n = kj, k = gd,
-    j mod N = 2Pr/k, weighted mu(d), so each signed shift delta and each e
-    give a quadratic sum with A = -sHk^2 and linear coefficient
-    b = k(delta + 2Pse).  Substituting j -> j + t multiplies it by
-    zeta^(At^2 + bt) and moves b to b + 2At, which t makes the residue
-    rho = b mod gcd(2A, D).  Both steps hold in Z[x]/(x^D - 1), so the
-    groups sum to the coefficients of the sum over n, term by term.
+    power of 1/(zeta^a - zeta^-a) = zeta^a / (chi - 1), a = 2Psn, chi =
+    zeta^(2a).  Every chi != 1 with chi^r = 1, whatever its order, has
+    sum_{t<r} t chi^t = r / (chi - 1): x d/dx (x^r - 1)/(x - 1) at x^r = 1.
+    So for every n that r does not divide, that power is one integer series
+    sum_e w_e zeta^(ae), e mod 2r, over r^(m-2); for m < 2 it is the
+    binomial expansion of (zeta^a - zeta^-a)^(2-m).  The series is defined
+    at every n, so the sum over r not dividing n is the sum over all
+    n = kj, j mod N = 2Pr/k, at k = 1 (weight +1) and k = r (weight -1).
+    Each signed shift delta and each e give a quadratic sum with
+    A = -sHk^2 and linear coefficient b = k(delta + 2Pse).  Substituting
+    j -> j + t multiplies it by zeta^(At^2 + bt) and moves b to b + 2At,
+    which t makes the residue rho = b mod gcd(2A, D).  Both steps hold in
+    Z[x]/(x^D - 1), so the groups sum to the coefficients of the sum of the
+    series terms over n.
     """
     inv = invariants(nd := d.normalized_b0())
     if inv.e <= 0:
@@ -184,33 +187,25 @@ def _hat_groups(d: SeifertData, ctx: RootContext):
     cs = [2 * P * s // p for p, _ in nd.fibers]
     shifts = [(math.prod(eps), sum(x * c for x, c in zip(eps, cs)))
               for eps in itertools.product((1, -1), repeat=m)]
+    base = {1 + 2 * t: t for t in range(1, r)} if m > 2 else {1: 1, 2 * r - 1: -1}
+    series = CycloNumber.from_int_dict(2 * r, base) ** abs(m - 2)
+    lin: dict[int, int] = {}     # b/k mod D -> weight
+    for sign, delta in shifts:
+        for e, w in series.c.items():
+            key = (delta + 2 * P * s * e) % D
+            lin[key] = lin.get(key, 0) + sign * w
     groups: dict[tuple[int, int, int], dict[int, int]] = {}
-    for g in range(1, r):
-        if r % g:
-            continue
-        h = r // g
-        base = {1 + 2 * t: t * g for t in range(1, h)} if m > 2 \
-            else {1: 1, 2 * h - 1: -1}
-        series = CycloNumber.from_int_dict(2 * h, base) ** abs(m - 2)
-        lin: dict[int, int] = {}     # b/k mod D -> weight
-        for sign, delta in shifts:
-            for e, w in series.c.items():
-                key = (delta + 2 * P * s * e) % D
-                lin[key] = lin.get(key, 0) + sign * w
-        for k in range(g, r + 1, g):
-            mu = moebius(k // g) if r % k == 0 else 0
-            if not mu:
-                continue
-            A = -s * H * k * k % D
-            L = math.gcd(2 * A, D)
-            inv_2a = pow(2 * A // L, -1, D // L)
-            for c, w in lin.items():
-                b = k * c % D
-                rho = b % L
-                t = (rho - b) // L * inv_2a % (D // L)
-                acc = groups.setdefault((A, rho, D // (2 * k)), {})
-                key = (A * t + b) * t % D
-                acc[key] = acc.get(key, 0) + mu * w
+    for k, weight in ((1, 1), (r, -1)):
+        A = -s * H * k * k % D
+        L = math.gcd(2 * A, D)
+        inv_2a = pow(2 * A // L, -1, D // L)
+        for c, w in lin.items():
+            b = k * c % D
+            rho = b % L
+            t = (rho - b) // L * inv_2a % (D // L)
+            acc = groups.setdefault((A, rho, D // (2 * k)), {})
+            key = (A * t + b) * t % D
+            acc[key] = acc.get(key, 0) + weight * w
     out = [(CycloNumber.from_int_dict(D, acc), q) for q, acc in groups.items()]
     return P, r ** max(m - 2, 0), [(R, q) for R, q in out if R.c]
 
@@ -218,9 +213,11 @@ def _hat_groups(d: SeifertData, ctx: RootContext):
 def seifert_hat_over_2g(d: SeifertData, ctx: RootContext) -> CycloNumber:
     """hat / (2G) = hat conj(G) / (2 G conj(G)), exact, from the groups of
     `_hat_groups`.  The group whose quadratic sum is G itself (A = -s,
-    rho = 0, N = 2Pr; at H = 1 and a prime r usually the only one left) gives
-    R G conj(G) = 2Pr gcd(s, P) R; the others are summed and multiplied by
-    conj(G) once.
+    rho = 0, N = 2Pr) gives R G conj(G) = 2Pr gcd(s, P) R; the others are
+    summed and multiplied by conj(G) once.  At H = 1 every k = 1 term falls in
+    that group, as b is a multiple of 2s and so of gcd(2A, D), and the others
+    are the k = r terms over the multiples of r; at H > 1 the k = 1 terms
+    have A = -sH and are among the others too.
     """
     P, den, groups = _hat_groups(d, ctx)
     D = 4 * P * ctx.r

@@ -206,6 +206,8 @@ def test_verify_pass_and_fields(capsys):
                                    "--json"])
     assert code == 0
     data = json.loads(out)
+    assert set(data) == {"manifold", "ctx", "results"}
+    assert data["ctx"] == {"r": 7, "s": 5}
     assert data["results"][0]["check"] == "geometric_relation"
     assert data["results"][0]["status"] == "pass"
 

@@ -9,7 +9,6 @@ from qmwrt.number_theory import (
     bernoulli_number,
     dedekind_sum,
     jacobi,
-    moebius,
     normalize_s,
 )
 
@@ -155,19 +154,6 @@ def test_bernoulli_poly_examples():
     # B_3(x) = x^3 - 3x^2/2 + x/2
     x = Fraction(2, 5)
     assert bernoulli_poly(3, x) == x ** 3 - Fraction(3, 2) * x ** 2 + x / 2
-
-
-def test_moebius_examples():
-    assert moebius(1) == 1
-    assert moebius(6) == 1
-    assert moebius(12) == 0
-    assert moebius(30) == -1
-
-
-def test_moebius_sum_over_divisors():
-    for n in range(1, 1001):
-        total = sum(moebius(d) for d in range(1, n + 1) if n % d == 0)
-        assert total == (1 if n == 1 else 0)
 
 
 def test_euler_phi():

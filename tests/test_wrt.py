@@ -605,12 +605,18 @@ def test_four_fiber_hat_sum_against_float_transcription():
 
 def test_hat_sum_matches_hat_sum_reference_for_one_to_four_fibers():
     # the grouped hat sum of wrt._hat_groups against the term-by-term
-    # reference; composite r gives several gcd(n, r) classes and Moebius terms (r = 45
-    # has the divisor 9 with mu = 0, r = 35 two prime factors)
+    # reference, whose 1/(chi - 1) series runs over the order of chi; at a
+    # composite r (45 = 9 * 5, 35, the prime power 27) that order is below r
+    # for some n.  In S2(0; 2/1, 6/1) at r = 5 and S2(0; 4/1, 4/3) at r = 7
+    # the series terms at the multiples of r sum to a nonzero value, so the
+    # k = r group must be subtracted.
     cases = [
         (SeifertData(0, ((5, 1),)), ((9, 5), (15, 13), (21, 5))),
         (SeifertData(0, ((2, 1), (3, 1))), ((9, 5), (15, 13), (21, 5))),
-        (brieskorn((2, 3, 5)), ((9, 5), (15, 13), (21, 5), (45, 13), (35, 1))),
+        (SeifertData(0, ((2, 1), (6, 1))), ((5, 17),)),
+        (SeifertData(0, ((4, 1), (4, 3))), ((7, 17),)),
+        (brieskorn((2, 3, 5)), ((9, 5), (15, 13), (21, 5), (45, 13), (35, 1),
+                                (27, 1))),
         (brieskorn((2, 3, 7)), ((9, 5), (7, 5), (5, 1))),
         (brieskorn((2, 3, 5, 7)), ((9, 5), (5, 13))),
     ]
@@ -671,6 +677,11 @@ def test_large_root_closed_form_needs_no_dense_product(monkeypatch):
     pairs.clear()
     assert brieskorn_identity((2, 3, 7), ctx).passed
     assert sum(pairs) < 10 ** 6
+    # r = 1001 = 7 * 11 * 13 shares the factor 7 with P = 42 and has eight
+    # divisors; one series for every n keeps its product work near a prime r's
+    pairs.clear()
+    w = w_seifert_closed(brieskorn((2, 3, 7)), RootContext(1001, 1)).exact
+    assert w.c and sum(pairs) < 3 * 10 ** 5
 
 
 FOUR_FIBERS = "seifert:0;2/1,3/1,5/1,7/1"
