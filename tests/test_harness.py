@@ -338,6 +338,15 @@ def test_appendix_b_lemmas():
     assert appendix_b_checks((2, 3, 5), (1, 1, 2), 1).passed  # trivial r = 1
 
 
+def test_report_json_shape():
+    # the fields `verify --json` prints: the report's ctx and each check's record
+    rep = brieskorn_identity((2, 3, 7), RootContext(5, 1))
+    assert rep.ctx == {"r": 5, "s": 1}
+    data = rep.checks[0].to_json()
+    assert set(data) == {"check", "status", "detail", "tolerance"}
+    assert data["status"] == "pass"
+
+
 @pytest.mark.parametrize("selector", ["lens:5", "ex:2-3-3", "ex:neg-2-3-9",
                                       "ex:family:2"])
 def test_decomposition_lifts_are_s_squared_abelian_lifts(selector):
