@@ -11,32 +11,33 @@ quadratic Gauss sum
 satisfies G * conj(G) = 2 P r gcd(s, P) exactly.  The structured (hat) sum
 is summed over n in closed form, as a short list of sparse root-of-unity sums
 R times one quadratic sum T each; where T is G itself, R T / 2G is R/2, and
-only the other groups meet a product with conj(G).  Quantum integer
-denominators are cleared with the root-of-unity identity
+only the other groups meet a product with conj(G).  Every closed form and
+oracle divides by delta = xi^(1/2) - xi^(-1/2) through `_over_delta`, n
+walks of `_add_over_root_minus_one` for delta^-n, each a product by
+xi^(1/2) r / (xi - 1) = r / delta from the identity
 
-    1/(chi - 1) = (1/h) sum_{t=0}^{h-1} t chi^t        (chi^h = 1, chi != 1),
+    h / (chi - 1) = sum_{t=0}^{h-1} t chi^t        (chi^h = 1, chi != 1),
 
-for every such h, not only the order of chi: the hat sum takes h = r at every
-n, the surgery paths' central sum the order of chi.
+which holds for every such h, not only the order of chi; only the central
+sum divides by xi^n0 - 1 itself.
 
-The surgery paths clear every other denominator by conjugation: with
-delta = xi^(1/2) - xi^(-1/2), 1/[n] = delta xi^(n/2) / (xi^n - 1).  For
-f = +-1, F(U^f) delta xi^(3f/4) = -f Gamma_f with the Gauss sum
-Gamma_f = sum_{n mod 2r} zeta_4r^(f s n^2), so the normalization
+For f = +-1, F(U^f) delta xi^(3f/4) = -f Gamma_f with the Gauss sum
+Gamma_f = sum_{n mod 2r} zeta_4r^(f s n^2), so the surgery normalization
 1/(F(U^+1)^b+ F(U^-1)^b-) is a root of unity times delta^(m+1) over a power
-of 2r, times one Gamma_f at odd signature (see `_surgery_constant`);
-only the lens oracle forms F(U) itself and checks g conj(g) = 2r for
-g = F(U^f) delta xi^(3f/4).  The surgery oracle writes
-each product of quantum integers as delta^-2 times four signed roots,
+of 2r, times one Gamma_f at odd signature (see `_surgery_constant`); the
+lens oracle is the star link with no fibers and takes it from there too.
+The surgery oracle writes each product of quantum integers as delta^-2
+times four signed roots,
 
     [n][n0 n] = delta^-2 (q^(n/2) - q^(-n/2)) (q^(n0 n/2) - q^(-n0 n/2)),
 
-so a fiber sum over n is 4(r - 1) roots in one integer dict.  At H > 1
-the closed form splits each fiber's Gauss sum by CRT into a Gauss sum free
-of the colour, which cancels in the ratio that pins the fiber's constant,
-times F1 roots at conductor 4 F1 r (see `_tau_qhs_reciprocity`).  Both run
-`_central_sum`, with delta^(2-m) left in the n0-free constant; the oracle
-costs O(m r^2) roots plus O(m r) products at D = 4r.
+so a fiber sum over n is 4(r - 1) roots in one integer dict, and F(U^f) is
+the fiber sum at n0 = 1 over delta^2.  At H > 1 the closed form splits
+each fiber's Gauss sum by CRT into a Gauss sum free of the colour, which
+cancels in the ratio that pins the fiber's constant, times F1 roots at
+conductor 4 F1 r (see `_tau_qhs_reciprocity`).  Both run `_central_sum`,
+with delta^(2-m) left in the n0-free constant; the oracle costs
+O(m r^2) roots plus O(m r) products at D = 4r.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ __all__ = [
     "sqrt_homology_order",
     "w_normalized",
     "f_surgery_normalization",
-    "f_surgery_inverse",
     "wrt_brute_surgery",
     "wrt_lens",
     "wrt_lens_brute",
@@ -83,12 +83,6 @@ class WrtValue:
     @cached_property
     def numeric(self) -> complex:
         return self.exact.eval_complex()
-
-
-def _one_over_root_minus_one(D: int, k: int, h: int) -> CycloNumber:
-    """1/(zeta_D^k - 1) for a root of multiplicative order h > 1."""
-    acc = {(k * t) % D: t for t in range(1, h)}
-    return CycloNumber.from_int_dict(D, acc, h)
 
 
 def _delta(ctx: RootContext) -> CycloNumber:
@@ -122,6 +116,25 @@ def _add_over_root_minus_one(acc, x, D, a, h, shift, weight) -> None:
             z += S - h * v
             if z:
                 acc[k] = get(k, 0) + z
+
+
+def _over_delta(x: CycloNumber, ctx: RootContext, n: int) -> CycloNumber:
+    """x / delta^n for n >= 0 at D = lcm(x.D, 2r), not in canonical form: n
+    walks of `_add_over_root_minus_one`, each times xi^(1/2) r / (xi - 1) =
+    r / delta in Z[x]/(x^D - 1) up to sums over the cycles of xi, which
+    vanish wherever xi is an r-th root of unity other than 1."""
+    r, s, D = ctx.r, ctx.s, math.lcm(x.D, 2 * ctx.r)
+    c = x.embed(D).c
+    for _ in range(n):
+        acc: dict[int, int] = {}
+        _add_over_root_minus_one(acc, c, D, s * D // r % D, r, s * D // (2 * r), 1)
+        c = acc
+    return CycloNumber.from_int_dict(D, c, x.den * r ** n)
+
+
+def _delta_power(ctx: RootContext, k: int) -> CycloNumber:
+    """delta^k for every integer k, at conductor 2r for k != 0."""
+    return _delta(ctx) ** k if k >= 0 else _over_delta(CycloNumber.one(), ctx, -k)
 
 
 def _central_sum(d: SeifertData, ctx: RootContext, D: int, factors) -> CycloNumber:
@@ -164,16 +177,17 @@ def _hat_groups(d: SeifertData, ctx: RootContext):
 
     Term n is zeta^(-sHn^2) times the 2^m signed shifts of
     prod_j (zeta^(c_j n) - zeta^(-c_j n)), c_j = 2Ps/p_j, times the (m-2)-th
-    power of 1/(zeta^a - zeta^-a) = zeta^a / (chi - 1), a = 2Psn, chi =
-    zeta^(2a).  Every chi != 1 with chi^r = 1, whatever its order, has
-    sum_{t<r} t chi^t = r / (chi - 1): x d/dx (x^r - 1)/(x - 1) at x^r = 1.
-    So for every n that r does not divide, that power is one integer series
-    sum_e w_e zeta^(ae), e mod 2r, over r^(m-2); for m < 2 it is the
-    binomial expansion of (zeta^a - zeta^-a)^(2-m).  The series is defined
-    at every n, so the sum over r not dividing n is the sum over all
-    n = kj, j mod N = 2Pr/k, at k = 1 (weight +1) and k = r (weight -1).
-    Each signed shift delta and each e give a quadratic sum with
-    A = -sHk^2 and linear coefficient b = k(delta + 2Pse).  Substituting
+    power of 1/(zeta^a - zeta^-a), a = 2Psn: delta^(2-m) at xi^(1/2) = y =
+    zeta^a, xi = chi = zeta^(2a).  `_delta_power` at s = 1 writes it as one
+    integer series sum_e w_e y^e, e mod 2r, over den, never put in
+    canonical form (which holds at y = zeta_2r only): a polynomial in y at
+    m <= 2, and at m > 2 the walks hold at every chi != 1 with chi^r = 1,
+    whatever its order.  So it is that power at every n that r does not
+    divide, and it is defined at every n, so the sum over r not dividing n
+    is the sum over all n = kj, j mod N = 2Pr/k, at k = 1 (weight +1) and
+    k = r (weight -1).
+    Each signed shift u and each e give a quadratic sum with
+    A = -sHk^2 and linear coefficient b = k(u + 2Pse).  Substituting
     j -> j + t multiplies it by zeta^(At^2 + bt) and moves b to b + 2At,
     which t makes the residue rho = b mod gcd(2A, D).  Both steps hold in
     Z[x]/(x^D - 1), so the groups sum to the coefficients of the sum of the
@@ -187,12 +201,11 @@ def _hat_groups(d: SeifertData, ctx: RootContext):
     cs = [2 * P * s // p for p, _ in nd.fibers]
     shifts = [(math.prod(eps), sum(x * c for x, c in zip(eps, cs)))
               for eps in itertools.product((1, -1), repeat=m)]
-    base = {1 + 2 * t: t for t in range(1, r)} if m > 2 else {1: 1, 2 * r - 1: -1}
-    series = CycloNumber.from_int_dict(2 * r, base) ** abs(m - 2)
+    series = _delta_power(RootContext(r, 1), 2 - m)
     lin: dict[int, int] = {}     # b/k mod D -> weight
-    for sign, delta in shifts:
+    for sign, u in shifts:
         for e, w in series.c.items():
-            key = (delta + 2 * P * s * e) % D
+            key = (u + 2 * P * s * e) % D
             lin[key] = lin.get(key, 0) + sign * w
     groups: dict[tuple[int, int, int], dict[int, int]] = {}
     for k, weight in ((1, 1), (r, -1)):
@@ -207,7 +220,7 @@ def _hat_groups(d: SeifertData, ctx: RootContext):
             key = (A * t + b) * t % D
             acc[key] = acc.get(key, 0) + weight * w
     out = [(CycloNumber.from_int_dict(D, acc), q) for q, acc in groups.items()]
-    return P, r ** max(m - 2, 0), [(R, q) for R, q in out if R.c]
+    return P, series.den, [(R, q) for R, q in out if R.c]
 
 
 def seifert_hat_over_2g(d: SeifertData, ctx: RootContext) -> CycloNumber:
@@ -279,8 +292,9 @@ def _signature_counts(d: SeifertData) -> tuple[int, int]:
 
 def _surgery_constant(d: SeifertData, ctx: RootContext) -> CycloNumber:
     """The n0-free constant C = delta^(1-2m) N of the surgery state sum for m
-    fibers, N = 1 / (F(U^+1)^b+ F(U^-1)^b-) for the signature of the
-    surgery link, in closed form.  With the Gauss sums Gamma_f = sum_{n mod 2r}
+    >= 0 fibers, N = 1 / (F(U^+1)^b+ F(U^-1)^b-) for the signature of the
+    surgery link, in closed form; at m = 0, C = delta N of the b-framed
+    unknot.  With the Gauss sums Gamma_f = sum_{n mod 2r}
     zeta_4r^(f s n^2), F(U^f) delta xi^(3f/4) = -f Gamma_f, Gamma_1 Gamma_-1
     = 2r and Gamma_f^2 = 2r f i give, for k = b+ + b- = m + 1,
     sigma = b+ - b-, eps = -sgn(sigma) and h = |sigma| // 2,
@@ -289,16 +303,14 @@ def _surgery_constant(d: SeifertData, ctx: RootContext) -> CycloNumber:
           = zeta_4r^(3 s sigma + eps r h + 2r b+) delta^k
             Gamma_eps^(sigma mod 2) / (2r)^ceil(k/2),
 
-    so C has delta^(2-m) = (xi^(1/2) / (xi - 1))^(m-2).  Gamma is formed at
-    odd sigma only, and Gamma^2 != 2r eps i there is an ArithmeticError."""
+    so C has delta^(2-m), from `_delta_power`.  Gamma is formed at odd
+    sigma only, and Gamma^2 != 2r eps i there is an ArithmeticError."""
     b_plus, b_minus = _signature_counts(d)
     r, s, D, m = ctx.r, ctx.s, 4 * ctx.r, d.m
     k, sigma = b_plus + b_minus, b_plus - b_minus
     eps = -1 if sigma > 0 else 1
-    delta_power = _delta(ctx) ** (2 - m) if m <= 2 else (root_power(2 * r, s)
-        * _one_over_root_minus_one(2 * r, 2 * s % (2 * r), r)).canonical() ** (m - 2)
     norm = root_power(D, 3 * s * sigma + eps * r * (abs(sigma) // 2) + 2 * r * b_plus) \
-        * Fraction(1, (2 * r) ** ((k + 1) // 2)) * delta_power
+        * Fraction(1, (2 * r) ** ((k + 1) // 2)) * _delta_power(ctx, 2 - m)
     if sigma % 2:
         gamma = quadratic_sum(D, eps * s, count=2 * r)
         if gamma * gamma != root_power(D, eps * r) * (2 * r):
@@ -316,11 +328,16 @@ def _theta_form(f: int, ctx: RootContext) -> tuple[int, int, int]:
     return D, (-ctx.s if f > 0 else ctx.s) * pow(abs(f) // F1, -1, D), F1
 
 
+def _theta_roots(form: tuple[int, int, int], w: int, r: int) -> Counter:
+    """The exponents of P'(w) at zeta_D for the form (D, c, F1) of `_theta_form`."""
+    D, c, F1 = form
+    return Counter(c * (w + 2 * r * a) ** 2 % D for a in range(F1))
+
+
 def _fiber_theta(f: int, w: int, ctx: RootContext) -> CycloNumber:
     """P'(w) of `_theta_form`: at most F1 roots at conductor 4 F1 r."""
-    D, c, F1 = _theta_form(f, ctx)
-    return CycloNumber.from_int_dict(
-        D, Counter(c * (w + 2 * ctx.r * a) ** 2 % D for a in range(F1)))
+    form = _theta_form(f, ctx)
+    return CycloNumber.from_int_dict(form[0], _theta_roots(form, w, ctx.r))
 
 
 def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
@@ -350,8 +367,8 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
     xi^(-f_j/4) c_j multiplies it once.  `check_closed_form` gives its domain.
     """
     r, s = ctx.r, ctx.s
-    const = _surgery_constant(d, ctx)
-    for f in (p * q for p, q in d.fibers):
+    const, fs = _surgery_constant(d, ctx), [p * q for p, q in d.fibers]
+    for f in fs:
         w0, theta0 = next(((w, t) for w in range(abs(f) + 1)
                            if not (t := _fiber_theta(f, w, ctx)).is_zero()), (None, None))
         if w0 is None:
@@ -359,15 +376,15 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
         const = const * xi_power(ctx, Fraction(-f, 4)) \
             * quadratic_sum(4 * r, s * f, 2 * s * w0, count=2 * r) \
             * _inverse_by_conjugate(theta0)
-    forms = [_theta_form(p * q, ctx) for p, q in d.fibers]
+    forms = [_theta_form(f, ctx) for f in fs]
     D = math.lcm(*(Df for Df, _, _ in forms))
 
-    def bracket(n0, Df, c, F1):     # P'(n0 + 1) - P'(n0 - 1) at zeta_D
-        acc = Counter(c * (n0 + 1 + 2 * r * a) ** 2 % Df * (D // Df) for a in range(F1))
-        acc.subtract(c * (n0 - 1 + 2 * r * a) ** 2 % Df * (D // Df) for a in range(F1))
-        return {k: v for k, v in acc.items() if v}
+    def bracket(n0, form):     # P'(n0 + 1) - P'(n0 - 1) at zeta_D
+        acc = _theta_roots(form, n0 + 1, r)
+        acc.subtract(_theta_roots(form, n0 - 1, r))
+        return {k * (D // form[0]): v for k, v in acc.items() if v}
 
-    return _central_sum(d, ctx, D, lambda n0: [bracket(n0, *form) for form in forms]) \
+    return _central_sum(d, ctx, D, lambda n0: [bracket(n0, form) for form in forms]) \
         * const.canonical()
 
 
@@ -385,10 +402,9 @@ def tau_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
         return WrtValue(rev.exact.conjugate())
     if inv.H != 1:
         return WrtValue(_tau_qhs_reciprocity(d, ctx))
-    # tau = xi^(1/2 - phi/4) / (xi - 1) * hat / (2G)
-    one_over = _one_over_root_minus_one(4 * ctx.r, 4 * ctx.s % (4 * ctx.r), ctx.r)
-    return WrtValue(seifert_hat_over_2g(d, ctx)
-                    * xi_power(ctx, Fraction(1, 2) - inv.phi / 4) * one_over)
+    # tau = xi^(1/2 - phi/4) / (xi - 1) * hat / (2G) = xi^(-phi/4) hat / (2G delta)
+    return WrtValue(_over_delta(seifert_hat_over_2g(d, ctx) * xi_power(ctx, -inv.phi / 4),
+                                ctx, 1))
 
 
 def sqrt_homology_order(H: int) -> CycloNumber:
@@ -421,30 +437,10 @@ def w_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
 
 def f_surgery_normalization(f: int, ctx: RootContext) -> CycloNumber:
     """F(U^f) = sum_{n=1}^{r-1} q^(f(n^2-1)/4) [n]^2 for the f-framed
-    unknot, exact, with [n]^2 = sum_{|m|<n} (n - |m|) q^m and
-    q^m = zeta_4r^(4 s m)."""
-    D = 4 * ctx.r
-    s = ctx.s
-    acc: dict[int, int] = {}
-    for n in range(1, ctx.r):
-        base = f * s * (n * n - 1)
-        for m in range(1 - n, n):
-            k = (base + 4 * s * m) % D
-            acc[k] = acc.get(k, 0) + n - abs(m)
-    return CycloNumber.from_int_dict(D, acc)
-
-
-def f_surgery_inverse(f: int, ctx: RootContext) -> CycloNumber:
-    """1/F(U^f) = u conj(g) / 2r, g = F(U^f) u, u = delta xi^(3f/4), f = +-1,
-    in canonical form at conductor 4r; g conj(g) != 2r is an ArithmeticError."""
-    if f not in (1, -1):
-        raise ValueError("f must be +1 or -1")
-    u = _delta(ctx) * xi_power(ctx, Fraction(3 * f, 4))
-    g = f_surgery_normalization(f, ctx) * u
-    bar = g.conjugate()
-    if g * bar != 2 * ctx.r:
-        raise ArithmeticError(f"F(U^{f}) fails g conj(g) = 2r at r={ctx.r}")
-    return (u * bar * Fraction(1, 2 * ctx.r)).canonical()
+    unknot, exact but not in canonical form: the fiber sum at n0 = 1 of
+    `_fiber_colour_sum` is M_f(1) = delta^2 F(U^f), O(r) roots, divided by
+    delta^2 at conductor 4r."""
+    return _over_delta(_fiber_colour_sum(f, 1, ctx), ctx, 2)
 
 
 def _fiber_colour_sum(f: int, n0: int, ctx: RootContext) -> CycloNumber:
@@ -536,9 +532,12 @@ def wrt_lens(p: int, ctx: RootContext) -> tuple[WrtValue, list[CycloNumber]]:
 
 
 def wrt_lens_brute(p: int, ctx: RootContext) -> WrtValue:
-    """tau of L(p,1) by p-framed unknot surgery: F(U^p) / F(U^sign(p))."""
+    """tau of L(p,1) by p-framed unknot surgery, F(U^p) / F(U^sign(p)): the
+    star link with no fibers, whose `_surgery_constant` is C = delta /
+    F(U^sign(p)) (b+ = [p > 0]), so tau = F(U^p) C / delta."""
     if p == 0:
         raise ValueError("p = 0 is not a rational homology sphere")
-    tau = f_surgery_normalization(p, ctx) \
-        * f_surgery_inverse(1 if p > 0 else -1, ctx)
-    return WrtValue(tau)
+    if ctx.r == 1:
+        raise ValueError("the lens oracle needs r > 1: it divides by delta")
+    const = _surgery_constant(SeifertData(p, ()), ctx)
+    return WrtValue(_over_delta(f_surgery_normalization(p, ctx) * const, ctx, 1))

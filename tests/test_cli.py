@@ -535,21 +535,18 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 
 def test_failed_norm_check_is_an_internal_error(capsys, monkeypatch):
-    # a wrong Gauss sum breaks g conj(g) = 2r of the lens oracle's F(U), or
-    # Gamma^2 = +-2r i of tau's normalization, which tau forms at odd
-    # signature only (sigma = 3 for the 4-fiber sphere); neither may read as
-    # bad input
-    for name, args in (
-            ("quadratic_sum", ["wrt", "--manifold", "seifert:0;2/1,3/1,5/1,7/1",
-                               "--r", "9", "--exact"]),
-            ("f_surgery_normalization", ["verify", "decomposition", "--manifold",
-                                         "lens:7", "--r", "11"])):
-        right = getattr(wrt, name)
+    # a wrong Gauss sum breaks Gamma^2 = +-2r i of the surgery normalization,
+    # which is formed at odd signature only: sigma = 3 for the 4-fiber
+    # sphere, and sigma = +-1 for the lens oracle, the star link with no
+    # fibers; neither may read as bad input
+    right = wrt.quadratic_sum
+    for args in (["wrt", "--manifold", "seifert:0;2/1,3/1,5/1,7/1", "--r", "9", "--exact"],
+                 ["verify", "decomposition", "--manifold", "lens:7", "--r", "11"]):
         with monkeypatch.context() as patch:
-            patch.setattr(wrt, name, lambda *a, right=right, **k: 2 * right(*a, **k))
+            patch.setattr(wrt, "quadratic_sum", lambda *a, **k: 2 * right(*a, **k))
             code, _out, err = invoke(capsys, args)
         assert code == 3, args
-        assert err.startswith("internal error:") and "2r" in err
+        assert err.startswith("internal error:") and "Gamma^2 = +-2r i" in err
 
 
 TOP_USAGE = "usage: qmwrt [-h] {wrt,falsetheta,flatconn,gauss,verify,sweep} ..."

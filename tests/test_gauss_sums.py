@@ -4,7 +4,8 @@ from fractions import Fraction
 
 from qmwrt.gauss_sums import gauss_brute, gauss_closed
 from qmwrt.number_theory import RootContext
-from qmwrt.wrt import f_surgery_inverse, f_surgery_normalization
+from qmwrt.wrt import f_surgery_normalization
+from test_wrt import f_surgery_inverse
 
 
 def test_brute_examples():

@@ -22,7 +22,6 @@ from qmwrt.seifert import (
 )
 from qmwrt.wrt import (
     WrtValue,
-    f_surgery_inverse,
     f_surgery_normalization,
     lens_sectors,
     seifert_gauss_norm,
@@ -57,18 +56,53 @@ def quantum_integer(n, ctx):
     return CycloNumber.from_int_dict(D, acc)
 
 
+def _one_over_root_minus_one(D, k, h):
+    """1/(zeta_D^k - 1) for a root of multiplicative order h > 1."""
+    acc = {(k * t) % D: t for t in range(1, h)}
+    return CycloNumber.from_int_dict(D, acc, h)
+
+
+def f_unknot_reference(f, ctx):
+    """F(U^f) = sum_{n=1}^{r-1} q^(f(n^2-1)/4) [n]^2 for the f-framed
+    unknot, exact, with [n]^2 = sum_{|m|<n} (n - |m|) q^m and
+    q^m = zeta_4r^(4 s m): the O(r^2) reference for
+    `wrt.f_surgery_normalization`."""
+    D = 4 * ctx.r
+    s = ctx.s
+    acc = {}
+    for n in range(1, ctx.r):
+        base = f * s * (n * n - 1)
+        for m in range(1 - n, n):
+            k = (base + 4 * s * m) % D
+            acc[k] = acc.get(k, 0) + n - abs(m)
+    return CycloNumber.from_int_dict(D, acc)
+
+
+def f_surgery_inverse(f, ctx):
+    """1/F(U^f) = u conj(g) / 2r, g = F(U^f) u, u = delta xi^(3f/4), f = +-1,
+    in canonical form at conductor 4r; g conj(g) != 2r is an ArithmeticError."""
+    if f not in (1, -1):
+        raise ValueError("f must be +1 or -1")
+    u = wrt._delta(ctx) * xi_power(ctx, Fraction(3 * f, 4))
+    g = f_unknot_reference(f, ctx) * u
+    bar = g.conjugate()
+    if g * bar != 2 * ctx.r:
+        raise ArithmeticError(f"F(U^{f}) fails g conj(g) = 2r at r={ctx.r}")
+    return (u * bar * Fraction(1, 2 * ctx.r)).canonical()
+
+
 def _one_over_quantum_integer(n, ctx):
     """1/[n] = delta xi^(n/2) / (xi^n - 1) for r not dividing n, in
     canonical form at conductor 4r."""
     D = 4 * ctx.r
     return (wrt._delta(ctx) * xi_power(ctx, Fraction(n, 2))
-            * wrt._one_over_root_minus_one(D, 4 * ctx.s * n % D,
-                                           ctx.r // math.gcd(n, ctx.r))).canonical()
+            * _one_over_root_minus_one(D, 4 * ctx.s * n % D,
+                                       ctx.r // math.gcd(n, ctx.r))).canonical()
 
 
 def _one_over_delta_squared(ctx):
     """delta^-2 = xi / (xi - 1)^2, in canonical form at conductor 2r."""
-    one_over = wrt._one_over_root_minus_one(2 * ctx.r, 2 * ctx.s % (2 * ctx.r), ctx.r)
+    one_over = _one_over_root_minus_one(2 * ctx.r, 2 * ctx.s % (2 * ctx.r), ctx.r)
     return (root_power(2 * ctx.r, 2 * ctx.s) * one_over * one_over).canonical()
 
 
@@ -166,7 +200,7 @@ def _tau_reciprocity_reference(d, ctx):
     total = CycloNumber.zero(D)
     for n0 in range(1, r):
         part = xi_power(ctx, Fraction(d.b * (n0 * n0 - 1), 4)) \
-            * wrt._one_over_root_minus_one(D, 4 * s * n0 % D, r // math.gcd(n0, r)) \
+            * _one_over_root_minus_one(D, 4 * s * n0 % D, r // math.gcd(n0, r)) \
             * xi_power(ctx, Fraction(n0, 2))
         for f, btab in fiber_b:
             F = abs(f)
@@ -342,7 +376,7 @@ def _hat_sum_reference(d, ctx):
         a = (2 * P * s * n) % D
         if m > 2:   # 1/(zeta^a - zeta^-a) = zeta^a/(zeta^2a - 1), zeta^2a of order h
             h = r // math.gcd(n, r)
-            inv_denom = root_power(D, a) * wrt._one_over_root_minus_one(D, 2 * a % D, h)
+            inv_denom = root_power(D, a) * _one_over_root_minus_one(D, 2 * a % D, h)
             term = term * inv_denom ** (m - 2)
         elif m < 2:
             term = term * (root_power(D, a) - root_power(D, -a)) ** (2 - m)
@@ -408,6 +442,9 @@ def test_closed_form_rejects_r_one():
     for fn in (tau_seifert_closed, wrt_seifert_closed):
         with pytest.raises(ValueError, match="r > 1"):
             fn(brieskorn((2, 3, 5)), RootContext(1, 1))
+    # and delta = 0 there, which the lens oracle divides by
+    with pytest.raises(ValueError, match="r > 1"):
+        wrt_lens_brute(7, RootContext(1, 1))
 
 
 def test_sqrt_homology_order():
@@ -448,6 +485,21 @@ def test_lens_closed_vs_brute(p):
         w_brute = w_normalized(tau_b, p, ctx)
         assert (w_closed.exact - w_brute.exact).is_zero(), (p, r, s)
         assert len(sectors) == (p - 1) // 2 + 1
+
+
+@pytest.mark.parametrize("r", range(3, 32, 2))
+def test_lens_oracle_is_the_f_u_quotient(r):
+    # the fiberless star link's constant, divided by delta once, against
+    # F(U^p) / F(U^+-1) from the O(r^2) root sum and its conjugate
+    for s in (1, 5, 13, 17):
+        if math.gcd(r, s) != 1:
+            continue
+        ctx = RootContext(r, s)
+        for p in (1, -1, 2, 3, -3, 4, 5, 7, 9):
+            ref = WrtValue(f_unknot_reference(p, ctx)
+                           * f_surgery_inverse(1 if p > 0 else -1, ctx)).exact
+            got = wrt_lens_brute(p, ctx).exact
+            assert (got.D, got.c, got.den) == (ref.D, ref.c, ref.den), (s, p)
 
 
 def test_lens_sector_reconstruction():
@@ -671,17 +723,17 @@ def test_large_root_closed_form_needs_no_dense_product(monkeypatch):
         return product(ca, cb, D)
 
     monkeypatch.setattr(cyclotomic, "_product", recorded)
-    ctx = RootContext(601, 1)
-    w = w_seifert_closed(brieskorn((2, 3, 7)), ctx).exact
-    assert w.c and sum(pairs) < 10 ** 6
+    # tau divides hat/(2G) by delta in one walk, not by a product with the
+    # r - 1 roots of 1/(xi - 1), which W multiplies back: 1,372 and 2,877
+    # term pairs, 105,172 and 193,877 with that product.  r = 1001 = 7 * 11
+    # * 13 shares the factor 7 with P = 42 and has eight divisors.
+    for r in (601, 1001):
+        pairs.clear()
+        w = w_seifert_closed(brieskorn((2, 3, 7)), RootContext(r, 1)).exact
+        assert w.c and sum(pairs) < 10 ** 4, r
     pairs.clear()
-    assert brieskorn_identity((2, 3, 7), ctx).passed
+    assert brieskorn_identity((2, 3, 7), RootContext(601, 1)).passed
     assert sum(pairs) < 10 ** 6
-    # r = 1001 = 7 * 11 * 13 shares the factor 7 with P = 42 and has eight
-    # divisors; one series for every n keeps its product work near a prime r's
-    pairs.clear()
-    w = w_seifert_closed(brieskorn((2, 3, 7)), RootContext(1001, 1)).exact
-    assert w.c and sum(pairs) < 3 * 10 ** 5
 
 
 FOUR_FIBERS = "seifert:0;2/1,3/1,5/1,7/1"
@@ -740,8 +792,15 @@ def test_cycle_recurrence_divides_by_root_minus_one(r):
                 wrt._add_over_root_minus_one(acc, x, D, a, h, shift, g)
                 got = CycloNumber.from_int_dict(D, acc, g * h).canonical()
                 want = (CycloNumber.from_int_dict(D, x) * root_power(D, shift)
-                        * wrt._one_over_root_minus_one(D, a, h)).canonical()
+                        * _one_over_root_minus_one(D, a, h)).canonical()
                 assert (got.D, got.c, got.den) == (want.D, want.c, want.den), (D, n0, x)
+        # _over_delta makes n such walks, each times xi^(1/2) r / (xi - 1)
+        ctx = RootContext(r, 13)
+        for n in (1, 2, 3):
+            x = CycloNumber.from_int_dict(
+                D, {k: rng.choice((-3, -1, 1, 2)) for k in rng.sample(range(D), 5)},
+                rng.choice((1, 3)))
+            assert wrt._over_delta(x, ctx, n) * wrt._delta(ctx) ** n == x, (D, n)
 
 
 def _pin(x):
@@ -825,6 +884,8 @@ def test_reciprocals_by_conjugation(r):
         if math.gcd(r, s) != 1:
             continue
         ctx = RootContext(r, s)
+        for f in (1, -1, 3, -3, 7, 30):
+            assert f_surgery_normalization(f, ctx) == f_unknot_reference(f, ctx), (s, f)
         for f in (1, -1):
             _assert_canonical_reciprocal(f_surgery_normalization(f, ctx),
                                          f_surgery_inverse(f, ctx), 4 * r)
