@@ -7,18 +7,21 @@ roots is an index addition, which matches how the big structured sums
 downstream are indexed.  Products run on Python integers, by a schoolbook
 loop for sparse operands and by Kronecker substitution (one big-integer
 multiply) for dense ones.  There is no general field division: a value
-divides only by a scalar, and the invariants clear their denominators
-(Gauss sums, quantum integers) by conjugation.
+divides only by a scalar, and the invariants clear their denominators by
+conjugation (Gauss sums) or by walks of h / (chi - 1) = sum_{t<h} t chi^t
+(powers of delta = xi^(1/2) - xi^(-1/2), in `wrt._over_delta`).
 
 The stored representation is not unique; `canonical()` gives the unique
-one, and equality, zero tests and integrality all read it.  It
-reduces coordinate-wise over the prime-power factorization D = prod p^e,
-using Q(zeta_D) = tensor of the Q(zeta_{p^e}) and the relation
-1 + x^t + x^(2t) + ... + x^((p-1)t) = 0 with t = p^(e-1) in each factor,
-in time linear in the support size.  The coordinates live on an integral
-basis of Z[zeta_D] whose elements are themselves roots zeta_D^k, so the
-canonical form is a CycloNumber of at most phi(D) terms, and a number is
-in Z[zeta_D] exactly when its canonical denominator is 1.
+one, and equality, zero tests and integrality all read it.  It reduces
+one prime power of D = prod p^e at a time, using Q(zeta_D) = tensor of
+the Q(zeta_{p^e}) and the relation 1 + x^t + x^(2t) + ... + x^((p-1)t) = 0
+with t = p^(e-1) in each factor: a pass moves each term whose residue mod
+p^e lies in the top block [(p-1)t, pt) to p - 1 exponents below it, on the
+same residue mod every other prime power, so it costs p - 1 updates per
+moved term.  The coordinates live on an integral basis of Z[zeta_D] whose
+elements are themselves roots zeta_D^k, so the canonical form is a
+CycloNumber of at most phi(D) terms, and a number is in Z[zeta_D] exactly
+when its canonical denominator is 1.
 """
 
 from __future__ import annotations
@@ -42,30 +45,16 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _tensor_layout(d: int):
-    """Reduction tables for the prime-power tensor decomposition of Q(zeta_d).
-
-    One pair (pe, table) per prime power pe = p^e exactly dividing d.  With
-    t = p^(e-1), the local integral basis of Z[zeta_pe] is zeta_pe^j for
-    j // t < p - 1, and table[k] = (sign, exponents) writes zeta_pe^k on it.
-    A local index j is stored as the exponent j * e_pe mod d, e_pe the CRT
-    idempotent (1 mod pe, 0 mod d/pe): so the tensor basis element with
-    local indices (j_pe) is zeta_d^k with k = j_pe mod every pe.
-    """
-    factors = []
+def _reduction_steps(d: int):
+    """One (pe, t, p, step) per prime power pe = p^e exactly dividing d, with
+    t = p^(e-1) and step = t e_pe mod d, e_pe the CRT idempotent (1 mod pe,
+    0 mod d/pe): k - step moves the residue of k mod pe down by t and keeps
+    its residue mod every other prime power."""
+    steps = []
     for p, e in _factorize(d).items():
         pe, t = p ** e, p ** (e - 1)
-        idem = d // pe * pow(d // pe, -1, pe) % d
-        table = []
-        for k in range(pe):
-            block, j = divmod(k, t)
-            if block < p - 1:
-                table.append((1, (k * idem % d,)))
-            else:
-                table.append((-1, tuple((a * t + j) * idem % d
-                                        for a in range(p - 1))))
-        factors.append((pe, tuple(table)))
-    return tuple(factors)
+        steps.append((pe, t, p, t * (d // pe) * pow(d // pe, -1, pe) % d))
+    return tuple(steps)
 
 
 def _exact(q):
@@ -340,6 +329,8 @@ class CycloNumber:
             ((k, v),) = self.c.items()
             return CycloNumber(self.D, {k * n: Fraction(v, self.den) ** n})
         if n < 0:
+            if self.is_zero():
+                raise ZeroDivisionError("negative power of zero")
             raise ArithmeticError("negative power of a sum of roots; "
                                   "clear the denominator by conjugation")
         result = CycloNumber.one()
@@ -356,23 +347,23 @@ class CycloNumber:
 
     def canonical(self) -> "CycloNumber":
         """The unique representative of this value on the integral basis of
-        Z[zeta_D] (see `_tensor_layout`), in lowest terms: at most phi(D)
-        terms, on exponents whose residue mod each p^e dividing D lies below
-        (p - 1) p^(e-1).  Equal values at one conductor give equal (c, den)."""
-        D = self.D
-        factors = _tensor_layout(D)
-        coords: dict[int, int] = {}
-        get = coords.get
-        for k, v in self.c.items():
-            # expand k across the prime power factors
-            terms = [(1, 0)]
-            for pe, table in factors:
-                sign, exps = table[k % pe]
-                terms = [(sg * sign, base + e) for sg, base in terms for e in exps]
-            for sg, base in terms:
-                base %= D
-                coords[base] = get(base, 0) + (v if sg > 0 else -v)
-        return _number(D, {k: v for k, v in coords.items() if v}, self.den)
+        Z[zeta_D], in lowest terms: at most phi(D) terms, on exponents whose
+        residue mod each p^e dividing D lies below (p - 1) t, t = p^(e-1).
+        One pass per p^e (`_reduction_steps`) rewrites each term above by
+        zeta_pe^((p-1)t + j) = -sum_{a<p-1} zeta_pe^(at + j).  Equal values
+        at one conductor give equal (c, den)."""
+        D, c = self.D, dict(self.c)
+        get = c.get
+        for pe, t, p, step in _reduction_steps(D):
+            top = (p - 1) * t
+            for k in [k for k in c if k % pe >= top]:
+                v = c.pop(k)
+                for _ in range(1, p):
+                    k -= step
+                    if k < 0:
+                        k += D
+                    c[k] = get(k, 0) - v
+        return _number(D, {k: v for k, v in c.items() if v}, self.den)
 
     def is_zero(self) -> bool:
         return not self.c or not self.canonical().c

@@ -43,7 +43,7 @@ from .seifert import (
     rotation_order,
     rotation_triples,
 )
-from .wrt import (check_closed_form, lens_sectors, w_normalized, w_seifert_closed,
+from .wrt import (WrtValue, check_closed_form, lens_sectors, w_normalized, w_seifert_closed,
                   wrt_lens_brute)
 # bench/test_bench.py checks that tracing rebinds this name, imported by value
 from .wrt import tau_seifert_closed  # noqa: F401
@@ -178,13 +178,14 @@ def brieskorn_identity(p: tuple[int, int, int], ctx: RootContext) -> Verificatio
 
 def _witness(diff: CycloNumber) -> str:
     """Detail of a failed exact check: the conductor, the support and the
-    lowest-exponent term of the nonzero difference's canonical form."""
-    canon = diff.canonical()
+    lowest-exponent term of the nonzero difference's canonical form at its
+    smallest conductor."""
+    canon = WrtValue(diff).exact
     first = min(canon.c)
-    return (f"difference is nonzero: conductor {diff.D}, "
+    return (f"difference is nonzero: conductor {canon.D}, "
             f"{len(canon.c)} nonzero integral-basis coordinates, first "
             f"[{first}] = {Fraction(canon.c[first], canon.den)}, "
-            f"numeric {diff.eval_complex():.3e}")
+            f"numeric {canon.eval_complex():.3e}")
 
 
 # -- integrality -------------------------------------------------------------

@@ -75,10 +75,12 @@ class WrtValue:
     however they were formed.  numeric is its evaluation.
 
     Reducing the conductor of a canonical form can leave a form that is not
-    canonical at the smaller conductor, hence the second canonical()."""
+    canonical at the smaller conductor, hence canonical() again if D falls."""
 
     def __init__(self, x: CycloNumber):
-        self.exact = x.canonical().reduce_conductor().canonical()
+        x = x.canonical()
+        y = x.reduce_conductor()
+        self.exact = x if y is x else y.canonical()
 
     @cached_property
     def numeric(self) -> complex:
@@ -137,15 +139,17 @@ def _delta_power(ctx: RootContext, k: int) -> CycloNumber:
     return _delta(ctx) ** k if k >= 0 else _over_delta(CycloNumber.one(), ctx, -k)
 
 
-def _central_sum(d: SeifertData, ctx: RootContext, D: int, factors) -> CycloNumber:
+def _central_sum(d: SeifertData, ctx: RootContext, D: int, factor) -> CycloNumber:
     """sum_{n0=1}^{r-1} xi^(b(n0^2-1)/4 + n0/2) (xi^n0 - 1)^-1 prod_j X_j(n0)
-    in canonical form at D, a multiple of 4r, for the numerator dicts
-    [X_1(n0), ...] = factors(n0), multiplied by `cyclotomic._product`, and
-    1/(xi^n0 - 1) = (g/r) sum_{t<h} t xi^(n0 t), g = gcd(n0, r), h = r/g."""
+    in canonical form at D, a multiple of 4r, for the numerator dicts X_j(n0)
+    = factor(p_j q_j, n0), formed once per n0 for each distinct framing and
+    multiplied by `cyclotomic._product`, and 1/(xi^n0 - 1) = (g/r)
+    sum_{t<h} t xi^(n0 t), g = gcd(n0, r), h = r/g."""
     r, s, F = ctx.r, ctx.s, D // (4 * ctx.r)     # zeta_D^F = xi^(1/4)
-    acc: dict[int, int] = {}
+    fs, acc = [p * q for p, q in d.fibers], {}
     for n0 in range(1, r):
-        x, *ys = factors(n0)
+        made = {f: factor(f, n0) for f in set(fs)}
+        x, *ys = [made[f] for f in fs]
         for y in ys:
             x = x and y and cyclotomic._product(x, y, D)
         g = math.gcd(n0, r)
@@ -367,25 +371,28 @@ def _tau_qhs_reciprocity(d: SeifertData, ctx: RootContext) -> CycloNumber:
     xi^(-f_j/4) c_j multiplies it once.  `check_closed_form` gives its domain.
     """
     r, s = ctx.r, ctx.s
-    const, fs = _surgery_constant(d, ctx), [p * q for p, q in d.fibers]
-    for f in fs:
+    fs, scalars = [p * q for p, q in d.fibers], {}
+    for f in set(fs):
         w0, theta0 = next(((w, t) for w in range(abs(f) + 1)
                            if not (t := _fiber_theta(f, w, ctx)).is_zero()), (None, None))
         if w0 is None:
             raise ArithmeticError("no nonvanishing probe for the fiber sum")
-        const = const * xi_power(ctx, Fraction(-f, 4)) \
-            * quadratic_sum(4 * r, s * f, 2 * s * w0, count=2 * r) \
-            * _inverse_by_conjugate(theta0)
-    forms = [_theta_form(f, ctx) for f in fs]
-    D = math.lcm(*(Df for Df, _, _ in forms))
+        scalars[f] = (xi_power(ctx, Fraction(-f, 4)),
+                      quadratic_sum(4 * r, s * f, 2 * s * w0, count=2 * r),
+                      _inverse_by_conjugate(theta0))
+    const = _surgery_constant(d, ctx)
+    for f in fs:
+        for y in scalars[f]:
+            const = const * y
+    forms = {f: _theta_form(f, ctx) for f in scalars}
+    D = math.lcm(*(Df for Df, _, _ in forms.values()))
 
-    def bracket(n0, form):     # P'(n0 + 1) - P'(n0 - 1) at zeta_D
-        acc = _theta_roots(form, n0 + 1, r)
-        acc.subtract(_theta_roots(form, n0 - 1, r))
-        return {k * (D // form[0]): v for k, v in acc.items() if v}
+    def bracket(f, n0):     # P'(n0 + 1) - P'(n0 - 1) at zeta_D
+        acc = _theta_roots(forms[f], n0 + 1, r)
+        acc.subtract(_theta_roots(forms[f], n0 - 1, r))
+        return {k * (D // forms[f][0]): v for k, v in acc.items() if v}
 
-    return _central_sum(d, ctx, D, lambda n0: [bracket(n0, form) for form in forms]) \
-        * const.canonical()
+    return _central_sum(d, ctx, D, bracket) * const.canonical()
 
 
 def tau_seifert_closed(d: SeifertData, ctx: RootContext) -> WrtValue:
@@ -479,8 +486,7 @@ def wrt_brute_surgery(d: SeifertData, ctx: RootContext) -> WrtValue:
     if d.m == 0:
         raise ValueError("the Seifert link shape needs at least one fiber; "
                          "use the framed-unknot route for lens spaces")
-    total = _central_sum(d, ctx, 4 * ctx.r, lambda n0: [
-        _fiber_colour_sum(p * q, n0, ctx).c for p, q in d.fibers])
+    total = _central_sum(d, ctx, 4 * ctx.r, lambda f, n0: _fiber_colour_sum(f, n0, ctx).c)
     return WrtValue(total * _surgery_constant(d, ctx))
 
 

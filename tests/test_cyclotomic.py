@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -10,7 +11,7 @@ from qmwrt.cyclotomic import (
     xi_power,
     xi_tilde_power,
 )
-from qmwrt.number_theory import RootContext
+from qmwrt.number_theory import RootContext, _factorize
 
 eval_complex = CycloNumber.eval_complex
 is_integral = CycloNumber.is_integral
@@ -71,7 +72,64 @@ def _is_canonical_form(x):
         k % p ** e < (p - 1) * p ** (e - 1) for k in x.c for p, e in pes)
 
 
-CANONICAL_CONDUCTORS = (1, 2, 4, 8, 9, 12, 25, 27, 30, 36, 60, 124, 420)
+CANONICAL_CONDUCTORS = (1, 2, 4, 8, 9, 12, 25, 27, 30, 36, 60, 124, 420,
+                         2700, 8892, 12360)
+
+
+@lru_cache(maxsize=None)
+def _tensor_layout(d: int):
+    """Reduction tables for the prime-power tensor decomposition of Q(zeta_d).
+
+    One pair (pe, table) per prime power pe = p^e exactly dividing d.  With
+    t = p^(e-1), the local integral basis of Z[zeta_pe] is zeta_pe^j for
+    j // t < p - 1, and table[k] = (sign, exponents) writes zeta_pe^k on it.
+    A local index j is stored as the exponent j * e_pe mod d, e_pe the CRT
+    idempotent (1 mod pe, 0 mod d/pe): so the tensor basis element with
+    local indices (j_pe) is zeta_d^k with k = j_pe mod every pe.
+    """
+    factors = []
+    for p, e in _factorize(d).items():
+        pe, t = p ** e, p ** (e - 1)
+        idem = d // pe * pow(d // pe, -1, pe) % d
+        table = []
+        for k in range(pe):
+            block, j = divmod(k, t)
+            if block < p - 1:
+                table.append((1, (k * idem % d,)))
+            else:
+                table.append((-1, tuple((a * t + j) * idem % d
+                                        for a in range(p - 1))))
+        factors.append((pe, tuple(table)))
+    return tuple(factors)
+
+
+def _canonical_reference(x):
+    """The canonical form by expanding each term over all prime-power factors
+    of D at once, into the product of its local images (`_tensor_layout`)."""
+    D = x.D
+    factors = _tensor_layout(D)
+    coords: dict[int, int] = {}
+    get = coords.get
+    for k, v in x.c.items():
+        # expand k across the prime power factors
+        terms = [(1, 0)]
+        for pe, table in factors:
+            sign, exps = table[k % pe]
+            terms = [(sg * sign, base + e) for sg, base in terms for e in exps]
+        for sg, base in terms:
+            base %= D
+            coords[base] = get(base, 0) + (v if sg > 0 else -v)
+    return CycloNumber.from_int_dict(D, coords, x.den)
+
+
+def _top_block_element(rng, D, terms=12):
+    """A random element whose every exponent lies in the top block
+    [(p - 1) p^(e-1), p^e) mod every p^e exactly dividing D: the terms that
+    move in every reduction pass."""
+    top = [k for k in range(D) if all(k % p ** e >= (p - 1) * p ** (e - 1)
+                                      for p, e in _prime_powers(D))]
+    return CycloNumber(D, {k: Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 4))
+                           for k in rng.sample(top, min(terms, len(top)))})
 
 
 def test_canonical_examples():
@@ -97,6 +155,9 @@ def test_canonical_idempotent_linear_and_numeric():
             q = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             cx, cy = x.canonical(), y.canonical()
             assert cx.D == D and _is_canonical_form(cx)
+            for z in (x, y, x + y, _top_block_element(rng, D)):
+                cz, ref = z.canonical(), _canonical_reference(z)
+                assert (cz.D, cz.c, cz.den) == (ref.D, ref.c, ref.den), (D, z)
             again = cx.canonical()
             assert (again.c, again.den) == (cx.c, cx.den)
             assert _fraction_coeffs((x + y).canonical()) == _fraction_coeffs(cx + cy)
@@ -210,6 +271,10 @@ def test_pow():
     assert z ** -2 * Fraction(1, 3) == (3 * z) ** -1 * z ** -1
     with pytest.raises(ArithmeticError):
         x ** -1
+    # zero has no inverse, stored empty or as a vanishing sum of roots
+    for zero in (CycloNumber.zero(12), CycloNumber.one() + root_power(2, 1)):
+        with pytest.raises(ZeroDivisionError):
+            zero ** -1
     with pytest.raises(TypeError):
         z / x
 

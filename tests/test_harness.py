@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmwrt.cyclotomic import CycloNumber, xi_power
+from qmwrt.cyclotomic import CycloNumber, root_power, xi_power
 from qmwrt.false_theta import eichler_limit_complex, phi_basis, s_transform_residual
 from qmwrt.harness import (
     appendix_b_checks,
@@ -371,28 +371,35 @@ def test_failed_identity_reports_a_witness(monkeypatch):
     import re
 
     from qmwrt import harness
-    from qmwrt.wrt import seifert_gauss_sum
+    from qmwrt.wrt import WrtValue, seifert_gauss_sum
 
     real = harness.eichler_limit
     ctx = RootContext(7, 5)
+    # an Eichler limit off by 2X moves the right-hand side (1/2) F by X: the
+    # difference becomes -X exactly.  X = G, or X = -65/6 written as 65/6
+    # times the six primitive 7th roots: a rational difference formed at the
+    # identity's conductor 4 P r = 1176.  The witness reads the difference
+    # at its smallest conductor, 24 and 1.
     gauss = seifert_gauss_sum(42, ctx)
-    # an Eichler limit off by 2G moves the right-hand side (1/2) F by G:
-    # the difference becomes -G exactly
-    monkeypatch.setattr(harness, "eichler_limit", lambda *a: real(*a) + 2 * gauss)
-    rep = brieskorn_identity((2, 3, 7), ctx)
-    assert not rep.passed
-    detail = rep.checks[0].detail
-    diff = -gauss
-    canon = diff.canonical()
-    first = min(canon.c)
-    found = re.match(r"difference is nonzero: conductor (\d+), (\d+) nonzero "
-                     r"integral-basis coordinates, first \[(\d+)\] = (\S+),",
-                     detail)
-    assert found, detail
-    assert int(found[1]) == 4 * 42 * 7
-    assert int(found[2]) == len(canon.c)
-    assert (int(found[3]), Fraction(found[4])) \
-        == (first, Fraction(canon.c[first], canon.den))
+    rational = Fraction(65, 6) * sum((root_power(7, k) for k in range(1, 7)),
+                                     CycloNumber.zero())
+    for x, conductor in ((gauss, 24), (rational, 1)):
+        monkeypatch.setattr(harness, "eichler_limit", lambda *a, x=x: real(*a) + 2 * x)
+        rep = brieskorn_identity((2, 3, 7), ctx)
+        assert not rep.passed
+        detail = rep.checks[0].detail
+        canon = WrtValue(-x).exact
+        first = min(canon.c)
+        found = re.match(r"difference is nonzero: conductor (\d+), (\d+) nonzero "
+                         r"integral-basis coordinates, first \[(\d+)\] = (\S+),",
+                         detail)
+        assert found, detail
+        assert int(found[1]) == canon.D == conductor
+        assert int(found[2]) == len(canon.c)
+        assert (int(found[3]), Fraction(found[4])) \
+            == (first, Fraction(canon.c[first], canon.den))
+    assert detail.startswith("difference is nonzero: conductor 1, 1 nonzero "
+                             "integral-basis coordinates, first [0] = 65/6,")
 
 
 def test_replaced_s_is_rejected_in_the_library():
