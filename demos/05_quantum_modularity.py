@@ -13,7 +13,7 @@ from qmwrt.harness import (
     saddle_expansion,
 )
 from qmwrt.number_theory import RootContext, normalize_s
-from qmwrt.seifert import rotation_triples
+from qmwrt.seifert import parse, rotation_triples
 
 
 def show(rep):
@@ -23,10 +23,12 @@ def show(rep):
 
 
 print("== 1. the invariant is a false theta limit (exactly) ==")
-for p, r, s in [((2, 3, 7), 13, 1), ((2, 3, 5), 11, 5), ((2, 5, 7), 9, 5)]:
+for sel, r, s in [("brieskorn:2,3,7", 13, 1), ("brieskorn:2,3,5", 11, 5),
+                  ("brieskorn:2,5,7", 9, 5)]:
+    m = parse(sel)
     ctx = RootContext(r, normalize_s(s, r))
-    print(f"Sigma{p} at r={r}, s={ctx.s}:")
-    show(brieskorn_identity(p, ctx))
+    print(f"Sigma{m.params} at r={r}, s={ctx.s}:")
+    show(brieskorn_identity(m, ctx))
 
 print()
 print("== 2. modular-transform coefficients are integral ==")

@@ -193,36 +193,60 @@ def _hat_groups(d: SeifertData, ctx: RootContext):
     Each signed shift u and each e give a quadratic sum with
     A = -sHk^2 and linear coefficient b = k(u + 2Pse).  Substituting
     j -> j + t multiplies it by zeta^(At^2 + bt) and moves b to b + 2At,
-    which t makes the residue rho = b mod gcd(2A, D).  Both steps hold in
-    Z[x]/(x^D - 1), so the groups sum to the coefficients of the sum of the
-    series terms over n.
+    which t makes the residue rho = b mod L, L = gcd(2A, D).  Both steps
+    hold in Z[x]/(x^D - 1), for every such t, so the groups sum to the
+    coefficients of the sum of the series terms over n.
+    At k = 1, rho reads e mod lam only, lam = L / gcd(L, 2Ps): the square
+    is completed once per shift and residue e0 of e, and e = e0 + lam i
+    takes b = b0 + i step, step = 2Ps lam, and t = t0 + i tau with
+    2A tau = -step mod D, so the exponent At^2 + bt is key0 + i (k1 + i k2)
+    mod D, one multiply-add per series term.  At k = r, b = r (u + 2Pse
+    mod 4P) reads e mod 2 only: each shift gives two terms, weighted by the
+    series' sums over even and odd e.
     """
     inv = invariants(nd := d.normalized_b0())
     if inv.e <= 0:
         raise ValueError("hat sum requires e > 0 data; reverse orientation first")
     P, H, r, s, m = inv.P, inv.H, ctx.r, ctx.s, nd.m
-    D = 4 * P * r
-    cs = [2 * P * s // p for p, _ in nd.fibers]
-    shifts = [(math.prod(eps), sum(x * c for x, c in zip(eps, cs)))
+    D, g = 4 * P * r, 2 * P * s
+    shifts = [(math.prod(eps), sum(x * g // p for x, (p, _) in zip(eps, nd.fibers)))
               for eps in itertools.product((1, -1), repeat=m)]
     series = _delta_power(RootContext(r, 1), 2 - m)
-    lin: dict[int, int] = {}     # b/k mod D -> weight
-    for sign, u in shifts:
-        for e, w in series.c.items():
-            key = (u + 2 * P * s * e) % D
-            lin[key] = lin.get(key, 0) + sign * w
     groups: dict[tuple[int, int, int], dict[int, int]] = {}
-    for k, weight in ((1, 1), (r, -1)):
-        A = -s * H * k * k % D
+
+    def complete(A, b):     # (rho, t): b + 2At = rho mod D, rho = b mod gcd(2A, D)
         L = math.gcd(2 * A, D)
-        inv_2a = pow(2 * A // L, -1, D // L)
-        for c, w in lin.items():
-            b = k * c % D
-            rho = b % L
-            t = (rho - b) // L * inv_2a % (D // L)
-            acc = groups.setdefault((A, rho, D // (2 * k)), {})
+        rho = b % L
+        return rho, (rho - b) // L * pow(2 * A // L, -1, D // L) % (D // L)
+
+    A = -s * H % D
+    L = math.gcd(2 * A, D)
+    lam = L // math.gcd(L, g)
+    step = g * lam
+    tau = complete(A, step)[1]
+    k2 = tau * (A * tau + step) % D
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for e, w in series.c.items():
+        classes.setdefault(e % lam, []).append((e // lam, w))
+    for sign, u in shifts:
+        for e0, terms in classes.items():
+            b = u + g * e0
+            rho, t = complete(A, b)
+            key0, k1 = (A * t + b) * t % D, (tau * (2 * A * t + b) + step * t) % D
+            acc = groups.setdefault((A, rho, D // 2), {})
+            get = acc.get
+            for i, w in terms:
+                key = (key0 + i * (k1 + i * k2)) % D
+                acc[key] = get(key, 0) + sign * w
+    A = -s * H * r * r % D
+    parity = [sum(w for e, w in series.c.items() if e % 2 == x) for x in (0, 1)]
+    for sign, u in shifts:
+        for x, w in enumerate(parity):
+            b = r * ((u + g * x) % (4 * P))
+            rho, t = complete(A, b)
+            acc = groups.setdefault((A, rho, D // (2 * r)), {})
             key = (A * t + b) * t % D
-            acc[key] = acc.get(key, 0) + weight * w
+            acc[key] = acc.get(key, 0) - sign * w
     out = [(CycloNumber.from_int_dict(D, acc), q) for q, acc in groups.items()]
     return P, series.den, [(R, q) for R, q in out if R.c]
 
@@ -232,9 +256,10 @@ def seifert_hat_over_2g(d: SeifertData, ctx: RootContext) -> CycloNumber:
     `_hat_groups`.  The group whose quadratic sum is G itself (A = -s,
     rho = 0, N = 2Pr) gives R G conj(G) = 2Pr gcd(s, P) R; the others are
     summed and multiplied by conj(G) once.  At H = 1 every k = 1 term falls in
-    that group, as b is a multiple of 2s and so of gcd(2A, D), and the others
-    are the k = r terms over the multiples of r; at H > 1 the k = 1 terms
-    have A = -sH and are among the others too.
+    that group, as b is a multiple of 2s and so of L = gcd(2A, D) (so lam = 1:
+    one completion per shift), and the others hold the two k = r terms of
+    each shift, over the multiples of r; at H > 1 the k = 1 terms have
+    A = -sH and are among the others too.
     """
     P, den, groups = _hat_groups(d, ctx)
     D = 4 * P * ctx.r

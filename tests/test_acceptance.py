@@ -35,6 +35,7 @@ from qmwrt.seifert import (
     brieskorn,
     invariants,
     nonabelian_connections,
+    parse,
     parse_manifold,
     rotation_order,
     rotation_triples,
@@ -68,20 +69,22 @@ def s_values(r: int, bases) -> list[int]:
 def test_a1_brieskorn_identity_exact():
     """Exact false-theta identity over four triples, odd r in 3..31."""
     count = 0
-    for p in [(2, 3, 7), (2, 3, 11), (2, 5, 7), (3, 4, 5)]:
+    for sel in ["brieskorn:2,3,7", "brieskorn:2,3,11", "brieskorn:2,5,7",
+                "brieskorn:3,4,5"]:
+        m = parse(sel)
         for r in range(3, 32, 2):
             for s in s_values(r, (1, 5)):
-                rep = brieskorn_identity(p, RootContext(r, s))
-                assert rep.passed, (p, r, s)
+                rep = brieskorn_identity(m, RootContext(r, s))
+                assert rep.passed, (sel, r, s)
                 count += 1
     report("A1 brieskorn false-theta identity", True, f"{count} exact cases")
 
 
 def test_a2_poincare_variant_exact():
-    count = 0
+    count, m = 0, parse("brieskorn:2,3,5")
     for r in range(3, 32, 2):
         for s in s_values(r, (1, 5)):
-            rep = brieskorn_identity((2, 3, 5), RootContext(r, s))
+            rep = brieskorn_identity(m, RootContext(r, s))
             assert rep.passed and rep.checks[0].name == "poincare_identity"
             count += 1
     report("A2 spherical variant with unit shift", True, f"{count} exact cases")

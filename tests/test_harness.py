@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -23,18 +24,22 @@ from qmwrt.seifert import (
     brieskorn,
     geometric_connection,
     invariants,
+    parse,
     parse_manifold,
 )
 
 
 def test_brieskorn_identity_reports():
-    assert brieskorn_identity((2, 3, 7), RootContext(7, 1)).passed
-    assert brieskorn_identity((2, 3, 11), RootContext(9, 13)).passed
+    assert brieskorn_identity("brieskorn:2,3,7", RootContext(7, 1)).passed
+    assert brieskorn_identity("brieskorn:2,3,11", RootContext(9, 13)).passed
     # the Poincare sphere needs the extra constant
-    rep = brieskorn_identity((2, 3, 5), RootContext(5, 1))
+    rep = brieskorn_identity("brieskorn:2,3,5", RootContext(5, 1))
     assert rep.passed and rep.checks[0].name == "poincare_identity"
     # gcd(s, P) > 1 is handled by the same exact identity
-    assert brieskorn_identity((2, 5, 7), RootContext(3, 5)).passed
+    assert brieskorn_identity("brieskorn:2,5,7", RootContext(3, 5)).passed
+    for selector in ("lens:5", "ex:2-3-3", "brieskorn:2,3,5,7"):
+        with pytest.raises(ValueError, match="Brieskorn sphere of three fibers"):
+            brieskorn_identity(selector, RootContext(7, 1))
 
 
 def test_integrality_checks():
@@ -338,9 +343,59 @@ def test_appendix_b_lemmas():
     assert appendix_b_checks((2, 3, 5), (1, 1, 2), 1).passed  # trivial r = 1
 
 
+def _appendix_b_reference(p, a, r):
+    """The (name, passed) list of appendix_b_checks, from one cyclotomic
+    number per eps and table, with u_eps, v_eps, B_eps and C_eps as
+    fractions, summed in the field."""
+    P = math.prod(p)
+    eps_range = list(itertools.product((1, -1), repeat=3))
+    sums, lin = {}, {}
+    for eps in eps_range:
+        u = sum(Fraction((e + 1) * aj, 2 * pj) for e, aj, pj in zip(eps, a, p))
+        v = sum(Fraction((e - 1) * aj, 2 * pj) for e, aj, pj in zip(eps, a, p))
+        b, c = P * (1 + u + v), P * u * (1 + v)
+        assert b.denominator == 1 and c.denominator == 1
+        acc, acc_l = {}, {}
+        for L in range(r):
+            k = (P * L * L + int(b) * L + int(c)) % r
+            acc[k] = acc.get(k, 0) + 1
+            acc_l[k] = acc_l.get(k, 0) + L
+        sums[eps] = CycloNumber.from_int_dict(r, acc)
+        lin[eps] = CycloNumber.from_int_dict(r, acc_l)
+
+    def signed(table, j=None):
+        total = CycloNumber.zero(r)
+        for eps in eps_range:
+            total = total + math.prod(eps) * (1 if j is None else eps[j]) * table[eps]
+        return total
+
+    return [("alternating_sum_vanishes", signed(sums).is_zero()),
+            *((f"weighted_sum_vanishes_j{j + 1}", signed(sums, j).is_zero())
+              for j in range(3)),
+            ("linear_term_integral", (signed(lin) * Fraction(1, 2 * r)).is_integral())]
+
+
+def test_appendix_b_lemmas_match_the_field_sums():
+    # every rotation triple a, 0 < a_j < p_j, including fiber orders that
+    # are not coprime, where some weighted sums do not vanish
+    for p in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 3, 3), (4, 6, 9)]:
+        for a in itertools.product(*(range(1, pj) for pj in p)):
+            for r in (1, 3, 5, 7, 9, 11):
+                checks = appendix_b_checks(p, a, r).checks
+                assert [(c.name, c.passed) for c in checks] \
+                    == _appendix_b_reference(p, a, r), (p, a, r)
+    failed = {(p, r): [c.name for c in appendix_b_checks(p, (1, 1, 1), r).checks
+                       if not c.passed]
+              for p, r in (((3, 3, 3), 9), ((4, 6, 9), 3))}
+    assert failed == {((3, 3, 3), 9): ["weighted_sum_vanishes_j1",
+                                       "weighted_sum_vanishes_j2",
+                                       "weighted_sum_vanishes_j3"],
+                      ((4, 6, 9), 3): ["weighted_sum_vanishes_j1"]}
+
+
 def test_report_json_shape():
     # the fields `verify --json` prints: the report's ctx and each check's record
-    rep = brieskorn_identity((2, 3, 7), RootContext(5, 1))
+    rep = brieskorn_identity("brieskorn:2,3,7", RootContext(5, 1))
     assert rep.ctx == {"r": 5, "s": 1}
     data = rep.checks[0].to_json()
     assert set(data) == {"check", "status", "detail", "tolerance"}
@@ -380,12 +435,12 @@ def test_failed_identity_reports_a_witness(monkeypatch):
     # times the six primitive 7th roots: a rational difference formed at the
     # identity's conductor 4 P r = 1176.  The witness reads the difference
     # at its smallest conductor, 24 and 1.
-    gauss = seifert_gauss_sum(42, ctx)
+    gauss, m = seifert_gauss_sum(42, ctx), parse("brieskorn:2,3,7")
     rational = Fraction(65, 6) * sum((root_power(7, k) for k in range(1, 7)),
                                      CycloNumber.zero())
     for x, conductor in ((gauss, 24), (rational, 1)):
         monkeypatch.setattr(harness, "eichler_limit", lambda *a, x=x: real(*a) + 2 * x)
-        rep = brieskorn_identity((2, 3, 7), ctx)
+        rep = brieskorn_identity(m, ctx)
         assert not rep.passed
         detail = rep.checks[0].detail
         canon = WrtValue(-x).exact

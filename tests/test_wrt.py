@@ -352,14 +352,47 @@ def test_gauss_prefactor_identity():
         assert (gg * gg.conjugate()) == seifert_gauss_norm(P, ctx)
 
 
-def _hat_sum(d, ctx):
-    """The hat sum (1/den) sum R T over the groups of wrt._hat_groups."""
-    P, den, groups = wrt._hat_groups(d, ctx)
+def _hat_sum(d, ctx, hat_groups=None):
+    """The hat sum (1/den) sum R T over the groups of wrt._hat_groups, or of
+    the given function of the same form."""
+    P, den, groups = (hat_groups or wrt._hat_groups)(d, ctx)
     D = 4 * P * ctx.r
     total = CycloNumber.zero(D)
     for R, (A, rho, N) in groups:
         total = total + R * quadratic_sum(D, A, rho, count=N)
     return total * Fraction(1, den)
+
+
+def _hat_groups_reference(d, ctx):
+    """The groups of wrt._hat_groups with the square completed term by term:
+    the series terms of every shift summed by their linear coefficient
+    c mod D, then rho and t solved for each c and each k."""
+    inv = invariants(nd := d.normalized_b0())
+    P, H, r, s, m = inv.P, inv.H, ctx.r, ctx.s, nd.m
+    D = 4 * P * r
+    cs = [2 * P * s // p for p, _ in nd.fibers]
+    shifts = [(math.prod(eps), sum(x * c for x, c in zip(eps, cs)))
+              for eps in itertools.product((1, -1), repeat=m)]
+    series = wrt._delta_power(RootContext(r, 1), 2 - m)
+    lin = {}     # b/k mod D -> weight
+    for sign, u in shifts:
+        for e, w in series.c.items():
+            key = (u + 2 * P * s * e) % D
+            lin[key] = lin.get(key, 0) + sign * w
+    groups = {}
+    for k, weight in ((1, 1), (r, -1)):
+        A = -s * H * k * k % D
+        L = math.gcd(2 * A, D)
+        inv_2a = pow(2 * A // L, -1, D // L)
+        for c, w in lin.items():
+            b = k * c % D
+            rho = b % L
+            t = (rho - b) // L * inv_2a % (D // L)
+            acc = groups.setdefault((A, rho, D // (2 * k)), {})
+            key = (A * t + b) * t % D
+            acc[key] = acc.get(key, 0) + weight * w
+    out = [(CycloNumber.from_int_dict(D, acc), q) for q, acc in groups.items()]
+    return P, series.den, [(R, q) for R, q in out if R.c]
 
 
 def _hat_sum_reference(d, ctx):
@@ -661,9 +694,11 @@ def test_hat_sum_matches_hat_sum_reference_for_one_to_four_fibers():
     # composite r (45 = 9 * 5, 35, the prime power 27) that order is below r
     # for some n.  In S2(0; 2/1, 6/1) at r = 5 and S2(0; 4/1, 4/3) at r = 7
     # the series terms at the multiples of r sum to a nonzero value, so the
-    # k = r group must be subtracted.
+    # k = r group must be subtracted.  S2(-2; 7/1) has H = 15, and at
+    # (r, s) = (9, 5) the residue rho of the k = 1 terms reads e mod 3.
     cases = [
         (SeifertData(0, ((5, 1),)), ((9, 5), (15, 13), (21, 5))),
+        (SeifertData(-2, ((7, 1),)), ((9, 5),)),
         (SeifertData(0, ((2, 1), (3, 1))), ((9, 5), (15, 13), (21, 5))),
         (SeifertData(0, ((2, 1), (6, 1))), ((5, 17),)),
         (SeifertData(0, ((4, 1), (4, 3))), ((7, 17),)),
@@ -679,6 +714,43 @@ def test_hat_sum_matches_hat_sum_reference_for_one_to_four_fibers():
             terms = _hat_sum_reference(d, ctx)
             assert (groups.D, groups.den, groups.c) == (terms.D, terms.den, terms.c), \
                 (d, r, s)
+
+
+def test_hat_groups_match_the_completion_term_by_term_on_random_data():
+    # the square completed once per shift and residue of e mod lam, lam =
+    # L / gcd(L, 2Ps), against its completion for every linear coefficient;
+    # lam > 1 needs H > 1, and half the roots r share a factor with H
+    rng = random.Random(31)
+    cases, lam_cases, ihs, fibers_seen = 0, 0, 0, set()
+    while cases < 160:
+        m = rng.randint(1, 5)
+        if m <= 4 and rng.random() < 0.2:
+            d = brieskorn(sorted(rng.sample([2, 3, 5, 7], m)))
+        else:
+            fibers = []
+            for _ in range(m):
+                p = rng.randint(2, 6)
+                fibers.append((p, rng.choice([q for q in range(-p, 2 * p)
+                                              if q and math.gcd(q, p) == 1])))
+            d = SeifertData(0, tuple(fibers))
+            if invariants(d).e < 0:
+                d = d.reversed_orientation()
+        inv = invariants(d)
+        rs = range(3, 22 if m <= 3 else 10, 2)
+        shared = [r for r in rs if math.gcd(r, inv.H) > 1]
+        r = rng.choice(shared if shared and rng.random() < 0.5 else rs)
+        s = rng.choice([s for s in (1, 5, 9, 13, 17) if math.gcd(s, r) == 1])
+        D = 4 * inv.P * r
+        if inv.e == 0 or D > 20000:
+            continue
+        ctx = RootContext(r, s)
+        assert _hat_sum(d, ctx) == _hat_sum(d, ctx, _hat_groups_reference), (d, r, s)
+        L = math.gcd(2 * s * inv.H, D)
+        cases += 1
+        lam_cases += L // math.gcd(L, 2 * inv.P * s) > 1
+        ihs += inv.H == 1
+        fibers_seen.add(m)
+    assert lam_cases >= 30 and ihs >= 20 and fibers_seen == {1, 2, 3, 4, 5}
 
 
 def test_four_fiber_hat_sum_at_a_large_root():
@@ -732,7 +804,7 @@ def test_large_root_closed_form_needs_no_dense_product(monkeypatch):
         w = w_seifert_closed(brieskorn((2, 3, 7)), RootContext(r, 1)).exact
         assert w.c and sum(pairs) < 10 ** 4, r
     pairs.clear()
-    assert brieskorn_identity((2, 3, 7), RootContext(601, 1)).passed
+    assert brieskorn_identity("brieskorn:2,3,7", RootContext(601, 1)).passed
     assert sum(pairs) < 10 ** 6
 
 
